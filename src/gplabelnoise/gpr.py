@@ -1,11 +1,14 @@
 """Regularized Gaussian-process regression core.
 
 Everything here operates on the regularized covariance Kt = K + diag(sigma),
-where sigma holds one non-negative noise variance per label. A ``GprState``
-caches the Cholesky factor of Kt, alpha = Kt^-1 y, and the materialized
-inverse with its diagonal; posterior prediction, the negative log-likelihood,
-its gradients in sigma and in the kernel hyperparameters, and the closed-form
-leave-one-out quantities are all cheap reads off that cache.
+where sigma holds one non-negative noise variance per label. A fit computes
+only what every reader needs: the Cholesky factor L of Kt, alpha = Kt^-1 y
+and diag(Kt^-1), the last as column sums of squares of the triangular
+inverse L^-1. Posterior prediction, the negative log-likelihood, its
+gradient in sigma and the closed-form leave-one-out quantities are cheap
+reads off that cache. The full inverse is built on first access to
+``GprState.kinv`` and cached; only the full-matrix sigma gradient and the
+kernel-hyperparameter gradient read it.
 
 The NLL convention is ``log det Kt + y' Kt^-1 y`` with the additive constant
 dropped; all tests and optimizers use the same convention.
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -51,16 +55,18 @@ class GprState:
     """Factorized regularized covariance plus the solves every reader needs.
 
     ``params`` and ``X`` are kept for prediction and are None for states
-    built directly from a covariance matrix (``fit_matrix``).
+    built directly from a covariance matrix (``fit_matrix``). ``y`` is a
+    copy of the fitted labels, so readers can tell when ``alpha`` answers
+    for the labels they are given.
     """
 
     params: KernelParams | None
     X: np.ndarray | None
     sigma: np.ndarray
+    y: np.ndarray
     chol: np.ndarray  # lower Cholesky factor of Kt (+ applied jitter)
     jitter: float
     alpha: np.ndarray  # Kt^-1 y
-    kinv: np.ndarray  # Kt^-1, materialized
     kinv_diag: np.ndarray
 
     @property
@@ -69,7 +75,28 @@ class GprState:
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Kt^-1 b via the cached factor."""
-        return scipy.linalg.cho_solve((self.chol, True), b)
+        # the factor of a finite matrix is finite, and NaN in b propagates
+        return scipy.linalg.cho_solve((self.chol, True), b, check_finite=False)
+
+    def alpha_for(self, y) -> np.ndarray:
+        """Kt^-1 y, read from the cache when y equals the fitted labels."""
+        y = np.asarray(y, dtype=float)
+        if np.array_equal(y, self.y):
+            return self.alpha
+        return self.solve(y)
+
+    @cached_property
+    def kinv(self) -> np.ndarray:
+        """Kt^-1, built from the factor on first access and cached.
+
+        Symmetric by construction, with the diagonal taken from ``kinv_diag``
+        so that the full-matrix and diagonal gradient forms agree bitwise.
+        """
+        # info is 0: a successful Cholesky leaves a positive diagonal
+        lower, _ = scipy.linalg.lapack.dpotri(self.chol, lower=1)
+        kinv = np.tril(lower) + np.tril(lower, -1).T
+        np.fill_diagonal(kinv, self.kinv_diag)
+        return kinv
 
 
 @dataclass(frozen=True)
@@ -88,14 +115,20 @@ def cholesky_with_jitter(M: np.ndarray, diag_ref: float) -> tuple[np.ndarray, fl
     """Lower Cholesky factor of M, retrying with escalating diagonal jitter.
 
     ``diag_ref`` scales the ladder (mean of the prior covariance diagonal).
-    Raises ``NumericalError`` carrying the smallest eigenvalue of the final
-    attempt once the ladder is exhausted.
+    Raises ``InvalidInputError`` unless M is a finite square matrix, and
+    ``NumericalError`` carrying the smallest eigenvalue of the final attempt
+    once the ladder is exhausted.
     """
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise InvalidInputError(f"matrix to factor must be square, got shape {M.shape}")
+    if not np.all(np.isfinite(M)):
+        raise InvalidInputError("matrix to factor must be finite")
     jitters = (0.0,) + tuple(s * diag_ref for s in _JITTER_STEPS)
     for jitter in jitters:
         try:
             A = M if jitter == 0.0 else M + jitter * np.eye(M.shape[0])
-            L = scipy.linalg.cholesky(A, lower=True)
+            L = scipy.linalg.cholesky(A, lower=True, check_finite=False)
             if jitter > 0.0:
                 log.debug("cholesky needed jitter %.3e", jitter)
             return L, jitter
@@ -125,31 +158,42 @@ def fit_matrix(
     params: KernelParams | None = None,
     X: np.ndarray | None = None,
 ) -> GprState:
-    """Factorize K + diag(sigma) and cache alpha, Kt^-1 and its diagonal.
+    """Factorize K + diag(sigma) and cache alpha = Kt^-1 y and diag(Kt^-1).
 
-    The full inverse is materialized by solving against the identity; its
-    diagonal is what the noise update and LOOCV read, and the matrix itself
-    feeds the full-matrix gradient. O(N^3), fine at the targeted scale.
+    The diagonal is the column sums of squares of L^-1, from one triangular
+    inversion of the Cholesky factor L; the noise update, the sigma gradient
+    and LOOCV read nothing else. The full inverse is not formed here (see
+    ``GprState.kinv``). O(N^3), fine at the targeted scale.
+
+    Raises ``InvalidInputError`` unless K is a finite square matrix and y a
+    finite vector of matching length, and ``NumericalError`` when K + diag(sigma)
+    cannot be factorized.
     """
     K = np.asarray(K, dtype=float)
+    if K.ndim != 2 or K.shape[0] != K.shape[1]:
+        raise InvalidInputError(f"K must be a square matrix, got shape {K.shape}")
     n = K.shape[0]
     y = np.asarray(y, dtype=float)
     if y.shape != (n,):
         raise InvalidInputError(f"y must have shape ({n},), got {y.shape}")
+    if not np.all(np.isfinite(y)):
+        raise InvalidInputError("y entries must be finite")
     sigma = _check_sigma(sigma, n)
-    Kt = K + np.diag(sigma)
+    Kt = K.copy()
+    Kt[np.diag_indices(n)] += sigma
+    # finiteness of K is checked once, on Kt, by the factorization
     L, jitter = cholesky_with_jitter(Kt, diag_ref=float(np.mean(np.diag(K))))
-    alpha = scipy.linalg.cho_solve((L, True), y)
-    kinv = scipy.linalg.cho_solve((L, True), np.eye(n))
+    alpha = scipy.linalg.cho_solve((L, True), y, check_finite=False)
+    linv, _ = scipy.linalg.lapack.dtrtri(L, lower=1)  # info is 0, as in GprState.kinv
     return GprState(
         params=params,
         X=None if X is None else np.asarray(X, dtype=float),
         sigma=sigma,
+        y=y.copy(),
         chol=L,
         jitter=jitter,
         alpha=alpha,
-        kinv=kinv,
-        kinv_diag=np.diag(kinv).copy(),
+        kinv_diag=np.einsum("ij,ij->j", linv, linv),
     )
 
 
@@ -171,7 +215,8 @@ def predict(state: GprState, x_star) -> Posterior:
         raise InvalidInputError("query point must be finite")
     k_star = cross_kernel(state.params, x_star[None, :], state.X)[0]
     mean = float(k_star @ state.alpha)
-    var = eval_kernel(state.params, x_star, x_star) - float(k_star @ state.solve(k_star))
+    v = scipy.linalg.solve_triangular(state.chol, k_star, lower=True, check_finite=False)
+    var = eval_kernel(state.params, x_star, x_star) - float(v @ v)
     if var < -1e-8:
         log.warning("posterior variance %.3e clamped to 0", var)
     return Posterior(mean=mean, variance=max(var, 0.0))
@@ -186,7 +231,9 @@ def predict_batch(state: GprState, X_star) -> tuple[np.ndarray, np.ndarray]:
         X_star = X_star[:, None]
     Ks = cross_kernel(state.params, X_star, state.X)
     means = Ks @ state.alpha
-    quad = np.einsum("ij,ji->i", Ks, state.solve(Ks.T))
+    # k' Kt^-1 k = |L^-1 k|^2: one triangular solve instead of two
+    V = scipy.linalg.solve_triangular(state.chol, Ks.T, lower=True, check_finite=False)
+    quad = np.einsum("ij,ij->j", V, V)
     variances = state.params.signal_variance - quad
     low = variances < -1e-8
     if np.any(low):
@@ -198,18 +245,18 @@ def nll(state: GprState, y) -> float:
     """Negative log-likelihood, log det Kt + y' Kt^-1 y (constant dropped)."""
     y = np.asarray(y, dtype=float)
     logdet = 2.0 * float(np.sum(np.log(np.diag(state.chol))))
-    return logdet + float(y @ state.solve(y))
+    return logdet + float(y @ state.alpha_for(y))
 
 
 def grad_sigma(state: GprState, y) -> np.ndarray:
     """Gradient of the NLL in sigma: diag(Kt^-1) - (Kt^-1 y) ** 2."""
-    a = state.solve(np.asarray(y, dtype=float))
+    a = state.alpha_for(y)
     return state.kinv_diag - a * a
 
 
 def grad_sigma_full_matrix(state: GprState, y) -> np.ndarray:
     """Full-matrix form Kt^-1 - (Kt^-1 y)(Kt^-1 y)'; its diagonal is grad_sigma."""
-    a = state.solve(np.asarray(y, dtype=float))
+    a = state.alpha_for(y)
     return state.kinv - np.outer(a, a)
 
 
@@ -217,9 +264,10 @@ def grad_theta(state: GprState, y, dK_dtheta) -> np.ndarray:
     """Gradient of the NLL in the kernel hyperparameters.
 
     One entry tr(Kt^-1 dK) - (Kt^-1 y)' dK (Kt^-1 y) per matrix in
-    ``dK_dtheta``; the trace is an elementwise sum against the cached inverse.
+    ``dK_dtheta``; the trace is an elementwise sum against the full inverse,
+    which the first call on a state builds.
     """
-    a = state.solve(np.asarray(y, dtype=float))
+    a = state.alpha_for(y)
     out = np.empty(len(dK_dtheta))
     for j, dK in enumerate(dK_dtheta):
         out[j] = float(np.sum(state.kinv * dK)) - float(a @ dK @ a)
@@ -232,5 +280,5 @@ def loocv(state: GprState, y) -> LoocvResult:
     errors_i = (Kt^-1 y)_i / (Kt^-1)_ii and stds_i = (Kt^-1)_ii ^ -1/2,
     evaluated on the regularized matrix Kt.
     """
-    a = state.solve(np.asarray(y, dtype=float))
+    a = state.alpha_for(y)
     return LoocvResult(errors=a / state.kinv_diag, stds=1.0 / np.sqrt(state.kinv_diag))

@@ -216,7 +216,7 @@ def mult_update_step(state: GprState, y: np.ndarray, config: MultUpdateConfig) -
     Entries that land below the zero clip come back as exact zeros and stay
     there on later steps. The state itself is not modified.
     """
-    a = state.solve(y)
+    a = state.alpha_for(y)
     denom = state.kinv_diag
     if config.penalty_lambda > 0.0:
         # p = 1 at sigma = 0 relies on 0**0 == 1, which numpy guarantees
@@ -294,7 +294,7 @@ def optimize_sigma_uniform_matrix(
     evals = [1]
     converged = False
     for t in range(1, config.max_iters + 1):
-        a = state.solve(y)
+        a = state.alpha
         new_sigma = sigma * float(a @ a) / float(np.sum(state.kinv_diag))
         if new_sigma < clip:
             new_sigma = 0.0

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gplabelnoise import (
     InvalidInputError,
@@ -19,6 +20,7 @@ from gplabelnoise import (
     predict,
     predict_batch,
 )
+from gplabelnoise.gpr import cholesky_with_jitter
 from gplabelnoise.rng import make_rng, normals
 
 # ---------------------------------------------------------------------------
@@ -49,6 +51,55 @@ class TestFit:
         assert np.allclose(state.kinv_diag, direct, rtol=1e-9)
         assert np.allclose(np.diag(state.kinv), direct, rtol=1e-9)
 
+    def test_kinv_diag_matches_full_inverse_at_n200(self):
+        rng = make_rng(45)
+        n = 200
+        X = rng.random((n, 2))
+        K = build_kernel_matrix(KernelParams(1.0, 0.5), X)
+        sigma = 0.1 + rng.random(n)
+        state = fit_matrix(K, sigma, normals(rng, n))
+        assert state.jitter == 0.0
+        direct = np.diag(np.linalg.inv(K + np.diag(sigma)))
+        assert np.allclose(state.kinv_diag, direct, rtol=1e-9, atol=0.0)
+
+    def test_kinv_diag_on_jittered_duplicate_inputs(self):
+        """Duplicated inputs with zero noise make Kt singular, so the factor
+        carries jitter and kinv_diag must describe K + diag(sigma) + jitter*I.
+
+        That matrix has condition number ~1e12, so any two independent
+        inversions of it differ by up to cond * eps ~ 2.7e-4 relative on the
+        duplicated labels; the bound against np.linalg.inv is set from that.
+        The explicit inverse from the same factor shares the factorization
+        round-off and must agree to 1e-9.
+        """
+        rng = make_rng(46)
+        n = 200
+        X = rng.random((n, 2))
+        X[1] = X[0]
+        X[3] = X[2]
+        K = build_kernel_matrix(KernelParams(1.0, 0.5), X)
+        sigma = 0.1 + rng.random(n)
+        sigma[:4] = 0.0
+        state = fit_matrix(K, sigma, normals(rng, n))
+        assert state.jitter > 0.0
+        Kt = K + np.diag(sigma) + state.jitter * np.eye(n)
+        same_factor = np.diag(scipy.linalg.cho_solve((state.chol, True), np.eye(n)))
+        assert np.allclose(state.kinv_diag, same_factor, rtol=1e-9, atol=0.0)
+        rtol = np.linalg.cond(Kt) * np.finfo(float).eps
+        assert np.allclose(state.kinv_diag, np.diag(np.linalg.inv(Kt)), rtol=rtol, atol=0.0)
+
+    def test_lazy_kinv_is_symmetric_inverse_with_cached_diagonal(self):
+        rng = make_rng(47)
+        n = 60
+        K = build_kernel_matrix(KernelParams(1.3, 0.4), rng.random((n, 2)))
+        sigma = 0.1 + rng.random(n)
+        state = fit_matrix(K, sigma, normals(rng, n))
+        kinv = state.kinv
+        assert kinv is state.kinv
+        assert np.array_equal(kinv, kinv.T)
+        assert np.array_equal(np.diag(kinv), state.kinv_diag)
+        assert np.allclose(kinv, np.linalg.inv(K + np.diag(sigma)), rtol=1e-9, atol=1e-12)
+
     def test_clean_problem_needs_no_jitter(self):
         state = fit_matrix(np.eye(3), np.ones(3), np.array([1.0, -1.0, 0.5]))
         assert state.jitter == 0.0
@@ -74,6 +125,35 @@ class TestFit:
         X[1, 0] = 1.0
         with pytest.raises(InvalidInputError):
             fit(KernelParams(1.0, 1.0), sigma, X, y)
+
+    @pytest.mark.parametrize(
+        "K,y",
+        [
+            (np.ones((2, 3)), np.ones(2)),                      # K not square
+            (np.ones(3), np.ones(3)),                           # K not a matrix
+            (np.eye(3), np.ones(2)),                            # K size != y size
+            (np.array([[1.0, np.nan], [np.nan, 1.0]]), np.ones(2)),  # NaN in K
+            (np.array([[np.inf, 0.0], [0.0, 1.0]]), np.ones(2)),     # inf in K
+            (np.eye(2), np.array([1.0, np.nan])),               # NaN label
+            (np.eye(2), np.array([-np.inf, 1.0])),              # inf label
+        ],
+    )
+    def test_fit_matrix_rejects_malformed_inputs(self, K, y):
+        with pytest.raises(InvalidInputError):
+            fit_matrix(K, np.ones(y.shape[0]), y)
+
+    @pytest.mark.parametrize(
+        "M",
+        [
+            np.ones((2, 3)),                              # not square
+            np.ones(4),                                   # not a matrix
+            np.array([[1.0, 0.0], [0.0, np.nan]]),        # NaN
+            np.array([[1.0, -np.inf], [-np.inf, 1.0]]),   # inf
+        ],
+    )
+    def test_cholesky_with_jitter_rejects_malformed_inputs(self, M):
+        with pytest.raises(InvalidInputError):
+            cholesky_with_jitter(M, diag_ref=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +182,37 @@ class TestNll:
         Kt = K + np.diag(sigma)
         direct = float(np.linalg.slogdet(Kt)[1] + y @ np.linalg.solve(Kt, y))
         assert nll(state, y) == pytest.approx(direct, rel=1e-10)
+
+
+class TestOtherLabels:
+    """Readers given labels other than the fitted ones solve for them."""
+
+    def _problem(self):
+        rng = make_rng(48)
+        n = 12
+        K = build_kernel_matrix(KernelParams(1.1, 0.5), 2.0 * rng.random((n, 2)) - 1.0)
+        sigma = 0.1 + rng.random(n)
+        state = fit_matrix(K, sigma, normals(rng, n))
+        other = normals(rng, n)
+        Kt = K + np.diag(sigma)
+        return state, other, Kt, np.linalg.inv(Kt)
+
+    def test_nll(self):
+        state, other, Kt, _ = self._problem()
+        direct = float(np.linalg.slogdet(Kt)[1] + other @ np.linalg.solve(Kt, other))
+        assert nll(state, other) == pytest.approx(direct, rel=1e-10)
+
+    def test_grad_sigma(self):
+        state, other, _, kinv = self._problem()
+        a = kinv @ other
+        assert np.allclose(grad_sigma(state, other), np.diag(kinv) - a * a, rtol=1e-9, atol=1e-12)
+
+    def test_loocv(self):
+        state, other, _, kinv = self._problem()
+        a = kinv @ other
+        res = loocv(state, other)
+        assert np.allclose(res.errors, a / np.diag(kinv), rtol=1e-9, atol=1e-12)
+        assert np.allclose(res.stds, 1.0 / np.sqrt(np.diag(kinv)), rtol=1e-9)
 
 
 class TestGradients:
