@@ -14,7 +14,7 @@ seed when no flag or config entry does. Every command is deterministic given
 its resolved settings: reruns produce byte-identical output files.
 
 Exit codes: 0 success, 1 usage/config, 2 I/O or parse, 3 numerical failure,
-4 fit hit max-iters without converging.
+4 fit stopped without converging (iteration cap or NLL increase).
 """
 
 from __future__ import annotations
@@ -345,6 +345,7 @@ def _trace_section(trace) -> dict:
     return {
         "iters": trace.iters,
         "converged": trace.converged,
+        "stop_reason": trace.stop_reason,
         "monotone": trace.monotone,
         "final_nll": trace.final_nll,
         "func_evals": trace.func_evals,
@@ -446,10 +447,10 @@ def _cmd_fit(args) -> int:
     dataset = read_dataset(cfg["data"])
     doc, trace, _ = _fit_document("fit", dataset, cfg, provided)
     _write_report(cfg["out"], doc)
-    status = "converged" if trace.converged else "hit max-iters"
+    status = "converged" if trace.converged else "not converged"
     print(
         f"wrote {cfg['out']}: N={dataset.n} iters={trace.iters} "
-        f"final_nll={trace.final_nll!r} ({status})"
+        f"final_nll={trace.final_nll!r} ({status}, stop_reason={trace.stop_reason})"
     )
     return EXIT_OK if trace.converged else EXIT_NOT_CONVERGED
 

@@ -10,6 +10,16 @@ reads off that cache. The full inverse is built on first access to
 ``GprState.kinv`` and cached; only the full-matrix sigma gradient and the
 kernel-hyperparameter gradient read it.
 
+The factor path calls LAPACK directly: ``dpotrf`` for the Cholesky factor,
+``dpotrs`` for solves against it and ``dtrtri`` for the triangular inverse,
+each bound once at import. These are the routines, with the same arguments,
+that ``scipy.linalg.cholesky``/``cho_solve`` call, so factors and solves are
+bitwise the same, without SciPy's per-call wrapper cost (which dominates at
+N of a few dozen). The input checks those wrappers would make live in
+``cholesky_with_jitter`` (square, finite matrix), ``fit_matrix`` (square K,
+finite labels of matching length) and ``_check_sigma`` (shape, finite,
+non-negative).
+
 The NLL convention is ``log det Kt + y' Kt^-1 y`` with the additive constant
 dropped; all tests and optimizers use the same convention.
 """
@@ -23,7 +33,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .errors import InvalidInputError, NumericalError
+from .errors import EmptyDatasetError, InvalidInputError, NumericalError
 from .kernel import KernelParams, build_kernel_matrix, cross_kernel, eval_kernel
 
 __all__ = [
@@ -43,6 +53,10 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
+
+_potrf, _potrs, _trtri = scipy.linalg.get_lapack_funcs(
+    ("potrf", "potrs", "trtri"), dtype=np.float64
+)
 
 # Jitter ladder: first retry at 1e-10 * mean(diag K), then three escalations
 # of 10x each. sigma >= 0 keeps Kt positive definite in exact arithmetic, so
@@ -74,14 +88,20 @@ class GprState:
         return self.alpha.shape[0]
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Kt^-1 b via the cached factor."""
-        # the factor of a finite matrix is finite, and NaN in b propagates
-        return scipy.linalg.cho_solve((self.chol, True), b, check_finite=False)
+        """Kt^-1 b via the cached factor, for a vector or a matrix b."""
+        b = np.asarray(b, dtype=float)
+        if b.shape[:1] != self.alpha.shape:
+            raise ValueError(f"right-hand side must have {self.n} rows, got shape {b.shape}")
+        # the factor of a finite matrix is finite, and NaN in b propagates;
+        # info is 0: the factor's diagonal is positive
+        return _potrs(self.chol, b, lower=1)[0]
 
     def alpha_for(self, y) -> np.ndarray:
         """Kt^-1 y, read from the cache when y equals the fitted labels."""
+        if y is self.y:
+            return self.alpha
         y = np.asarray(y, dtype=float)
-        if np.array_equal(y, self.y):
+        if y.shape == self.y.shape and (y == self.y).all():
             return self.alpha
         return self.solve(y)
 
@@ -122,18 +142,24 @@ def cholesky_with_jitter(M: np.ndarray, diag_ref: float) -> tuple[np.ndarray, fl
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise InvalidInputError(f"matrix to factor must be square, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
+    if not np.isfinite(M).all():
         raise InvalidInputError("matrix to factor must be finite")
-    jitters = (0.0,) + tuple(s * diag_ref for s in _JITTER_STEPS)
-    for jitter in jitters:
-        try:
-            A = M if jitter == 0.0 else M + jitter * np.eye(M.shape[0])
-            L = scipy.linalg.cholesky(A, lower=True, check_finite=False)
-            if jitter > 0.0:
-                log.debug("cholesky needed jitter %.3e", jitter)
+    L, info = _potrf(M, lower=1, clean=1)
+    if info == 0:
+        return L, 0.0
+    del L  # release each failed attempt's factor before the next rung
+    for step in _JITTER_STEPS:
+        jitter = step * diag_ref
+        # the jitter goes on the diagonal of a Fortran-ordered copy, which is
+        # factored in place: one N x N array per rung, holding M + jitter*I
+        A = np.array(M, order="F")
+        np.fill_diagonal(A, M.diagonal() + jitter)
+        L, info = _potrf(A, lower=1, clean=1, overwrite_a=1)
+        del A
+        if info == 0:
+            log.debug("cholesky needed jitter %.3e", jitter)
             return L, jitter
-        except scipy.linalg.LinAlgError:
-            continue
+        del L
     pivot = float(np.min(scipy.linalg.eigvalsh(M)))
     raise NumericalError(
         f"covariance matrix not positive definite after jitter escalation "
@@ -146,7 +172,7 @@ def _check_sigma(sigma, n: int) -> np.ndarray:
     sigma = np.asarray(sigma, dtype=float)
     if sigma.shape != (n,):
         raise InvalidInputError(f"sigma must have shape ({n},), got {sigma.shape}")
-    if not np.all(np.isfinite(sigma)) or np.any(sigma < 0.0):
+    if not (np.isfinite(sigma).all() and (sigma >= 0.0).all()):
         raise InvalidInputError("sigma entries must be finite and non-negative")
     return sigma
 
@@ -165,26 +191,29 @@ def fit_matrix(
     and LOOCV read nothing else. The full inverse is not formed here (see
     ``GprState.kinv``). O(N^3), fine at the targeted scale.
 
-    Raises ``InvalidInputError`` unless K is a finite square matrix and y a
-    finite vector of matching length, and ``NumericalError`` when K + diag(sigma)
-    cannot be factorized.
+    Raises ``EmptyDatasetError`` for a 0 x 0 K, ``InvalidInputError`` unless K
+    is a finite square matrix and y a finite vector of matching length, and
+    ``NumericalError`` when K + diag(sigma) cannot be factorized.
     """
     K = np.asarray(K, dtype=float)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise InvalidInputError(f"K must be a square matrix, got shape {K.shape}")
     n = K.shape[0]
+    if n == 0:
+        raise EmptyDatasetError("cannot fit zero points")
     y = np.asarray(y, dtype=float)
     if y.shape != (n,):
         raise InvalidInputError(f"y must have shape ({n},), got {y.shape}")
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise InvalidInputError("y entries must be finite")
     sigma = _check_sigma(sigma, n)
     Kt = K.copy()
-    Kt[np.diag_indices(n)] += sigma
+    Kt.flat[:: n + 1] += sigma  # the diagonal
     # finiteness of K is checked once, on Kt, by the factorization
-    L, jitter = cholesky_with_jitter(Kt, diag_ref=float(np.mean(np.diag(K))))
-    alpha = scipy.linalg.cho_solve((L, True), y, check_finite=False)
-    linv, _ = scipy.linalg.lapack.dtrtri(L, lower=1)  # info is 0, as in GprState.kinv
+    L, jitter = cholesky_with_jitter(Kt, diag_ref=float(np.add.reduce(K.diagonal()) / n))
+    # info is 0 for both: a successful Cholesky leaves a positive diagonal
+    alpha = _potrs(L, y, lower=1)[0]
+    linv = _trtri(L, lower=1)[0]
     return GprState(
         params=params,
         X=None if X is None else np.asarray(X, dtype=float),
@@ -244,7 +273,7 @@ def predict_batch(state: GprState, X_star) -> tuple[np.ndarray, np.ndarray]:
 def nll(state: GprState, y) -> float:
     """Negative log-likelihood, log det Kt + y' Kt^-1 y (constant dropped)."""
     y = np.asarray(y, dtype=float)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(state.chol))))
+    logdet = 2.0 * float(np.log(state.chol.diagonal()).sum())
     return logdet + float(y @ state.alpha_for(y))
 
 

@@ -7,7 +7,10 @@ The covariance family is fixed to the RBF kernel
 with signal variance ``s2`` and length scale ``ell``. Both hyperparameters are
 strictly positive and are optimized in log space, so positivity is preserved
 by construction. Matrices are assembled from explicit coordinate differences,
-which makes them bit-exactly symmetric with diagonal exactly ``s2``.
+which makes them bit-exactly symmetric with diagonal exactly ``s2``. Callers
+that try many hyperparameter values on one input set (the joint optimizer)
+compute the squared distances once with ``sq_dists`` and evaluate each trial
+with ``rbf_from_sq_dists``, the helper every kernel matrix here goes through.
 """
 
 from __future__ import annotations
@@ -24,6 +27,9 @@ __all__ = [
     "build_kernel_matrix",
     "cross_kernel",
     "kernel_grad_theta",
+    "sq_dists",
+    "rbf_from_sq_dists",
+    "rbf_grad_from_sq_dists",
     "heuristic_params",
 ]
 
@@ -79,37 +85,68 @@ def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.einsum("ijk,ijk->ij", diff, diff)
 
 
-def build_kernel_matrix(params: KernelParams, X) -> np.ndarray:
-    """N x N prior covariance matrix of the training inputs."""
+def sq_dists(X) -> np.ndarray:
+    """N x N squared distances of the training inputs.
+
+    The part of ``build_kernel_matrix`` that does not depend on the
+    hyperparameters: compute it once per input set and pass it to
+    ``rbf_from_sq_dists`` for every parameter value tried.
+    """
     X = _as_points(X)
     if X.shape[0] == 0:
         raise EmptyDatasetError("cannot build a kernel matrix from zero points")
-    if not np.all(np.isfinite(X)):
+    if not np.isfinite(X).all():
         raise InvalidInputError("kernel inputs must be finite")
+    return _sq_dists(X, X)
+
+
+def rbf_from_sq_dists(params: KernelParams, d2: np.ndarray) -> np.ndarray:
+    """RBF covariance s2 * exp(-d2 / (2 ell^2)) from squared distances.
+
+    The one place the kernel expression is evaluated. The result is a fresh
+    array, exponentiated and scaled in place, so it costs one array the size
+    of ``d2`` on top of ``d2`` itself.
+    """
     ell = params.length_scale
-    return params.signal_variance * np.exp(-_sq_dists(X, X) / (2.0 * ell * ell))
+    K = d2 / (-2.0 * ell * ell)  # bitwise equal to -d2 / (2 ell^2)
+    np.exp(K, out=K)
+    K *= params.signal_variance
+    return K
+
+
+def rbf_grad_from_sq_dists(
+    params: KernelParams, K: np.ndarray, d2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Derivatives (dK/dlog s2, dK/dlog ell) of ``K = rbf_from_sq_dists(params, d2)``.
+
+    dK/dlog s2 = K (the matrix is linear in s2) and
+    dK/dlog ell = K * d2 / ell^2 elementwise, which vanishes on the diagonal.
+    """
+    ell = params.length_scale
+    return K, K * d2 / (ell * ell)
+
+
+def build_kernel_matrix(params: KernelParams, X) -> np.ndarray:
+    """N x N prior covariance matrix of the training inputs."""
+    return rbf_from_sq_dists(params, sq_dists(X))
 
 
 def cross_kernel(params: KernelParams, A, B) -> np.ndarray:
     """M x N covariance between query points A and training points B."""
     A, B = _as_points(A), _as_points(B)
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
         raise InvalidInputError("kernel inputs must be finite")
-    ell = params.length_scale
-    return params.signal_variance * np.exp(-_sq_dists(A, B) / (2.0 * ell * ell))
+    return rbf_from_sq_dists(params, _sq_dists(A, B))
 
 
 def kernel_grad_theta(params: KernelParams, X) -> tuple[np.ndarray, np.ndarray]:
     """Derivatives of the kernel matrix w.r.t. (log s2, log ell).
 
-    dK/dlog s2 = K (the matrix is linear in s2) and
-    dK/dlog ell = K * d2 / ell^2 elementwise, which vanishes on the diagonal.
+    See ``rbf_grad_from_sq_dists``; this builds K and the squared distances
+    from X first.
     """
-    X = _as_points(X)
-    K = build_kernel_matrix(params, X)
-    ell = params.length_scale
-    d2 = _sq_dists(X, X)
-    return K, K * d2 / (ell * ell)
+    d2 = sq_dists(X)
+    return rbf_grad_from_sq_dists(params, rbf_from_sq_dists(params, d2), d2)
 
 
 def heuristic_params(X, y) -> KernelParams:

@@ -23,14 +23,21 @@ diagonal ones with a closed-form solution.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError, InvalidInputError, NumericalError
 from .gpr import GprState, fit_matrix, grad_sigma, grad_theta, nll
-from .kernel import KernelParams, build_kernel_matrix, heuristic_params, kernel_grad_theta
+from .kernel import (
+    KernelParams,
+    build_kernel_matrix,
+    heuristic_params,
+    rbf_from_sq_dists,
+    rbf_grad_from_sq_dists,
+    sq_dists,
+)
 from .rng import make_rng
 
 __all__ = [
@@ -51,7 +58,8 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-# an NLL increase below this is attributed to roundoff, not the update
+# an objective increase below this, relative to the objective's magnitude
+# where that exceeds 1, is attributed to roundoff, not the update (see _is_rise)
 _MONOTONE_SLACK = 1e-10
 
 # log-theta candidates beyond this box describe degenerate kernels (identity
@@ -146,8 +154,18 @@ class OptTrace:
     ``nll_per_iter`` has ``iters + 1`` entries (initial point included);
     ``sigma_change_per_iter`` and ``func_evals_per_iter`` align with it, the
     latter counting cumulative NLL evaluations including rejected line-search
-    trials. ``monotone`` is true iff no recorded NLL step increased by more
-    than 1e-10.
+    trials. ``monotone`` is true iff no recorded NLL step rose beyond
+    round-off (1e-10, relative to the NLL where its magnitude exceeds 1).
+    Under a penalty the NLL may rise by design; the loop itself watches the
+    penalized objective.
+
+    ``stop_reason`` says why the run ended: ``sigma_tol`` (relative sigma
+    change below tolerance), ``nll_tol`` (NLL decrease below tolerance, or
+    for the projected-gradient baseline no decrease left to find along the
+    gradient), ``grad_tol`` (projected-gradient stationarity residual below
+    tolerance), ``nll_increase`` (a step raised the objective, the NLL plus
+    any penalty, beyond round-off) or ``max_iters``. ``converged`` is true
+    for the first three.
     """
 
     nll_per_iter: np.ndarray
@@ -156,6 +174,7 @@ class OptTrace:
     iters: int
     converged: bool
     monotone: bool
+    stop_reason: str
 
     @property
     def final_nll(self) -> float:
@@ -166,16 +185,50 @@ class OptTrace:
         return int(self.func_evals_per_iter[-1])
 
 
-def _make_trace(nlls, changes, evals, converged: bool) -> OptTrace:
+_CONVERGED_REASONS = ("sigma_tol", "nll_tol", "grad_tol")
+
+
+def _is_rise(previous: float, value: float) -> bool:
+    """Whether a step from ``previous`` to ``value`` raised the objective
+    beyond round-off.
+
+    The allowance is _MONOTONE_SLACK relative to the objective's magnitude
+    (absolute below 1): at N=1000 the NLL is ~1e3 and evaluating it on
+    row-permuted copies of one problem scatters it by ~1e-8, so an absolute
+    1e-10 would call round-off a rise.
+    """
+    return value - previous > _MONOTONE_SLACK * max(1.0, abs(previous))
+
+
+def _make_trace(nlls, changes, evals, stop_reason: str) -> OptTrace:
     nlls = np.asarray(nlls, dtype=float)
+    steps = nlls.tolist()
     return OptTrace(
         nll_per_iter=nlls,
         sigma_change_per_iter=np.asarray(changes, dtype=float),
         func_evals_per_iter=np.asarray(evals, dtype=int),
         iters=len(nlls) - 1,
-        converged=converged,
-        monotone=bool(np.all(np.diff(nlls) <= _MONOTONE_SLACK)),
+        converged=stop_reason in _CONVERGED_REASONS,
+        monotone=not any(map(_is_rise, steps, steps[1:])),
+        stop_reason=stop_reason,
     )
+
+
+def _fixed_point_stop(
+    rel: float, previous: float, value: float, config: MultUpdateConfig
+) -> str | None:
+    """Stop reason after a fixed-point step from objective ``previous`` to
+    ``value``, or None to keep going.
+
+    A rise beyond round-off is reported as such, never as convergence.
+    """
+    if _is_rise(previous, value):
+        return "nll_increase"
+    if rel < config.tol_sigma:
+        return "sigma_tol"
+    if previous - value < config.tol_nll:
+        return "nll_tol"
+    return None
 
 
 def _resolve_sigma_init(sigma_init, y: np.ndarray, n: int) -> np.ndarray:
@@ -190,6 +243,13 @@ def _resolve_sigma_init(sigma_init, y: np.ndarray, n: int) -> np.ndarray:
     return arr.copy()
 
 
+def _penalty(sigma: np.ndarray, config: MultUpdateConfig) -> float:
+    """lambda * ||sigma||_p^p, the term the penalized update adds to the NLL."""
+    if config.penalty_lambda == 0.0:
+        return 0.0
+    return config.penalty_lambda * float(np.sum(np.power(sigma, config.penalty_p)))
+
+
 def _resolve_zero_clip(zero_clip, y: np.ndarray) -> float:
     if zero_clip is None:
         return 1e-12 * float(np.var(y))
@@ -197,10 +257,10 @@ def _resolve_zero_clip(zero_clip, y: np.ndarray) -> float:
 
 
 def _rel_change(new: np.ndarray, old: np.ndarray) -> float:
-    scale = float(np.max(np.abs(old)))
+    scale = float(np.abs(old).max())
     if scale == 0.0:
         scale = 1.0
-    return float(np.max(np.abs(new - old))) / scale
+    return float(np.abs(new - old).max()) / scale
 
 
 def _refit(K: np.ndarray, sigma: np.ndarray, y: np.ndarray, iteration: int) -> GprState:
@@ -242,26 +302,33 @@ def _mult_loop(
     K: np.ndarray, y: np.ndarray, sigma: np.ndarray, config: MultUpdateConfig
 ) -> tuple[np.ndarray, OptTrace]:
     # unlike the public entry point, sigma may contain exact zeros here (warm
-    # restarts inside the joint scheme); they are fixed points and stay put
+    # restarts inside the joint scheme); they are fixed points and stay put.
+    # The zero clip is resolved once here instead of once per step.
+    config = replace(config, zero_clip=_resolve_zero_clip(config.zero_clip, y))
+    # The trace records the NLL; the stop rule watches the objective the
+    # update minimizes, which a penalty adds to.
     state = _refit(K, sigma, y, iteration=0)
     nlls = [nll(state, y)]
+    objective = nlls[0] + _penalty(sigma, config)
     changes = [0.0]
     evals = [1]
-    converged = False
+    stop = "max_iters"
     for t in range(1, config.max_iters + 1):
-        new_sigma = mult_update_step(state, y, config)
+        # given the state's own copy of the labels, the step reads its alpha
+        new_sigma = mult_update_step(state, state.y, config)
         rel = _rel_change(new_sigma, sigma)
         state = _refit(K, new_sigma, y, iteration=t)
         value = nll(state, y)
-        decrease = nlls[-1] - value
+        previous, objective = objective, value + _penalty(new_sigma, config)
+        reason = _fixed_point_stop(rel, previous, objective, config)
         nlls.append(value)
         changes.append(rel)
         evals.append(evals[-1] + 1)
         sigma = new_sigma
-        if rel < config.tol_sigma or decrease < config.tol_nll:
-            converged = True
+        if reason is not None:
+            stop = reason
             break
-    return sigma, _make_trace(nlls, changes, evals, converged)
+    return sigma, _make_trace(nlls, changes, evals, stop)
 
 
 def optimize_sigma(
@@ -292,7 +359,7 @@ def optimize_sigma_uniform_matrix(
     nlls = [nll(state, y)]
     changes = [0.0]
     evals = [1]
-    converged = False
+    stop = "max_iters"
     for t in range(1, config.max_iters + 1):
         a = state.alpha
         new_sigma = sigma * float(a @ a) / float(np.sum(state.kinv_diag))
@@ -301,15 +368,15 @@ def optimize_sigma_uniform_matrix(
         rel = abs(new_sigma - sigma) / (abs(sigma) if sigma != 0.0 else 1.0)
         state = _refit(K, np.full(n, new_sigma), y, iteration=t)
         value = nll(state, y)
-        decrease = nlls[-1] - value
+        reason = _fixed_point_stop(rel, nlls[-1], value, config)
         nlls.append(value)
         changes.append(rel)
         evals.append(evals[-1] + 1)
         sigma = new_sigma
-        if rel < config.tol_sigma or decrease < config.tol_nll:
-            converged = True
+        if reason is not None:
+            stop = reason
             break
-    return sigma, _make_trace(nlls, changes, evals, converged)
+    return sigma, _make_trace(nlls, changes, evals, stop)
 
 
 def optimize_sigma_uniform(
@@ -358,12 +425,12 @@ def projected_gradient_baseline_matrix(
     evals_done = 1
     evals = [1]
     eta = config.step_size
-    converged = False
+    stop = "max_iters"
     for t in range(1, config.max_iters + 1):
         g = grad_sigma(state, y)
         residual = np.where(sigma > 0.0, np.abs(g), np.maximum(-g, 0.0))
         if float(np.max(residual / state.kinv_diag)) <= config.tol_grad:
-            converged = True
+            stop = "grad_tol"
             break
         trial = eta
         accepted = False
@@ -379,7 +446,7 @@ def projected_gradient_baseline_matrix(
         if not accepted:
             # no decrease at ~1e-12 of the base step: we are at the roundoff
             # floor of the objective, which is as converged as it gets
-            converged = True
+            stop = "nll_tol"
             break
         rel = _rel_change(cand, sigma)
         decrease = value - cand_value
@@ -388,10 +455,13 @@ def projected_gradient_baseline_matrix(
         changes.append(rel)
         evals.append(evals_done)
         eta = trial * 2.0
-        if rel < config.tol_sigma or decrease < config.tol_nll:
-            converged = True
+        if rel < config.tol_sigma:
+            stop = "sigma_tol"
             break
-    return sigma, _make_trace(nlls, changes, evals, converged)
+        if decrease < config.tol_nll:
+            stop = "nll_tol"
+            break
+    return sigma, _make_trace(nlls, changes, evals, stop)
 
 
 def projected_gradient_baseline(
@@ -422,6 +492,7 @@ def joint_optimize(
     mult_config = mult_config or MultUpdateConfig()
     X, y = data.X, data.y_centered
     center = heuristic_params(X, data.y).log_vector()
+    d2 = sq_dists(X)  # shared by every kernel matrix of every restart
     rng = make_rng(config.restart_seed)
 
     best = None
@@ -430,7 +501,7 @@ def joint_optimize(
         offset = config.restart_spread * (2.0 * rng.random(2) - 1.0)
         log_theta = center if r == 0 else center + offset
         try:
-            result = _joint_single_start(X, y, log_theta, config, mult_config)
+            result = _joint_single_start(X, d2, y, log_theta, config, mult_config)
         except NumericalError as e:
             log.warning("joint restart %d failed: %s", r, e)
             failures.append(e)
@@ -448,24 +519,25 @@ def joint_optimize(
 
 def _joint_single_start(
     X: np.ndarray,
+    d2: np.ndarray,
     y: np.ndarray,
     log_theta: np.ndarray,
     config: JointOptConfig,
     mult_config: MultUpdateConfig,
 ) -> tuple[KernelParams, np.ndarray, OptTrace]:
     params = KernelParams.from_log(log_theta)
-    K = build_kernel_matrix(params, X)
+    K = rbf_from_sq_dists(params, d2)
     sigma, trace = optimize_sigma_matrix(K, y, mult_config)
     nlls = list(trace.nll_per_iter)
     changes = list(trace.sigma_change_per_iter)
     evals = list(trace.func_evals_per_iter)
-    converged = trace.converged
+    stop = trace.stop_reason
 
     for _ in range(config.outer_rounds):
         state = fit_matrix(K, sigma, y, params=params, X=X)
         value = nll(state, y)
         for _ in range(config.theta_max_steps):
-            g = np.array(grad_theta(state, y, list(kernel_grad_theta(params, X))))
+            g = grad_theta(state, y, rbf_grad_from_sq_dists(params, K, d2))
             if float(np.max(np.abs(g))) <= 1e-10:
                 break
             lr = config.theta_lr
@@ -477,7 +549,7 @@ def _joint_single_start(
                     continue
                 try:
                     cand_params = KernelParams.from_log(cand_log)
-                    cand_K = build_kernel_matrix(cand_params, X)
+                    cand_K = rbf_from_sq_dists(cand_params, d2)
                     cand_state = fit_matrix(cand_K, sigma, y, params=cand_params, X=X)
                 except (NumericalError, InvalidInputError):
                     lr *= 0.5
@@ -500,6 +572,6 @@ def _joint_single_start(
         nlls.extend(trace.nll_per_iter[1:])
         changes.extend(trace.sigma_change_per_iter[1:])
         evals.extend(offset + trace.func_evals_per_iter[1:])
-        converged = trace.converged
+        stop = trace.stop_reason
 
-    return params, sigma, _make_trace(nlls, changes, evals, converged)
+    return params, sigma, _make_trace(nlls, changes, evals, stop)

@@ -2,13 +2,18 @@
 configuration precedence, and output determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gplabelnoise
 from gplabelnoise import cli, read_dataset
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 # exit codes: 0 ok, 1 usage/config, 2 input file problems, 3 numerical
 # failure, 4 fit did not converge
@@ -61,11 +66,18 @@ class TestTopLevel:
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert run("frobnicate") == 1
 
+    def test_library_is_imported_from_src(self):
+        assert Path(gplabelnoise.__file__).resolve().parent == SRC / "gplabelnoise"
+
     def test_module_entry_point(self):
+        # the child process imports the same sources as this one
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "gplabelnoise", "--version"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert "0.1.0" in proc.stdout
@@ -152,6 +164,7 @@ class TestFit:
         row = report["per_label"][0]
         assert set(row) == {"corrupted", "epsilon", "flag", "index", "score", "sigma"}
         assert report["trace"]["converged"] is True
+        assert report["trace"]["stop_reason"] in ("sigma_tol", "nll_tol")
         assert np.isfinite(report["final_nll"])
 
     def test_shared_noise_mode(self, example_csv, tmp_path, capsys):
@@ -184,7 +197,23 @@ class TestFit:
             run("fit", "--data", str(example_csv), "--max-iters", "1",
                 "--out", str(out)) == 4
         )
-        assert json.loads(out.read_text())["trace"]["converged"] is False
+        trace = json.loads(out.read_text())["trace"]
+        assert trace["converged"] is False
+        assert trace["stop_reason"] == "max_iters"
+
+    def test_penalized_fit_converges(self, example_csv, tmp_path, capsys):
+        # a heavy penalty pulls the noise below the likelihood optimum, so the
+        # NLL rises on the way; the loop watches the penalized objective,
+        # which falls, and stops on a tolerance
+        out = tmp_path / "f.json"
+        assert (
+            run("fit", "--data", str(example_csv), "--lambda", "5",
+                "--out", str(out)) == 0
+        )
+        trace = json.loads(out.read_text())["trace"]
+        assert trace["converged"] is True
+        assert trace["stop_reason"] in ("sigma_tol", "nll_tol")
+        assert f"stop_reason={trace['stop_reason']}" in capsys.readouterr().out
 
     def test_missing_data_flag(self, capsys):
         assert run("fit", "--out", "x.json") == 1

@@ -1,10 +1,13 @@
 """Tests for GP regression: fitting, prediction, likelihood, gradients, LOOCV."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from gplabelnoise import (
+    EmptyDatasetError,
     InvalidInputError,
     KernelParams,
     NumericalError,
@@ -154,6 +157,86 @@ class TestFit:
     def test_cholesky_with_jitter_rejects_malformed_inputs(self, M):
         with pytest.raises(InvalidInputError):
             cholesky_with_jitter(M, diag_ref=1.0)
+
+
+class TestLapackContract:
+    """The factor path calls LAPACK directly; it must return what the SciPy
+    wrappers around the same routines return, bit for bit."""
+
+    def _gram(self, n, seed, duplicate=False):
+        X = make_rng(seed).random((n, 2))
+        if duplicate:
+            X[1] = X[0]
+        return build_kernel_matrix(KernelParams(1.3, 0.4), X)
+
+    def test_factor_of_pd_matrix_equals_scipy_cholesky(self):
+        M = self._gram(40, 50) + 0.1 * np.eye(40)
+        L, jitter = cholesky_with_jitter(M, diag_ref=1.3)
+        assert jitter == 0.0
+        assert np.array_equal(L, scipy.linalg.cholesky(M, lower=True))
+        assert np.all(np.triu(L, 1) == 0.0)
+
+    def test_duplicate_inputs_get_first_ladder_rung(self):
+        M = self._gram(30, 51, duplicate=True)
+        L, jitter = cholesky_with_jitter(M, diag_ref=1.3)
+        assert jitter == 1e-10 * 1.3
+        # the rung factors exactly M + jitter * I
+        assert np.array_equal(L, scipy.linalg.cholesky(M + jitter * np.eye(30), lower=True))
+        assert np.all(np.triu(L, 1) == 0.0)
+
+    def test_indefinite_matrix_reports_smallest_eigenvalue(self):
+        M = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.5], [0.0, 0.5, 3.0]])
+        with pytest.raises(NumericalError) as info:
+            cholesky_with_jitter(M, diag_ref=1.0)
+        assert info.value.smallest_pivot == float(np.min(scipy.linalg.eigvalsh(M)))
+        assert info.value.smallest_pivot < 0.0
+
+    @pytest.mark.parametrize("shape", [(25,), (25, 1), (25, 4)])
+    def test_solve_equals_scipy_cho_solve(self, shape):
+        rng = make_rng(52)
+        K = self._gram(25, 53)
+        state = fit_matrix(K, 0.1 + rng.random(25), normals(rng, 25))
+        b = normals(rng, int(np.prod(shape))).reshape(shape)
+        expected = scipy.linalg.cho_solve((state.chol, True), b)
+        assert np.array_equal(state.solve(b), expected)
+        assert state.solve(b).shape == shape
+
+    def test_solve_rejects_mismatched_rows(self):
+        state = fit_matrix(np.eye(2), np.zeros(2), np.ones(2))
+        with pytest.raises(ValueError):
+            state.solve(np.ones(3))
+
+    def test_fit_of_zero_points_is_an_empty_dataset(self):
+        with pytest.raises(EmptyDatasetError):
+            fit_matrix(np.zeros((0, 0)), np.zeros(0), np.zeros(0))
+
+    def test_fit_matches_scipy_wrappers(self):
+        rng = make_rng(54)
+        K = self._gram(25, 55)
+        sigma = 0.1 + rng.random(25)
+        y = normals(rng, 25)
+        state = fit_matrix(K, sigma, y)
+        L = scipy.linalg.cholesky(K + np.diag(sigma), lower=True)
+        assert np.array_equal(state.chol, L)
+        assert np.array_equal(state.alpha, scipy.linalg.cho_solve((L, True), y))
+
+    def test_jitter_ladder_holds_one_matrix_at_a_time(self):
+        """A jittered rung adds the jitter to one copy's diagonal and factors
+        it in place, and a failed rung's factor is gone before the next rung:
+        the ladder never holds more than one N x N array beyond its input."""
+        n = 300
+        M = build_kernel_matrix(KernelParams(1.0, 0.3), make_rng(56).random((n, 2)))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            L, jitter = cholesky_with_jitter(M, diag_ref=1.0)
+            del L
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert jitter > 0.0
+        assert peak <= 8 * n * n + 64 * 1024, f"peak {peak / (8 * n * n):.3f} N^2 doubles"
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Tests for the RBF kernel: pointwise values, matrices, gradients, heuristics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from gplabelnoise import (
+    EmptyDatasetError,
     InvalidInputError,
     KernelParams,
     build_kernel_matrix,
@@ -12,6 +15,7 @@ from gplabelnoise import (
     heuristic_params,
     kernel_grad_theta,
 )
+from gplabelnoise.kernel import rbf_from_sq_dists, rbf_grad_from_sq_dists, sq_dists
 from gplabelnoise.rng import make_rng, normals
 
 # ---------------------------------------------------------------------------
@@ -165,6 +169,60 @@ class TestKernelGradTheta:
             fd = (K_plus - K_minus) / (2.0 * h)
             rel = np.max(np.abs(grads[idx] - fd)) / max(np.max(np.abs(fd)), 1.0)
             assert rel < 1e-8, f"component {idx}: rel err {rel:.2e}"
+
+
+class TestSquaredDistanceCache:
+    """Kernel matrices and their gradients from precomputed squared distances."""
+
+    PARAMS = [KernelParams(1.5, 0.6), KernelParams(0.02, 3e-3), KernelParams(40.0, 250.0)]
+
+    @pytest.mark.parametrize("params", PARAMS)
+    def test_helper_is_bitwise_the_kernel_expression(self, params):
+        X = 2.0 * make_rng(24).random((30, 3)) - 1.0
+        d2 = sq_dists(X)
+        ell = params.length_scale
+        direct = params.signal_variance * np.exp(-d2 / (2.0 * ell * ell))
+        K = rbf_from_sq_dists(params, d2)
+        assert np.array_equal(K, direct)
+        assert np.array_equal(K, build_kernel_matrix(params, X))
+        assert np.array_equal(sq_dists(X), d2)  # the input is left alone
+
+    @pytest.mark.parametrize("params", PARAMS)
+    def test_gradient_helper_matches_kernel_grad_theta(self, params):
+        X = 2.0 * make_rng(25).random((30, 2)) - 1.0
+        d2 = sq_dists(X)
+        K = rbf_from_sq_dists(params, d2)
+        d_sv, d_ell = rbf_grad_from_sq_dists(params, K, d2)
+        ref_sv, ref_ell = kernel_grad_theta(params, X)
+        assert np.array_equal(d_sv, ref_sv)
+        assert np.array_equal(d_ell, ref_ell)
+        ell = params.length_scale
+        assert np.array_equal(d_ell, K * d2 / (ell * ell))
+
+    def test_rejects_empty_and_nonfinite_inputs(self):
+        with pytest.raises(EmptyDatasetError):
+            sq_dists(np.zeros((0, 2)))
+        with pytest.raises(InvalidInputError):
+            sq_dists(np.array([[0.0, np.nan]]))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_build_kernel_matrix_peak_memory(self, d):
+        """(d+1) N^2 doubles: the coordinate differences and the squared
+        distances while those are formed, then the distances and the kernel.
+        Evaluating the kernel must not add a temporary on top (at d=1 an
+        extra N x N array would push the peak to 3 N^2)."""
+        n = 500
+        X = make_rng(26).random((n, d))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            K = build_kernel_matrix(KernelParams(1.3, 0.4), X)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert K.shape == (n, n)
+        assert peak <= 8 * (d + 1) * n * n + 64 * 1024, f"peak {peak / (8 * n * n):.3f} N^2 doubles"
 
 
 # ---------------------------------------------------------------------------

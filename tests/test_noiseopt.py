@@ -18,6 +18,7 @@ from gplabelnoise import (
     gen_gp,
     heuristic_params,
     joint_optimize,
+    kernel_grad_theta,
     mult_update_step,
     optimize_sigma,
     optimize_sigma_matrix,
@@ -25,6 +26,7 @@ from gplabelnoise import (
     optimize_sigma_uniform_matrix,
     projected_gradient_baseline_matrix,
 )
+from gplabelnoise import kernel, noiseopt
 from gplabelnoise.rng import make_rng, normals
 
 # configurations tight enough to chase hand-checkable fixed points to high
@@ -217,6 +219,98 @@ class TestOptimizeSigma:
 # ---------------------------------------------------------------------------
 
 
+class TestStopReason:
+    """Each loop says why it stopped, and a real NLL rise is no convergence."""
+
+    def test_real_rise_stops_unconverged(self):
+        # on k=1, y=10 with lambda=1/2, p=3 the step from sigma=3 goes to
+        # 3*(10/4)^2/(1/4 + (3/2)*3^2) = 15/11, which raises the penalized
+        # objective log(1+s) + 100/(1+s) + s^3/2 that the loop minimizes
+        config = MultUpdateConfig(
+            penalty_lambda=0.5, penalty_p=3.0, sigma_init=np.array([3.0])
+        )
+        sigma, trace = optimize_sigma_matrix(np.array([[1.0]]), np.array([10.0]), config)
+        assert sigma[0] == pytest.approx(15.0 / 11.0, rel=1e-14)
+        assert trace.iters == 1
+
+        def objective(s):
+            return np.log(1.0 + s) + 100.0 / (1.0 + s) + 0.5 * s**3
+
+        assert objective(15.0 / 11.0) - objective(3.0) > 4.5
+        assert trace.nll_per_iter[1] - trace.nll_per_iter[0] == pytest.approx(
+            objective(15.0 / 11.0) - objective(3.0) - 0.5 * ((15.0 / 11.0) ** 3 - 27.0),
+            rel=1e-12,
+        )
+        assert trace.stop_reason == "nll_increase"
+        assert not trace.converged
+        assert not trace.monotone
+
+    def test_penalized_loop_watches_the_penalized_objective(self):
+        # from the unpenalized optimum sigma=3 of k=1, y=2, the penalty
+        # (lambda=1/2, p=1) steps to sigma=3*(1/4)/(1/4+1/2)=1, its own fixed
+        # point: the NLL rises from log 4 + 1 to log 2 + 2 by design, the
+        # penalized objective falls by log 2, and the loop converges
+        config = MultUpdateConfig(penalty_lambda=0.5, sigma_init=np.array([3.0]))
+        sigma, trace = optimize_sigma_matrix(np.array([[1.0]]), np.array([2.0]), config)
+        assert sigma[0] == pytest.approx(1.0, rel=1e-14)
+        assert trace.nll_per_iter[1] - trace.nll_per_iter[0] == pytest.approx(
+            np.log(0.5) + 1.0, rel=1e-12
+        )
+        assert trace.converged and trace.stop_reason in ("sigma_tol", "nll_tol")
+        assert not trace.monotone  # the recorded NLL did rise
+
+    def test_roundoff_rise_is_not_a_rise(self):
+        # at N=1000 the NLL is ~-1800 and evaluating it on row-permuted copies
+        # of one problem scatters it by ~1e-8; a rise of that size is round-off
+        config = MultUpdateConfig()
+        assert noiseopt._fixed_point_stop(1e-3, -1799.82201708, -1799.82201707, config) == "nll_tol"
+        assert noiseopt._fixed_point_stop(1e-3, 10.0, 10.0 + 1e-11, config) == "nll_tol"
+        assert noiseopt._fixed_point_stop(1e-3, 10.0, 10.0 + 1e-8, config) == "nll_increase"
+        assert noiseopt._fixed_point_stop(1e-3, 0.01, 0.01 + 2e-10, config) == "nll_increase"
+        # the trace's monotone flag applies the same allowance
+        for nlls, monotone in (
+            ([-1799.82201708, -1799.82201707], True),
+            ([10.0, 10.0 + 1e-8], False),
+            ([0.01, 0.01 + 2e-10], False),
+        ):
+            trace = noiseopt._make_trace(nlls, [0.0, 0.0], [1, 2], "nll_tol")
+            assert trace.monotone is monotone
+
+    def test_tolerance_reasons(self):
+        data = gen_example1(0)
+        K = build_kernel_matrix(heuristic_params(data.X, data.y_centered), data.X)
+        y = data.y_centered
+        _, trace = optimize_sigma_matrix(K, y, MultUpdateConfig(tol_nll=0.0))
+        assert (trace.stop_reason, trace.converged) == ("sigma_tol", True)
+        _, trace = optimize_sigma_matrix(K, y, MultUpdateConfig(tol_sigma=0.0))
+        assert (trace.stop_reason, trace.converged) == ("nll_tol", True)
+        _, trace = optimize_sigma_matrix(K, y, MultUpdateConfig(max_iters=3))
+        assert (trace.stop_reason, trace.converged, trace.iters) == ("max_iters", False, 3)
+        _, trace = optimize_sigma_uniform_matrix(K, y, MultUpdateConfig(max_iters=1))
+        assert (trace.stop_reason, trace.converged) == ("max_iters", False)
+        _, trace = optimize_sigma_uniform_matrix(K, y)
+        assert trace.converged and trace.stop_reason in ("sigma_tol", "nll_tol")
+
+    def test_projected_gradient_reasons(self):
+        K, y = np.diag([1.0, 1.0]), np.array([2.0, 3.0])
+        _, trace = projected_gradient_baseline_matrix(
+            K, y, PgdConfig(sigma_init=diagonal_solution(np.diag(K), y))
+        )
+        assert (trace.stop_reason, trace.converged) == ("grad_tol", True)
+        # no halving allowed and an overshooting first trial: no decrease left
+        _, trace = projected_gradient_baseline_matrix(
+            K, y, PgdConfig(sigma_init=0.5, step_size=1e6, max_halvings=0)
+        )
+        assert (trace.stop_reason, trace.converged, trace.iters) == ("nll_tol", True, 0)
+        _, trace = projected_gradient_baseline_matrix(K, y, PgdConfig(max_iters=1))
+        assert (trace.stop_reason, trace.converged) == ("max_iters", False)
+
+    def test_joint_reports_its_last_loop(self):
+        data = gen_example1(0)
+        _, _, trace = joint_optimize(data, JointOptConfig(restarts=1))
+        assert trace.converged and trace.stop_reason in ("sigma_tol", "nll_tol")
+
+
 class TestOptimizeSigmaUniform:
     """Shared-scalar dynamics built from the same update."""
 
@@ -398,3 +492,44 @@ class TestJointOptimize:
     def test_bad_configuration_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             JointOptConfig(**kwargs)
+
+    def test_theta_gradients_use_kernel_grad_theta_matrices(self, monkeypatch):
+        """Every theta gradient, built from the cached squared distances,
+        sees bitwise the matrices kernel_grad_theta builds from X."""
+        data = gen_example1(1)
+        seen = []
+        grad_theta = noiseopt.grad_theta
+
+        def spy(state, y, dK_dtheta):
+            seen.append((state.params, [m.copy() for m in dK_dtheta]))
+            return grad_theta(state, y, dK_dtheta)
+
+        monkeypatch.setattr(noiseopt, "grad_theta", spy)
+        joint_optimize(data, JointOptConfig(outer_rounds=2, restarts=2))
+        assert len(seen) > 2
+        for params, matrices in seen:
+            reference = kernel_grad_theta(params, data.X)
+            assert all(np.array_equal(m, r) for m, r in zip(matrices, reference))
+
+    def test_squared_distances_built_once_per_call(self, monkeypatch):
+        """Theta trials reuse one squared-distance matrix: the count does not
+        grow with the number of kernel matrices tried."""
+        data = gen_example1(2)
+        counts = {"sq_dists": 0, "kernels": 0}
+        sq, rbf = kernel._sq_dists, noiseopt.rbf_from_sq_dists
+
+        def counting_sq(A, B):
+            counts["sq_dists"] += 1
+            return sq(A, B)
+
+        def counting_rbf(params, d2):
+            counts["kernels"] += 1
+            return rbf(params, d2)
+
+        monkeypatch.setattr(kernel, "_sq_dists", counting_sq)
+        monkeypatch.setattr(noiseopt, "rbf_from_sq_dists", counting_rbf)
+        restarts = 4
+        joint_optimize(data, JointOptConfig(restarts=restarts))
+        # one for the heuristic length scale, one shared by every restart
+        assert counts["sq_dists"] == 2
+        assert counts["kernels"] > 10 * restarts
