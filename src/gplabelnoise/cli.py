@@ -466,9 +466,16 @@ def _load_report_labels(path: str) -> tuple[np.ndarray, LabelTruth | None]:
         sigma = np.array([row["sigma"] for row in rows], dtype=float)
     except (KeyError, TypeError):
         raise ParseError(f"{path}: missing per_label sigma entries", line=1) from None
+    except ValueError:
+        raise ParseError(f"{path}: per_label sigma entries must be numbers", line=1) from None
     if rows and "corrupted" in rows[0]:
-        eps = np.array([row.get("epsilon", 0.0) for row in rows], dtype=float)
-        corrupted = np.array([bool(row["corrupted"]) for row in rows])
+        try:
+            eps = np.array([row.get("epsilon", 0.0) for row in rows], dtype=float)
+            corrupted = np.array([bool(row["corrupted"]) for row in rows])
+        except KeyError:
+            raise ParseError(f"{path}: per_label rows must all carry corrupted when the first does", line=1) from None
+        except (TypeError, ValueError):
+            raise ParseError(f"{path}: per_label epsilon entries must be numbers", line=1) from None
         return sigma, LabelTruth(eps, corrupted)
     return sigma, None
 

@@ -86,7 +86,7 @@ def make_dataset(X, y, truth: LabelTruth | None = None) -> Dataset:
         raise InvalidInputError(f"y must have shape ({X.shape[0]},), got {y.shape}")
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
         raise InvalidInputError("dataset entries must be finite")
-    if truth is not None and truth.epsilon.shape != y.shape:
+    if truth is not None and not (np.shape(truth.epsilon) == np.shape(truth.corrupted) == y.shape):
         raise InvalidInputError("truth must have one entry per label")
     return Dataset(X=X, y=y, y_center=float(np.mean(y)), truth=truth)
 

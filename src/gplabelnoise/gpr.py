@@ -2,23 +2,26 @@
 
 Everything here operates on the regularized covariance Kt = K + diag(sigma),
 where sigma holds one non-negative noise variance per label. A fit computes
-only what every reader needs: the Cholesky factor L of Kt, alpha = Kt^-1 y
-and diag(Kt^-1), the last as column sums of squares of the triangular
-inverse L^-1. Posterior prediction, the negative log-likelihood, its
-gradient in sigma and the closed-form leave-one-out quantities are cheap
-reads off that cache. The full inverse is built on first access to
-``GprState.kinv`` and cached; only the full-matrix sigma gradient and the
-kernel-hyperparameter gradient read it.
+only what every reader needs: the Cholesky factor L of Kt, factored in
+place in one Fortran-ordered copy of K, and alpha = Kt^-1 y. Everything
+else is read off the factor on first access and cached on the state:
+``logdet`` (log det Kt, for the negative log-likelihood), ``kinv_diag``
+(diag(Kt^-1), as column sums of squares of the triangular inverse L^-1,
+for the noise update, the sigma gradient and the closed-form leave-one-out
+quantities) and ``kinv`` (the full inverse, for the full-matrix sigma
+gradient and the kernel-hyperparameter gradient). A state whose only
+reader is the NLL, such as a rejected line-search trial, never inverts its
+factor.
 
 The factor path calls LAPACK directly: ``dpotrf`` for the Cholesky factor,
-``dpotrs`` for solves against it and ``dtrtri`` for the triangular inverse,
-each bound once at import. These are the routines, with the same arguments,
-that ``scipy.linalg.cholesky``/``cho_solve`` call, so factors and solves are
-bitwise the same, without SciPy's per-call wrapper cost (which dominates at
-N of a few dozen). The input checks those wrappers would make live in
-``cholesky_with_jitter`` (square, finite matrix), ``fit_matrix`` (square K,
-finite labels of matching length) and ``_check_sigma`` (shape, finite,
-non-negative).
+``dpotrs`` for solves against it, ``dtrtri`` for the triangular inverse and
+``dpotri`` for the full inverse, each bound once at import. These are the
+routines, with the same arguments, that ``scipy.linalg.cholesky``/
+``cho_solve`` call, so factors and solves are bitwise the same, without
+SciPy's per-call wrapper cost (which dominates at N of a few dozen). The
+input checks those wrappers would make live in ``cholesky_with_jitter``
+(square, finite matrix), ``fit_matrix`` (square K, finite labels of matching
+length, finite Kt) and ``_check_sigma`` (shape, finite, non-negative).
 
 The NLL convention is ``log det Kt + y' Kt^-1 y`` with the additive constant
 dropped; all tests and optimizers use the same convention.
@@ -27,6 +30,7 @@ dropped; all tests and optimizers use the same convention.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -54,8 +58,8 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-_potrf, _potrs, _trtri = scipy.linalg.get_lapack_funcs(
-    ("potrf", "potrs", "trtri"), dtype=np.float64
+_potrf, _potrs, _trtri, _potri = scipy.linalg.get_lapack_funcs(
+    ("potrf", "potrs", "trtri", "potri"), dtype=np.float64
 )
 
 # Jitter ladder: first retry at 1e-10 * mean(diag K), then three escalations
@@ -66,22 +70,22 @@ _JITTER_STEPS = (1e-10, 1e-9, 1e-8, 1e-7)
 
 @dataclass(frozen=True)
 class GprState:
-    """Factorized regularized covariance plus the solves every reader needs.
+    """Factorized regularized covariance plus the reads of it that are used.
 
     ``params`` and ``X`` are kept for prediction and are None for states
     built directly from a covariance matrix (``fit_matrix``). ``y`` is a
     copy of the fitted labels, so readers can tell when ``alpha`` answers
-    for the labels they are given.
+    for the labels they are given. ``logdet``, ``kinv_diag`` and ``kinv``
+    are computed from the factor on first access and cached.
     """
 
     params: KernelParams | None
     X: np.ndarray | None
     sigma: np.ndarray
     y: np.ndarray
-    chol: np.ndarray  # lower Cholesky factor of Kt (+ applied jitter)
+    chol: np.ndarray  # lower Cholesky factor of Kt (+ applied jitter), upper triangle zero
     jitter: float
     alpha: np.ndarray  # Kt^-1 y
-    kinv_diag: np.ndarray
 
     @property
     def n(self) -> int:
@@ -106,15 +110,30 @@ class GprState:
         return self.solve(y)
 
     @cached_property
+    def logdet(self) -> float:
+        """log det Kt = 2 * sum(log diag L)."""
+        return 2.0 * float(np.log(self.chol.diagonal()).sum())
+
+    @cached_property
+    def kinv_diag(self) -> np.ndarray:
+        """diag(Kt^-1), the column sums of squares of L^-1."""
+        # info is 0: a successful Cholesky leaves a positive diagonal
+        linv = _trtri(self.chol, lower=1)[0]
+        return np.einsum("ij,ij->j", linv, linv)
+
+    @cached_property
     def kinv(self) -> np.ndarray:
         """Kt^-1, built from the factor on first access and cached.
 
         Symmetric by construction, with the diagonal taken from ``kinv_diag``
         so that the full-matrix and diagonal gradient forms agree bitwise.
         """
-        # info is 0: a successful Cholesky leaves a positive diagonal
-        lower, _ = scipy.linalg.lapack.dpotri(self.chol, lower=1)
-        kinv = np.tril(lower) + np.tril(lower, -1).T
+        # info is 0: a successful Cholesky leaves a positive diagonal.
+        # dpotri overwrites only the lower triangle of (a copy of) the
+        # factor, whose upper triangle is exactly zero, so adding the
+        # transpose mirrors the lower triangle exactly
+        lower = _potri(self.chol, lower=1)[0]
+        kinv = lower + lower.T
         np.fill_diagonal(kinv, self.kinv_diag)
         return kinv
 
@@ -172,7 +191,8 @@ def _check_sigma(sigma, n: int) -> np.ndarray:
     sigma = np.asarray(sigma, dtype=float)
     if sigma.shape != (n,):
         raise InvalidInputError(f"sigma must have shape ({n},), got {sigma.shape}")
-    if not (np.isfinite(sigma).all() and (sigma >= 0.0).all()):
+    # two reductions, no temporaries; NaN fails the first comparison
+    if not (sigma.min() >= 0.0 and sigma.max() < math.inf):
         raise InvalidInputError("sigma entries must be finite and non-negative")
     return sigma
 
@@ -184,15 +204,19 @@ def fit_matrix(
     params: KernelParams | None = None,
     X: np.ndarray | None = None,
 ) -> GprState:
-    """Factorize K + diag(sigma) and cache alpha = Kt^-1 y and diag(Kt^-1).
+    """Factorize K + diag(sigma) and cache alpha = Kt^-1 y.
 
-    The diagonal is the column sums of squares of L^-1, from one triangular
-    inversion of the Cholesky factor L; the noise update, the sigma gradient
-    and LOOCV read nothing else. The full inverse is not formed here (see
-    ``GprState.kinv``). O(N^3), fine at the targeted scale.
+    Kt is one Fortran-ordered copy of K with sigma added to its diagonal,
+    and LAPACK factors it in place, so a fit holds one N x N array: the
+    factor. Only when that factorization fails is Kt rebuilt from K for the
+    jitter ladder. Nothing is inverted here; ``GprState.logdet``,
+    ``kinv_diag`` and ``kinv`` are computed from the factor by their first
+    reader, so a state read only by ``nll`` costs a factorization and one
+    solve. O(N^3), fine at the targeted scale.
 
     Raises ``EmptyDatasetError`` for a 0 x 0 K, ``InvalidInputError`` unless K
-    is a finite square matrix and y a finite vector of matching length, and
+    is a square matrix, y a finite vector of matching length, sigma a finite
+    non-negative vector of matching length and K + diag(sigma) finite, and
     ``NumericalError`` when K + diag(sigma) cannot be factorized.
     """
     K = np.asarray(K, dtype=float)
@@ -207,13 +231,18 @@ def fit_matrix(
     if not np.isfinite(y).all():
         raise InvalidInputError("y entries must be finite")
     sigma = _check_sigma(sigma, n)
-    Kt = K.copy()
+    Kt = np.array(K, order="F")
     Kt.flat[:: n + 1] += sigma  # the diagonal
-    # finiteness of K is checked once, on Kt, by the factorization
-    L, jitter = cholesky_with_jitter(Kt, diag_ref=float(np.add.reduce(K.diagonal()) / n))
-    # info is 0 for both: a successful Cholesky leaves a positive diagonal
-    alpha = _potrs(L, y, lower=1)[0]
-    linv = _trtri(L, lower=1)[0]
+    if not np.isfinite(Kt).all():
+        raise InvalidInputError("matrix to factor must be finite")
+    L, info = _potrf(Kt, lower=1, clean=1, overwrite_a=1)
+    jitter = 0.0
+    if info != 0:
+        # the failed attempt overwrote Kt: rebuild it for the jitter ladder
+        del L, Kt
+        Kt = K.copy()
+        Kt.flat[:: n + 1] += sigma
+        L, jitter = cholesky_with_jitter(Kt, diag_ref=float(np.add.reduce(K.diagonal()) / n))
     return GprState(
         params=params,
         X=None if X is None else np.asarray(X, dtype=float),
@@ -221,8 +250,8 @@ def fit_matrix(
         y=y.copy(),
         chol=L,
         jitter=jitter,
-        alpha=alpha,
-        kinv_diag=np.einsum("ij,ij->j", linv, linv),
+        # info is 0: a successful Cholesky leaves a positive diagonal
+        alpha=_potrs(L, y, lower=1)[0],
     )
 
 
@@ -273,8 +302,7 @@ def predict_batch(state: GprState, X_star) -> tuple[np.ndarray, np.ndarray]:
 def nll(state: GprState, y) -> float:
     """Negative log-likelihood, log det Kt + y' Kt^-1 y (constant dropped)."""
     y = np.asarray(y, dtype=float)
-    logdet = 2.0 * float(np.log(state.chol.diagonal()).sum())
-    return logdet + float(y @ state.alpha_for(y))
+    return state.logdet + float(y @ state.alpha_for(y))
 
 
 def grad_sigma(state: GprState, y) -> np.ndarray:

@@ -15,6 +15,7 @@ with ``rbf_from_sq_dists``, the helper every kernel matrix here goes through.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +49,7 @@ class KernelParams:
     def __post_init__(self):
         for name in ("signal_variance", "length_scale"):
             v = getattr(self, name)
-            if not np.isfinite(v) or v <= 0.0:
+            if not math.isfinite(v) or v <= 0.0:
                 raise InvalidInputError(f"{name} must be a positive finite real, got {v!r}")
 
     def log_vector(self) -> np.ndarray:

@@ -306,19 +306,19 @@ def _mult_loop(
     # The zero clip is resolved once here instead of once per step.
     config = replace(config, zero_clip=_resolve_zero_clip(config.zero_clip, y))
     # The trace records the NLL; the stop rule watches the objective the
-    # update minimizes, which a penalty adds to.
+    # update minimizes, which a penalty adds to. Readers are given the
+    # state's own copy of the labels, so they read its cached alpha.
     state = _refit(K, sigma, y, iteration=0)
-    nlls = [nll(state, y)]
+    nlls = [nll(state, state.y)]
     objective = nlls[0] + _penalty(sigma, config)
     changes = [0.0]
     evals = [1]
     stop = "max_iters"
     for t in range(1, config.max_iters + 1):
-        # given the state's own copy of the labels, the step reads its alpha
         new_sigma = mult_update_step(state, state.y, config)
         rel = _rel_change(new_sigma, sigma)
         state = _refit(K, new_sigma, y, iteration=t)
-        value = nll(state, y)
+        value = nll(state, state.y)
         previous, objective = objective, value + _penalty(new_sigma, config)
         reason = _fixed_point_stop(rel, previous, objective, config)
         nlls.append(value)
@@ -356,7 +356,7 @@ def optimize_sigma_uniform_matrix(
     clip = _resolve_zero_clip(config.zero_clip, y)
 
     state = _refit(K, np.full(n, sigma), y, iteration=0)
-    nlls = [nll(state, y)]
+    nlls = [nll(state, state.y)]
     changes = [0.0]
     evals = [1]
     stop = "max_iters"
@@ -367,7 +367,7 @@ def optimize_sigma_uniform_matrix(
             new_sigma = 0.0
         rel = abs(new_sigma - sigma) / (abs(sigma) if sigma != 0.0 else 1.0)
         state = _refit(K, np.full(n, new_sigma), y, iteration=t)
-        value = nll(state, y)
+        value = nll(state, state.y)
         reason = _fixed_point_stop(rel, nlls[-1], value, config)
         nlls.append(value)
         changes.append(rel)
@@ -419,7 +419,7 @@ def projected_gradient_baseline_matrix(
     sigma = _resolve_sigma_init(config.sigma_init, y, y.shape[0])
 
     state = _refit(K, sigma, y, iteration=0)
-    value = nll(state, y)
+    value = nll(state, state.y)
     nlls = [value]
     changes = [0.0]
     evals_done = 1
@@ -427,7 +427,7 @@ def projected_gradient_baseline_matrix(
     eta = config.step_size
     stop = "max_iters"
     for t in range(1, config.max_iters + 1):
-        g = grad_sigma(state, y)
+        g = grad_sigma(state, state.y)
         residual = np.where(sigma > 0.0, np.abs(g), np.maximum(-g, 0.0))
         if float(np.max(residual / state.kinv_diag)) <= config.tol_grad:
             stop = "grad_tol"
@@ -437,7 +437,7 @@ def projected_gradient_baseline_matrix(
         for _ in range(config.max_halvings + 1):
             cand = np.maximum(sigma - trial * g, 0.0)
             cand_state = _refit(K, cand, y, iteration=t)
-            cand_value = nll(cand_state, y)
+            cand_value = nll(cand_state, cand_state.y)
             evals_done += 1
             if cand_value <= value:
                 accepted = True
@@ -535,15 +535,18 @@ def _joint_single_start(
 
     for _ in range(config.outer_rounds):
         state = fit_matrix(K, sigma, y, params=params, X=X)
-        value = nll(state, y)
+        value = nll(state, state.y)
         for _ in range(config.theta_max_steps):
-            g = grad_theta(state, y, rbf_grad_from_sq_dists(params, K, d2))
+            g = grad_theta(state, state.y, rbf_grad_from_sq_dists(params, K, d2))
             if float(np.max(np.abs(g))) <= 1e-10:
                 break
+            log_theta = params.log_vector()
             lr = config.theta_lr
             accepted = False
+            # a trial is read only for its NLL, so a rejected one never
+            # inverts its factor
             for _ in range(config.theta_max_halvings + 1):
-                cand_log = params.log_vector() - lr * g
+                cand_log = log_theta - lr * g
                 if float(np.max(np.abs(cand_log))) > _LOG_THETA_BOUND:
                     lr *= 0.5
                     continue
@@ -554,7 +557,7 @@ def _joint_single_start(
                 except (NumericalError, InvalidInputError):
                     lr *= 0.5
                     continue
-                cand_value = nll(cand_state, y)
+                cand_value = nll(cand_state, cand_state.y)
                 evals.append(evals[-1] + 1)
                 if cand_value <= value:
                     params, K, state, value = cand_params, cand_K, cand_state, cand_value

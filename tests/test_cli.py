@@ -266,6 +266,27 @@ class TestDetect:
         b = json.loads(direct.read_text())
         assert [r["sigma"] for r in a["per_label"]] == [r["sigma"] for r in b["per_label"]]
 
+    def _edited_report(self, example_csv, tmp_path, edit):
+        fit_out = tmp_path / "fit.json"
+        run("fit", "--data", str(example_csv), "--out", str(fit_out))
+        doc = json.loads(fit_out.read_text())
+        assert "corrupted" in doc["per_label"][0]
+        edit(doc["per_label"])
+        fit_out.write_text(json.dumps(doc))
+        return fit_out
+
+    def test_report_row_missing_corrupted_is_a_parse_error(self, example_csv, tmp_path, capsys):
+        report = self._edited_report(example_csv, tmp_path, lambda rows: rows[5].pop("corrupted"))
+        assert run("detect", "--report", str(report), "--out", str(tmp_path / "x.json")) == 2
+        assert "corrupted" in capsys.readouterr().err
+
+    def test_report_non_numeric_sigma_is_a_parse_error(self, example_csv, tmp_path, capsys):
+        report = self._edited_report(
+            example_csv, tmp_path, lambda rows: rows[3].update(sigma="not-a-number")
+        )
+        assert run("detect", "--report", str(report), "--out", str(tmp_path / "x.json")) == 2
+        assert "sigma" in capsys.readouterr().err
+
     def test_requires_exactly_one_input(self, example_csv, tmp_path, capsys):
         assert run("detect", "--out", str(tmp_path / "x.json")) == 1
         assert (

@@ -7,7 +7,9 @@ import pytest
 from gplabelnoise import (
     ConfigError,
     EmptyDatasetError,
+    InvalidInputError,
     KernelParams,
+    LabelTruth,
     NoiseInjectionSpec,
     ParseError,
     gen_example1,
@@ -74,6 +76,18 @@ class TestMakeDataset:
         assert data.y_center == pytest.approx(3.0, rel=1e-15)
         assert abs(float(np.mean(data.y_centered))) < 1e-12
         assert np.array_equal(data.y, y)
+
+    @pytest.mark.parametrize(
+        "epsilon,corrupted",
+        [
+            (np.zeros(3), np.array([True, False, True])),  # epsilon short
+            (np.zeros(4), np.array([True, False])),        # corrupted short
+            (np.zeros(4), np.zeros((4, 1), dtype=bool)),   # corrupted not a vector
+        ],
+    )
+    def test_truth_of_wrong_shape_rejected(self, epsilon, corrupted):
+        with pytest.raises(InvalidInputError):
+            make_dataset(np.arange(4.0), np.arange(4.0), LabelTruth(epsilon, corrupted))
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from gplabelnoise import (
     predict,
     predict_batch,
 )
+from gplabelnoise import gpr
 from gplabelnoise.gpr import cholesky_with_jitter
 from gplabelnoise.rng import make_rng, normals
 
@@ -237,6 +238,74 @@ class TestLapackContract:
             tracemalloc.stop()
         assert jitter > 0.0
         assert peak <= 8 * n * n + 64 * 1024, f"peak {peak / (8 * n * n):.3f} N^2 doubles"
+
+
+class TestLazyReads:
+    """A fit factors Kt and solves for alpha; log det Kt, diag(Kt^-1) and
+    Kt^-1 are computed from the factor by their first reader."""
+
+    def _state(self, n=40, seed=57, duplicate=False):
+        rng = make_rng(seed)
+        X = rng.random((n, 2))
+        sigma = 0.1 + rng.random(n)
+        if duplicate:
+            X[1] = X[0]
+            sigma[:2] = 0.0
+        K = build_kernel_matrix(KernelParams(1.3, 0.4), X)
+        return fit_matrix(K, sigma, normals(rng, n))
+
+    def test_nll_alone_never_inverts_the_factor(self, monkeypatch):
+        calls = []
+        trtri = gpr._trtri
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return trtri(*args, **kwargs)
+
+        monkeypatch.setattr(gpr, "_trtri", counting)
+        state = self._state()
+        nll(state, state.y)
+        assert calls == []
+        assert state.kinv_diag is state.kinv_diag
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("duplicate", [False, True])
+    def test_reads_equal_eager_formulas_bitwise(self, duplicate):
+        state = self._state(duplicate=duplicate)
+        assert (state.jitter > 0.0) == duplicate
+        linv = scipy.linalg.lapack.dtrtri(state.chol, lower=1)[0]
+        assert np.array_equal(state.kinv_diag, np.einsum("ij,ij->j", linv, linv))
+        assert state.logdet == 2.0 * float(np.log(np.diag(state.chol)).sum())
+
+    @pytest.mark.parametrize("duplicate", [False, True])
+    def test_kinv_is_exactly_symmetric_with_kinv_diag_on_its_diagonal(self, duplicate):
+        state = self._state(duplicate=duplicate)
+        assert np.all(np.triu(state.chol, 1) == 0.0)
+        kinv = state.kinv
+        assert np.array_equal(kinv, kinv.T)
+        assert np.array_equal(np.diag(kinv), state.kinv_diag)
+        lower = scipy.linalg.lapack.dpotri(state.chol, lower=1)[0]
+        assert np.array_equal(np.tril(kinv, -1), np.tril(lower, -1))
+
+    def test_fit_holds_one_factor(self):
+        """Kt is one copy of K, factored in place, and nothing is inverted:
+        a fit peaks at one N x N array plus small change. Factoring a copy of
+        Kt and forming L^-1 in the fit would hold three."""
+        n = 300
+        rng = make_rng(58)
+        K = build_kernel_matrix(KernelParams(1.0, 0.3), rng.random((n, 2)))
+        sigma = 0.1 + rng.random(n)
+        y = normals(rng, n)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            state = fit_matrix(K, sigma, y)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert state.jitter == 0.0
+        assert peak <= 2 * 8 * n * n + 64 * 1024, f"peak {peak / (8 * n * n):.3f} N^2 doubles"
 
 
 # ---------------------------------------------------------------------------
