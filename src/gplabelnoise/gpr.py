@@ -321,13 +321,14 @@ def grad_theta(state: GprState, y, dK_dtheta) -> np.ndarray:
     """Gradient of the NLL in the kernel hyperparameters.
 
     One entry tr(Kt^-1 dK) - (Kt^-1 y)' dK (Kt^-1 y) per matrix in
-    ``dK_dtheta``; the trace is an elementwise sum against the full inverse,
-    which the first call on a state builds.
+    ``dK_dtheta``, without N x N temporaries: the trace sums products with
+    the (symmetric) full inverse, which the first call on a state builds.
     """
     a = state.alpha_for(y)
+    kinv = state.kinv
     out = np.empty(len(dK_dtheta))
     for j, dK in enumerate(dK_dtheta):
-        out[j] = float(np.sum(state.kinv * dK)) - float(a @ dK @ a)
+        out[j] = float(np.einsum("ij,ij->", kinv, dK)) - float(a @ (dK @ a))
     return out
 
 

@@ -12,8 +12,10 @@ variance (the homoscedastic model), and a projected-gradient loop is kept as
 the baseline the multiplicative scheme is measured against.
 
 ``joint_optimize`` wraps the sigma scheme in a block-coordinate descent that
-also moves the kernel hyperparameters (in log space, with backtracking) and
-restarts from seeded random log-space initializations.
+also moves the kernel hyperparameters (L-BFGS-B in log space, with the
+analytic gradient) and restarts from seeded random log-space
+initializations. Each block starts from the state the other block fitted
+last, so no (theta, sigma) pair is factored twice in a row.
 
 Matrix-level entry points (``*_matrix``) take a precomputed kernel matrix so
 the schemes can run on covariances that do not come from an RBF kernel, e.g.
@@ -23,9 +25,11 @@ diagonal ones with a closed-form solution.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.optimize
 
 from .data import Dataset
 from .errors import ConfigError, InvalidInputError, NumericalError
@@ -62,8 +66,8 @@ log = logging.getLogger(__name__)
 # where that exceeds 1, is attributed to roundoff, not the update (see _is_rise)
 _MONOTONE_SLACK = 1e-10
 
-# log-theta candidates beyond this box describe degenerate kernels (identity
-# or constant) and overflow double precision; the line search rejects them
+# log theta beyond this box describes degenerate kernels (identity or
+# constant) and overflows double precision; it bounds the theta search
 _LOG_THETA_BOUND = 200.0
 
 
@@ -126,12 +130,14 @@ class PgdConfig:
 
 @dataclass(frozen=True)
 class JointOptConfig:
-    """Settings for block-coordinate descent over (sigma, theta)."""
+    """Settings for block-coordinate descent over (sigma, theta).
+
+    ``theta_max_steps`` caps the L-BFGS-B iterations of each theta block; 0
+    leaves theta at its start.
+    """
 
     outer_rounds: int = 3
-    theta_lr: float = 0.1
     theta_max_steps: int = 20
-    theta_max_halvings: int = 30
     restarts: int = 4
     restart_seed: int = 0
     restart_spread: float = 2.0  # log-space halfwidth around the heuristic center
@@ -141,10 +147,8 @@ class JointOptConfig:
             raise ConfigError("outer_rounds must be non-negative")
         if self.restarts < 1:
             raise ConfigError(f"restarts must be >= 1, got {self.restarts}")
-        if self.theta_lr <= 0.0:
-            raise ConfigError("theta_lr must be positive")
-        if self.theta_max_steps < 0 or self.theta_max_halvings < 0:
-            raise ConfigError("theta step limits must be non-negative")
+        if self.theta_max_steps < 0:
+            raise ConfigError("theta_max_steps must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -154,7 +158,8 @@ class OptTrace:
     ``nll_per_iter`` has ``iters + 1`` entries (initial point included);
     ``sigma_change_per_iter`` and ``func_evals_per_iter`` align with it, the
     latter counting cumulative NLL evaluations including rejected line-search
-    trials. ``monotone`` is true iff no recorded NLL step rose beyond
+    trials (a joint trace records a sigma change of 0 for each theta
+    iteration). ``monotone`` is true iff no recorded NLL step rose beyond
     round-off (1e-10, relative to the NLL where its magnitude exceeds 1).
     Under a penalty the NLL may rise by design; the loop itself watches the
     penalized objective.
@@ -263,9 +268,11 @@ def _rel_change(new: np.ndarray, old: np.ndarray) -> float:
     return float(np.abs(new - old).max()) / scale
 
 
-def _refit(K: np.ndarray, sigma: np.ndarray, y: np.ndarray, iteration: int) -> GprState:
+def _refit(
+    K: np.ndarray, sigma: np.ndarray, y: np.ndarray, iteration: int, params=None, X=None
+) -> GprState:
     try:
-        return fit_matrix(K, sigma, y)
+        return fit_matrix(K, sigma, y, params=params, X=X)
     except NumericalError as e:
         raise NumericalError(str(e.args[0]), smallest_pivot=e.smallest_pivot, iteration=iteration) from e
 
@@ -295,12 +302,18 @@ def optimize_sigma_matrix(
     config = config or MultUpdateConfig()
     y = np.asarray(y, dtype=float)
     sigma = _resolve_sigma_init(config.sigma_init, y, y.shape[0])
-    return _mult_loop(np.asarray(K, dtype=float), y, sigma, config)
+    sigma, trace, _ = _mult_loop(np.asarray(K, dtype=float), y, sigma, config)
+    return sigma, trace
 
 
 def _mult_loop(
-    K: np.ndarray, y: np.ndarray, sigma: np.ndarray, config: MultUpdateConfig
-) -> tuple[np.ndarray, OptTrace]:
+    K: np.ndarray, y: np.ndarray, sigma: np.ndarray, config: MultUpdateConfig, state=None
+) -> tuple[np.ndarray, OptTrace, GprState]:
+    """The multiplicative scheme from ``sigma``: final sigma, trace, last state.
+
+    A given ``state`` is the caller's fit of (K, sigma, y): the loop starts
+    from it, counts no fit for it, and carries its ``params`` and ``X``.
+    """
     # unlike the public entry point, sigma may contain exact zeros here (warm
     # restarts inside the joint scheme); they are fixed points and stay put.
     # The zero clip is resolved once here instead of once per step.
@@ -308,16 +321,17 @@ def _mult_loop(
     # The trace records the NLL; the stop rule watches the objective the
     # update minimizes, which a penalty adds to. Readers are given the
     # state's own copy of the labels, so they read its cached alpha.
-    state = _refit(K, sigma, y, iteration=0)
+    evals = [1 if state is None else 0]
+    if state is None:
+        state = _refit(K, sigma, y, iteration=0)
     nlls = [nll(state, state.y)]
     objective = nlls[0] + _penalty(sigma, config)
     changes = [0.0]
-    evals = [1]
     stop = "max_iters"
     for t in range(1, config.max_iters + 1):
         new_sigma = mult_update_step(state, state.y, config)
         rel = _rel_change(new_sigma, sigma)
-        state = _refit(K, new_sigma, y, iteration=t)
+        state = _refit(K, new_sigma, y, t, params=state.params, X=state.X)
         value = nll(state, state.y)
         previous, objective = objective, value + _penalty(new_sigma, config)
         reason = _fixed_point_stop(rel, previous, objective, config)
@@ -328,7 +342,7 @@ def _mult_loop(
         if reason is not None:
             stop = reason
             break
-    return sigma, _make_trace(nlls, changes, evals, stop)
+    return sigma, _make_trace(nlls, changes, evals, stop), state
 
 
 def optimize_sigma(
@@ -479,10 +493,13 @@ def joint_optimize(
     """Block-coordinate descent over the noise vector and kernel parameters.
 
     Each restart runs the multiplicative scheme to convergence, then
-    ``outer_rounds`` rounds of (backtracking gradient steps on log-theta at
-    fixed sigma, multiplicative re-optimization warm-started from the current
-    sigma). Restart 0 starts at the data-driven heuristic (signal variance =
-    var(y), length scale = median pairwise distance); the rest draw log-theta
+    ``outer_rounds`` rounds of (L-BFGS-B on log-theta at fixed sigma, with
+    the analytic gradient; multiplicative re-optimization warm-started from
+    the current sigma). Each block starts from the state the other fitted
+    last, and a theta block keeps its result only if the NLL did not rise.
+    The trace has one entry per sigma step and per L-BFGS-B iteration.
+    Restart 0 starts at the data-driven heuristic (signal variance = var(y),
+    length scale = median pairwise distance); the rest draw log-theta
     uniformly from a +-restart_spread box around it, seeded by restart_seed.
     The winner is the restart with the lowest final NLL, earliest index on
     ties; restarts that fail numerically are dropped, and only if all of them
@@ -527,54 +544,77 @@ def _joint_single_start(
 ) -> tuple[KernelParams, np.ndarray, OptTrace]:
     params = KernelParams.from_log(log_theta)
     K = rbf_from_sq_dists(params, d2)
-    sigma, trace = optimize_sigma_matrix(K, y, mult_config)
-    nlls = list(trace.nll_per_iter)
-    changes = list(trace.sigma_change_per_iter)
-    evals = list(trace.func_evals_per_iter)
-    stop = trace.stop_reason
+    sigma = _resolve_sigma_init(mult_config.sigma_init, y, y.shape[0])
+    state = _refit(K, sigma, y, 0, params=params, X=X)
+    nlls, changes, evals = [nll(state, state.y)], [0.0], [1]
+    fits = 1  # every fit so far, theta trials after a block's last iteration included
 
-    for _ in range(config.outer_rounds):
-        state = fit_matrix(K, sigma, y, params=params, X=X)
-        value = nll(state, state.y)
-        for _ in range(config.theta_max_steps):
-            g = grad_theta(state, state.y, rbf_grad_from_sq_dists(params, K, d2))
-            if float(np.max(np.abs(g))) <= 1e-10:
-                break
-            log_theta = params.log_vector()
-            lr = config.theta_lr
-            accepted = False
-            # a trial is read only for its NLL, so a rejected one never
-            # inverts its factor
-            for _ in range(config.theta_max_halvings + 1):
-                cand_log = log_theta - lr * g
-                if float(np.max(np.abs(cand_log))) > _LOG_THETA_BOUND:
-                    lr *= 0.5
-                    continue
-                try:
-                    cand_params = KernelParams.from_log(cand_log)
-                    cand_K = rbf_from_sq_dists(cand_params, d2)
-                    cand_state = fit_matrix(cand_K, sigma, y, params=cand_params, X=X)
-                except (NumericalError, InvalidInputError):
-                    lr *= 0.5
-                    continue
-                cand_value = nll(cand_state, cand_state.y)
-                evals.append(evals[-1] + 1)
-                if cand_value <= value:
-                    params, K, state, value = cand_params, cand_K, cand_state, cand_value
-                    nlls.append(value)
-                    changes.append(0.0)
-                    accepted = True
-                    break
-                lr *= 0.5
-            if not accepted:
-                break
-        # theta moved, so sigma's optimum moved: re-run from the current
+    for round_ in range(config.outer_rounds + 1):
+        if round_ > 0 and config.theta_max_steps > 0:
+            log_theta, K, state, steps, trials = _theta_block(
+                log_theta, K, state, d2, config.theta_max_steps
+            )
+            for value, n in steps:
+                nlls.append(value)
+                changes.append(0.0)
+                evals.append(fits + n)
+            fits += trials
+        # sigma's optimum moves with theta: run the scheme from the current
         # vector (its exact zeros are fixed points and simply stay)
-        sigma, trace = _mult_loop(K, y, sigma, mult_config)
-        offset = evals[-1]
+        sigma, trace, state = _mult_loop(K, y, state.sigma, mult_config, state)
         nlls.extend(trace.nll_per_iter[1:])
         changes.extend(trace.sigma_change_per_iter[1:])
-        evals.extend(offset + trace.func_evals_per_iter[1:])
+        evals.extend(fits + trace.func_evals_per_iter[1:])
+        fits = evals[-1]
         stop = trace.stop_reason
 
-    return params, sigma, _make_trace(nlls, changes, evals, stop)
+    return state.params, sigma, _make_trace(nlls, changes, evals, stop)
+
+
+def _theta_block(
+    log_theta: np.ndarray, K: np.ndarray, state: GprState, d2: np.ndarray, max_steps: int
+) -> tuple[np.ndarray, np.ndarray, GprState, list[tuple[float, int]], int]:
+    """L-BFGS-B on log theta from ``state``, the fit of (K, sigma) under
+    ``log_theta``, at fixed sigma.
+
+    Returns the log theta, K and state kept (the start unless the result's
+    NLL is no higher), one (NLL, fits so far) pair per iteration, and the
+    number of fits. A trial whose fit fails is infinitely bad.
+    """
+    sigma, y, X = state.sigma, state.y, state.X
+    start = nll(state, y)
+    # fitted trials by their parameters (log theta values a rounding apart
+    # give the same kernel); the start is the caller's fit, so L-BFGS-B's
+    # first evaluation refits nothing
+    fitted = {state.params: (K, state, start)}
+    steps: list[tuple[float, int]] = []
+
+    def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
+        try:
+            params = KernelParams.from_log(x)
+            if params not in fitted:
+                trial_K = rbf_from_sq_dists(params, d2)
+                trial = fit_matrix(trial_K, sigma, y, params=params, X=X)
+                fitted[params] = (trial_K, trial, nll(trial, trial.y))
+        except (NumericalError, InvalidInputError):
+            return math.inf, np.zeros_like(x)
+        trial_K, trial, value = fitted[params]
+        return value, grad_theta(trial, trial.y, rbf_grad_from_sq_dists(params, trial_K, d2))
+
+    def record(x: np.ndarray) -> None:
+        # called once per iteration, at an iterate already fitted
+        steps.append((fitted[KernelParams.from_log(x)][2], len(fitted) - 1))
+
+    res = scipy.optimize.minimize(
+        objective,
+        log_theta,
+        jac=True,
+        method="L-BFGS-B",
+        bounds=[(-_LOG_THETA_BOUND, _LOG_THETA_BOUND)] * len(log_theta),
+        options={"maxiter": max_steps},
+        callback=record,
+    )
+    kept = fitted.get(KernelParams.from_log(res.x))
+    if kept is None or kept[2] > start:
+        return log_theta, K, state, steps, len(fitted) - 1
+    return res.x, kept[0], kept[1], steps, len(fitted) - 1

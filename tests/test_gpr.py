@@ -404,6 +404,23 @@ class TestGradients:
             fd = (nll(up, y) - nll(dn, y)) / (2.0 * h)
             assert g[idx] == pytest.approx(fd, rel=1e-6), f"component {idx}"
 
+    @pytest.mark.parametrize("n", [24, 200])
+    def test_grad_theta_matches_dense_formula(self, n):
+        """The temporary-free trace and quadratic form agree with the dense
+        tr(Kt^-1 dK) - a' dK a."""
+        rng = make_rng(44)
+        X = 2.0 * rng.random((n, 2)) - 1.0
+        params = KernelParams(1.3, 0.4)
+        sigma = 0.05 + 0.2 * rng.random(n)
+        y = normals(rng, n)
+        state = fit(params, sigma, X, y)
+        matrices = kernel_grad_theta(params, X)
+        g = grad_theta(state, y, matrices)
+        Kt = build_kernel_matrix(params, X) + np.diag(sigma)
+        a = np.linalg.solve(Kt, y)
+        dense = [np.trace(np.linalg.inv(Kt) @ dK) - a @ dK @ a for dK in matrices]
+        np.testing.assert_allclose(g, dense, rtol=1e-10)
+
 
 # ---------------------------------------------------------------------------
 # prediction

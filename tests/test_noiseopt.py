@@ -10,12 +10,14 @@ from gplabelnoise import (
     JointOptConfig,
     KernelParams,
     MultUpdateConfig,
+    NumericalError,
     PgdConfig,
     build_kernel_matrix,
     diagonal_solution,
     fit_matrix,
     gen_example1,
     gen_gp,
+    grad_theta,
     heuristic_params,
     joint_optimize,
     kernel_grad_theta,
@@ -487,7 +489,7 @@ class TestJointOptimize:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [dict(outer_rounds=-1), dict(restarts=0), dict(theta_lr=0.0)],
+        [dict(outer_rounds=-1), dict(restarts=0), dict(theta_max_steps=-1)],
     )
     def test_bad_configuration_rejected(self, kwargs):
         with pytest.raises(ConfigError):
@@ -510,6 +512,63 @@ class TestJointOptimize:
         for params, matrices in seen:
             reference = kernel_grad_theta(params, data.X)
             assert all(np.array_equal(m, r) for m, r in zip(matrices, reference))
+
+    def test_failed_theta_trials_are_rejected(self, monkeypatch):
+        """A fit that fails at a theta trial makes that trial infinitely bad
+        (without a floating-point warning): the search stays below the
+        failing region and the trace still never rises."""
+        data = gen_example1(0)
+        cut = 1.0
+        fit, failed = noiseopt.fit_matrix, []
+
+        def failing_fit(K, sigma, y, params=None, X=None):
+            if params is not None and params.length_scale > cut:
+                failed.append(params.length_scale)
+                raise NumericalError("length scale above the cut-off")
+            return fit(K, sigma, y, params=params, X=X)
+
+        monkeypatch.setattr(noiseopt, "fit_matrix", failing_fit)
+        params, sigma, trace = joint_optimize(data)
+        assert failed
+        assert np.isfinite(params.signal_variance) and 0.0 < params.length_scale <= cut
+        assert np.all(np.isfinite(sigma))
+        assert trace.monotone and np.isfinite(trace.final_nll)
+
+    def test_no_fit_repeats_the_one_before(self, monkeypatch):
+        """States cross the theta/sigma boundary: no fit factors the same K
+        and sigma as the fit just before it."""
+        fit, last, repeats = noiseopt.fit_matrix, [None], [0]
+
+        def spy(K, sigma, y, params=None, X=None):
+            key = (K.tobytes(), np.asarray(sigma, dtype=float).tobytes())
+            repeats[0] += key == last[0]
+            last[0] = key
+            return fit(K, sigma, y, params=params, X=X)
+
+        monkeypatch.setattr(noiseopt, "fit_matrix", spy)
+        for seed in range(5):
+            joint_optimize(gen_example1(seed))
+        assert repeats[0] == 0
+
+    def test_trace_columns_align(self):
+        """One entry per recorded point in every trace column: theta
+        iterations count their line-search trials without adding rows."""
+        _, _, trace = joint_optimize(gen_example1(0))
+        assert len(trace.nll_per_iter) == trace.iters + 1
+        assert len(trace.sigma_change_per_iter) == trace.iters + 1
+        assert len(trace.func_evals_per_iter) == trace.iters + 1
+
+    def test_returns_near_theta_stationary_points(self):
+        """At the returned (theta, sigma) the NLL gradient in log theta is
+        small: the theta block runs to (near) stationarity."""
+        peaks = []
+        for seed in range(20):
+            data = gen_example1(seed)
+            params, sigma, _ = joint_optimize(data)
+            state = fit_matrix(build_kernel_matrix(params, data.X), sigma, data.y_centered)
+            g = grad_theta(state, data.y_centered, kernel_grad_theta(params, data.X))
+            peaks.append(float(np.max(np.abs(g))))
+        assert float(np.median(peaks)) < 0.05, f"median max|grad| {np.median(peaks)}"
 
     def test_squared_distances_built_once_per_call(self, monkeypatch):
         """Theta trials reuse one squared-distance matrix: the count does not
