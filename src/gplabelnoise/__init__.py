@@ -3,7 +3,7 @@
 The library fits a GP whose covariance carries one learned noise variance
 per training label, optimized by a multiplicative fixed-point scheme on the
 marginal likelihood. Labels with large fitted variances are the suspected
-noisy ones; ``detect`` turns the variances into flags and scores, ``data``
+noisy ones; ``detect`` turns the variances into flags and metrics, ``data``
 generates the synthetic benchmarks, and ``cli`` wraps everything for batch
 runs.
 """
@@ -22,7 +22,6 @@ from .data import (
 )
 from .detect import (
     DetectionReport,
-    MetricSummary,
     cv_mae,
     default_threshold,
     flag_noisy,
@@ -42,7 +41,6 @@ from .errors import (
 from .gpr import (
     GprState,
     LoocvResult,
-    Posterior,
     fit,
     fit_matrix,
     grad_sigma,
@@ -50,7 +48,6 @@ from .gpr import (
     grad_theta,
     loocv,
     nll,
-    predict,
     predict_batch,
 )
 from .kernel import (
@@ -71,9 +68,7 @@ from .noiseopt import (
     mult_update_step,
     optimize_sigma,
     optimize_sigma_matrix,
-    optimize_sigma_uniform,
     optimize_sigma_uniform_matrix,
-    projected_gradient_baseline,
     projected_gradient_baseline_matrix,
 )
 
@@ -90,11 +85,9 @@ __all__ = [
     "heuristic_params",
     # gpr
     "GprState",
-    "Posterior",
     "LoocvResult",
     "fit",
     "fit_matrix",
-    "predict",
     "predict_batch",
     "nll",
     "grad_sigma",
@@ -109,15 +102,12 @@ __all__ = [
     "mult_update_step",
     "optimize_sigma",
     "optimize_sigma_matrix",
-    "optimize_sigma_uniform",
     "optimize_sigma_uniform_matrix",
     "diagonal_solution",
-    "projected_gradient_baseline",
     "projected_gradient_baseline_matrix",
     "joint_optimize",
     # detect
     "DetectionReport",
-    "MetricSummary",
     "default_threshold",
     "flag_noisy",
     "roc_auc",

@@ -49,15 +49,16 @@ from .errors import (
     ParseError,
     UndefinedMetricError,
 )
-from .kernel import KernelParams, heuristic_params
+from .kernel import KernelParams, build_kernel_matrix, heuristic_params
 from .noiseopt import (
     JointOptConfig,
     MultUpdateConfig,
     PgdConfig,
     joint_optimize,
     optimize_sigma,
-    optimize_sigma_uniform,
-    projected_gradient_baseline,
+    optimize_sigma_matrix,
+    optimize_sigma_uniform_matrix,
+    projected_gradient_baseline_matrix,
 )
 
 __all__ = ["main"]
@@ -319,7 +320,8 @@ def _run_fit(data: Dataset, cfg: dict, provided: set) -> tuple[KernelParams, np.
         return params, sigma, trace, None
     params = _explicit_params(cfg, data)
     if cfg["mode"] == "basic":
-        shared, trace = optimize_sigma_uniform(params, data, mult)
+        K = build_kernel_matrix(params, data.X)
+        shared, trace = optimize_sigma_uniform_matrix(K, data.y_centered, mult)
         return params, np.full(data.n, shared), trace, shared
     sigma, trace = optimize_sigma(params, data, mult)
     return params, sigma, trace, None
@@ -331,7 +333,6 @@ def _per_label_section(sigma, flags, truth: LabelTruth | None) -> list[dict]:
         row = {
             "index": i,
             "sigma": float(sigma[i]),
-            "score": float(sigma[i]),
             "flag": bool(flags[i]),
         }
         if truth is not None:
@@ -414,29 +415,32 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _fit_document(command: str, dataset: Dataset, cfg: dict, provided: set, threshold=None, levels=None):
-    params, sigma, trace, shared = _run_fit(dataset, cfg, provided)
+def _report_document(command: str, cfg: dict, sigma, truth: LabelTruth | None, threshold, levels):
+    """The report fields every command shares; metrics only when ``levels``
+    is given. Returns the document and the detection report."""
     report = flag_noisy(sigma, threshold)
-    if levels is not None:
-        metrics, metric_errors = _metrics_section(sigma, dataset.truth, levels)
-    else:
-        metrics, metric_errors = None, {}
+    metrics, metric_errors = _metrics_section(sigma, truth, levels) if levels is not None else (None, {})
     doc = {
         "tool": {"name": "gplabelnoise", "version": __version__},
         "command": command,
         "config": {k: v for k, v in sorted(cfg.items())},
-        "theta": {
-            "signal_variance": params.signal_variance,
-            "length_scale": params.length_scale,
-        },
         "threshold": report.threshold,
-        "sigma_shared": shared,
-        "per_label": _per_label_section(sigma, report.flags, dataset.truth),
+        "per_label": _per_label_section(sigma, report.flags, truth),
         "metrics": metrics,
         "metric_errors": metric_errors,
-        "trace": _trace_section(trace),
-        "final_nll": trace.final_nll,
     }
+    return doc, report
+
+
+def _fit_document(command: str, dataset: Dataset, cfg: dict, provided: set, threshold=None, levels=None):
+    params, sigma, trace, shared = _run_fit(dataset, cfg, provided)
+    doc, report = _report_document(command, cfg, sigma, dataset.truth, threshold, levels)
+    doc.update(
+        theta={"signal_variance": params.signal_variance, "length_scale": params.length_scale},
+        sigma_shared=shared,
+        trace=_trace_section(trace),
+        final_nll=trace.final_nll,
+    )
     return doc, trace, report
 
 
@@ -487,17 +491,7 @@ def _cmd_detect(args) -> int:
         raise ConfigError("pass exactly one of --data (fit in-line) or --report")
     if cfg["report"] is not None:
         sigma, truth = _load_report_labels(cfg["report"])
-        report = flag_noisy(sigma, cfg["threshold"])
-        metrics, metric_errors = _metrics_section(sigma, truth, levels)
-        doc = {
-            "tool": {"name": "gplabelnoise", "version": __version__},
-            "command": "detect",
-            "config": {k: v for k, v in sorted(cfg.items())},
-            "threshold": report.threshold,
-            "per_label": _per_label_section(sigma, report.flags, truth),
-            "metrics": metrics,
-            "metric_errors": metric_errors,
-        }
+        doc, report = _report_document("detect", cfg, sigma, truth, cfg["threshold"], levels)
     else:
         dataset = read_dataset(cfg["data"])
         doc, _, report = _fit_document(
@@ -543,11 +537,9 @@ def _cmd_benchmark(args) -> int:
 def _benchmark_cell(
     base: Dataset, rate: float, level: float, cfg: dict, mult: MultUpdateConfig, cell_seed: int
 ) -> list[str]:
-    cells: dict[str, float | None] = {
-        key: None
-        for key in ("r2", "auc", *[f"p{i}" for i in range(len(cfg["recall_levels"]))],
-                    "mae_plain", "mae_basic", "mae_full")
-    }
+    levels = cfg["recall_levels"]
+    metrics: dict = {}
+    maes: dict[str, float] = {}
     error = ""
     try:
         noisy = inject_noise(base, NoiseInjectionSpec(rate=rate, level=level, seed=cell_seed))
@@ -557,31 +549,20 @@ def _benchmark_cell(
         else:
             params = heuristic_params(noisy.X, noisy.y)
             sigma, _ = optimize_sigma(params, noisy, mult)
-        truth = noisy.truth
-        try:
-            cells["r2"] = r2_noise(sigma, truth.epsilon**2)
-        except UndefinedMetricError:
-            pass
-        try:
-            cells["auc"] = roc_auc(sigma, truth.corrupted)
-        except UndefinedMetricError:
-            pass
-        try:
-            pr = precision_at_recall(sigma, truth.corrupted, cfg["recall_levels"])
-            for i, lv in enumerate(cfg["recall_levels"]):
-                cells[f"p{i}"] = pr[lv]
-        except UndefinedMetricError:
-            pass
+        metrics, _ = _metrics_section(sigma, noisy.truth, levels)
         for mode in ("plain", "basic", "full"):
-            cells[f"mae_{mode}"] = cv_mae(
-                noisy, params, mode, folds=cfg["folds"], seed=cell_seed, config=mult
-            )
+            maes[mode] = cv_mae(noisy, params, mode, folds=cfg["folds"], seed=cell_seed, config=mult)
     except GplnError as e:
         # a failed cell reports its error and the sweep moves on
         error = str(e).replace(",", ";").replace("\n", " ")
-    return [repr(float(rate)), repr(float(level))] + [
-        _float_cell(cells[k]) for k in cells
-    ] + [error]
+    precision = metrics.get("precision_at_recall", {})
+    cells = [
+        metrics.get("r2_noise"),
+        metrics.get("auc"),
+        *[precision.get(repr(lv)) for lv in levels],
+        *[maes.get(mode) for mode in ("plain", "basic", "full")],
+    ]
+    return [repr(float(rate)), repr(float(level))] + [_float_cell(c) for c in cells] + [error]
 
 
 def _cmd_compare_optimizers(args) -> int:
@@ -589,17 +570,10 @@ def _cmd_compare_optimizers(args) -> int:
     if cfg["data"] is None:
         raise ConfigError("--data is required")
     dataset = read_dataset(cfg["data"])
-    params = _explicit_params(cfg, dataset)
-    y = dataset.y_centered
-    v = float(np.var(y))
-    sigma0 = np.full(dataset.n, 0.1 * v if v > 0.0 else 1.0)
-
-    _, mult_trace = optimize_sigma(
-        params, dataset, MultUpdateConfig(max_iters=cfg["max_iters"], sigma_init=sigma0)
-    )
-    _, pgd_trace = projected_gradient_baseline(
-        params, dataset, PgdConfig(max_iters=cfg["max_iters"], sigma_init=sigma0)
-    )
+    K = build_kernel_matrix(_explicit_params(cfg, dataset), dataset.X)
+    # both start from the same data-driven default, 0.1 * var(y)
+    _, mult_trace = optimize_sigma_matrix(K, dataset.y_centered, MultUpdateConfig(max_iters=cfg["max_iters"]))
+    _, pgd_trace = projected_gradient_baseline_matrix(K, dataset.y_centered, PgdConfig(max_iters=cfg["max_iters"]))
 
     lines = ["optimizer,iteration,nll,func_evals"]
     for name, trace in (("multiplicative", mult_trace), ("projected_gradient", pgd_trace)):

@@ -27,7 +27,6 @@ from .rng import make_rng
 
 __all__ = [
     "DetectionReport",
-    "MetricSummary",
     "default_threshold",
     "flag_noisy",
     "roc_auc",
@@ -40,32 +39,15 @@ CV_MODES = ("plain", "basic", "full")
 
 
 @dataclass(frozen=True)
-class MetricSummary:
-    """Detection metrics for one fitted dataset; fields are None when the
-    corresponding metric was not requested or is undefined for the data."""
-
-    auc: float | None = None
-    precision_at_recall: dict[float, float] | None = None
-    r2_noise: float | None = None
-    mae_plain: float | None = None
-    mae_basic: float | None = None
-    mae_full: float | None = None
-
-
-@dataclass(frozen=True)
 class DetectionReport:
-    """Noise vector, its score view, the threshold applied, and the flags.
+    """Noise vector, the threshold applied, and the flags.
 
-    Scores equal the fitted variances today; the separate field keeps room
-    for monotone rescalings without touching the flag invariant
-    flags[i] = (scores[i] > threshold).
+    The fitted variances are the scores: flags[i] = (sigma[i] > threshold).
     """
 
     sigma: np.ndarray
-    scores: np.ndarray
     threshold: float
     flags: np.ndarray
-    metrics: MetricSummary | None = None
 
     @property
     def n_flagged(self) -> int:
@@ -79,7 +61,7 @@ def default_threshold(scores) -> float:
     return med + 3.0 * float(np.median(np.abs(scores - med)))
 
 
-def flag_noisy(sigma, threshold: float | None = None, metrics: MetricSummary | None = None) -> DetectionReport:
+def flag_noisy(sigma, threshold: float | None = None) -> DetectionReport:
     """Flag labels whose noise variance exceeds the threshold (strictly).
 
     With ``threshold=None`` the median + 3 MAD default is used.
@@ -87,18 +69,11 @@ def flag_noisy(sigma, threshold: float | None = None, metrics: MetricSummary | N
     sigma = np.asarray(sigma, dtype=float).copy()
     if sigma.ndim != 1 or sigma.shape[0] == 0:
         raise InvalidInputError("sigma must be a non-empty vector")
-    scores = sigma.copy()
     if threshold is None:
-        threshold = default_threshold(scores)
+        threshold = default_threshold(sigma)
     if threshold < 0.0:
         raise InvalidInputError(f"threshold must be non-negative, got {threshold}")
-    return DetectionReport(
-        sigma=sigma,
-        scores=scores,
-        threshold=float(threshold),
-        flags=scores > threshold,
-        metrics=metrics,
-    )
+    return DetectionReport(sigma=sigma, threshold=float(threshold), flags=sigma > threshold)
 
 
 def _check_binary_truth(scores: np.ndarray, truth) -> np.ndarray:

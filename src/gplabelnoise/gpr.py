@@ -38,16 +38,14 @@ import numpy as np
 import scipy.linalg
 
 from .errors import EmptyDatasetError, InvalidInputError, NumericalError
-from .kernel import KernelParams, build_kernel_matrix, cross_kernel, eval_kernel
+from .kernel import KernelParams, build_kernel_matrix, cross_kernel
 
 __all__ = [
     "GprState",
-    "Posterior",
     "LoocvResult",
     "cholesky_with_jitter",
     "fit",
     "fit_matrix",
-    "predict",
     "predict_batch",
     "nll",
     "grad_sigma",
@@ -136,12 +134,6 @@ class GprState:
         kinv = lower + lower.T
         np.fill_diagonal(kinv, self.kinv_diag)
         return kinv
-
-
-@dataclass(frozen=True)
-class Posterior:
-    mean: float
-    variance: float  # clamped at 0
 
 
 @dataclass(frozen=True)
@@ -262,22 +254,6 @@ def fit(params: KernelParams, sigma, X, y) -> GprState:
         X = X[:, None]
     K = build_kernel_matrix(params, X)
     return fit_matrix(K, sigma, y, params=params, X=X)
-
-
-def predict(state: GprState, x_star) -> Posterior:
-    """Posterior mean and variance at a single query point."""
-    if state.params is None or state.X is None:
-        raise InvalidInputError("state carries no kernel/inputs; fit with fit() to predict")
-    x_star = np.asarray(x_star, dtype=float).ravel()
-    if not np.all(np.isfinite(x_star)):
-        raise InvalidInputError("query point must be finite")
-    k_star = cross_kernel(state.params, x_star[None, :], state.X)[0]
-    mean = float(k_star @ state.alpha)
-    v = scipy.linalg.solve_triangular(state.chol, k_star, lower=True, check_finite=False)
-    var = eval_kernel(state.params, x_star, x_star) - float(v @ v)
-    if var < -1e-8:
-        log.warning("posterior variance %.3e clamped to 0", var)
-    return Posterior(mean=mean, variance=max(var, 0.0))
 
 
 def predict_batch(state: GprState, X_star) -> tuple[np.ndarray, np.ndarray]:

@@ -7,9 +7,11 @@ The workhorse is the multiplicative fixed-point scheme
 whose fixed points with sigma_i > 0 are exactly the stationary points of the
 marginal likelihood in sigma, and which preserves non-negativity for free. An
 optional penalty lambda * ||sigma||_p^p enters through the denominator as
-lambda * p * sigma_i^(p-1). A one-parameter variant updates a single shared
-variance (the homoscedastic model), and a projected-gradient loop is kept as
-the baseline the multiplicative scheme is measured against.
+lambda * p * sigma_i^(p-1). The shared-variance (homoscedastic) model is the
+same loop with every sigma_i tied to one value: summing numerator and
+denominator over the labels gives sigma <- sigma * (a . a) / tr(Ktilde^-1).
+A projected-gradient loop is kept as the baseline the multiplicative scheme
+is measured against.
 
 ``joint_optimize`` wraps the sigma scheme in a block-coordinate descent that
 also moves the kernel hyperparameters (L-BFGS-B in log space, with the
@@ -17,9 +19,10 @@ analytic gradient) and restarts from seeded random log-space
 initializations. Each block starts from the state the other block fitted
 last, so no (theta, sigma) pair is factored twice in a row.
 
-Matrix-level entry points (``*_matrix``) take a precomputed kernel matrix so
-the schemes can run on covariances that do not come from an RBF kernel, e.g.
-diagonal ones with a closed-form solution.
+``optimize_sigma`` is the dataset-level entry point; the others
+(``*_matrix``) take a precomputed kernel matrix so the schemes can run on
+covariances that do not come from an RBF kernel, e.g. diagonal ones with a
+closed-form solution.
 """
 
 from __future__ import annotations
@@ -52,10 +55,8 @@ __all__ = [
     "mult_update_step",
     "optimize_sigma",
     "optimize_sigma_matrix",
-    "optimize_sigma_uniform",
     "optimize_sigma_uniform_matrix",
     "diagonal_solution",
-    "projected_gradient_baseline",
     "projected_gradient_baseline_matrix",
     "joint_optimize",
 ]
@@ -307,12 +308,14 @@ def optimize_sigma_matrix(
 
 
 def _mult_loop(
-    K: np.ndarray, y: np.ndarray, sigma: np.ndarray, config: MultUpdateConfig, state=None
+    K: np.ndarray, y: np.ndarray, sigma: np.ndarray, config: MultUpdateConfig, state=None, step=None
 ) -> tuple[np.ndarray, OptTrace, GprState]:
     """The multiplicative scheme from ``sigma``: final sigma, trace, last state.
 
     A given ``state`` is the caller's fit of (K, sigma, y): the loop starts
     from it, counts no fit for it, and carries its ``params`` and ``X``.
+    ``step`` replaces ``mult_update_step``, which is looked up per call so
+    that a patched module attribute takes effect.
     """
     # unlike the public entry point, sigma may contain exact zeros here (warm
     # restarts inside the joint scheme); they are fixed points and stay put.
@@ -328,8 +331,9 @@ def _mult_loop(
     objective = nlls[0] + _penalty(sigma, config)
     changes = [0.0]
     stop = "max_iters"
+    step = step or mult_update_step
     for t in range(1, config.max_iters + 1):
-        new_sigma = mult_update_step(state, state.y, config)
+        new_sigma = step(state, state.y, config)
         rel = _rel_change(new_sigma, sigma)
         state = _refit(K, new_sigma, y, t, params=state.params, X=state.X)
         value = nll(state, state.y)
@@ -356,48 +360,25 @@ def optimize_sigma(
 def optimize_sigma_uniform_matrix(
     K: np.ndarray, y: np.ndarray, config: MultUpdateConfig | None = None
 ) -> tuple[float, OptTrace]:
-    """One shared noise variance: sigma <- sigma * (a . a) / tr(Ktilde^-1)."""
+    """One shared noise variance: the multiplicative loop with every entry
+    tied, sigma <- sigma * (a . a) / tr(Ktilde^-1)."""
     config = config or MultUpdateConfig()
     if config.penalty_lambda > 0.0:
         raise ConfigError("the uniform model does not support a penalty")
-    K = np.asarray(K, dtype=float)
     y = np.asarray(y, dtype=float)
-    n = y.shape[0]
-    init = _resolve_sigma_init(config.sigma_init, y, n)
-    if np.ptp(init) != 0.0:
+    sigma = _resolve_sigma_init(config.sigma_init, y, y.shape[0])
+    if np.ptp(sigma) != 0.0:
         raise ConfigError("sigma_init for the uniform model must be a scalar")
-    sigma = float(init[0])
-    clip = _resolve_zero_clip(config.zero_clip, y)
-
-    state = _refit(K, np.full(n, sigma), y, iteration=0)
-    nlls = [nll(state, state.y)]
-    changes = [0.0]
-    evals = [1]
-    stop = "max_iters"
-    for t in range(1, config.max_iters + 1):
-        a = state.alpha
-        new_sigma = sigma * float(a @ a) / float(np.sum(state.kinv_diag))
-        if new_sigma < clip:
-            new_sigma = 0.0
-        rel = abs(new_sigma - sigma) / (abs(sigma) if sigma != 0.0 else 1.0)
-        state = _refit(K, np.full(n, new_sigma), y, iteration=t)
-        value = nll(state, state.y)
-        reason = _fixed_point_stop(rel, nlls[-1], value, config)
-        nlls.append(value)
-        changes.append(rel)
-        evals.append(evals[-1] + 1)
-        sigma = new_sigma
-        if reason is not None:
-            stop = reason
-            break
-    return sigma, _make_trace(nlls, changes, evals, stop)
+    sigma, trace, _ = _mult_loop(np.asarray(K, dtype=float), y, sigma, config, step=_tied_step)
+    return float(sigma[0]), trace
 
 
-def optimize_sigma_uniform(
-    params: KernelParams, data: Dataset, config: MultUpdateConfig | None = None
-) -> tuple[float, OptTrace]:
-    K = build_kernel_matrix(params, data.X)
-    return optimize_sigma_uniform_matrix(K, data.y_centered, config)
+def _tied_step(state: GprState, y: np.ndarray, config: MultUpdateConfig) -> np.ndarray:
+    """The tied step: numerator and denominator of the per-label step summed
+    over the labels, the zero clip applied, and the value broadcast to N."""
+    a = state.alpha_for(y)
+    new = state.sigma[0] * float(a @ a) / float(np.sum(state.kinv_diag))
+    return np.full(state.n, 0.0 if new < config.zero_clip else new)
 
 
 def diagonal_solution(K_diag: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -476,13 +457,6 @@ def projected_gradient_baseline_matrix(
             stop = "nll_tol"
             break
     return sigma, _make_trace(nlls, changes, evals, stop)
-
-
-def projected_gradient_baseline(
-    params: KernelParams, data: Dataset, config: PgdConfig | None = None
-) -> tuple[np.ndarray, OptTrace]:
-    K = build_kernel_matrix(params, data.X)
-    return projected_gradient_baseline_matrix(K, data.y_centered, config)
 
 
 def joint_optimize(

@@ -162,7 +162,7 @@ class TestFit:
         assert set(report["theta"]) == {"signal_variance", "length_scale"}
         assert len(report["per_label"]) == 24
         row = report["per_label"][0]
-        assert set(row) == {"corrupted", "epsilon", "flag", "index", "score", "sigma"}
+        assert set(row) == {"corrupted", "epsilon", "flag", "index", "sigma"}
         assert report["trace"]["converged"] is True
         assert report["trace"]["stop_reason"] in ("sigma_tol", "nll_tol")
         assert np.isfinite(report["final_nll"])

@@ -8,7 +8,6 @@ from gplabelnoise import (
     ConfigError,
     InvalidInputError,
     KernelParams,
-    MetricSummary,
     NoiseInjectionSpec,
     UndefinedMetricError,
     cv_mae,
@@ -65,12 +64,6 @@ class TestFlagNoisy:
         base = flag_noisy(sigma, threshold=1.0)
         scaled = flag_noisy(7.5 * sigma, threshold=7.5)
         assert np.array_equal(base.flags, scaled.flags)
-
-    def test_metrics_attached_verbatim(self):
-        summary = MetricSummary(auc=1.0)
-        report = flag_noisy([1.0, 2.0], threshold=1.5, metrics=summary)
-        assert report.metrics is summary
-        assert report.metrics.precision_at_recall is None
 
     @pytest.mark.parametrize(
         "sigma,threshold",

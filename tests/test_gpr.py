@@ -20,7 +20,6 @@ from gplabelnoise import (
     kernel_grad_theta,
     loocv,
     nll,
-    predict,
     predict_batch,
 )
 from gplabelnoise import gpr
@@ -445,23 +444,23 @@ class TestPredict:
 
     def test_far_point_reverts_to_prior(self):
         state, _, _, params = self._interpolation_state()
-        post = predict(state, np.array([25.0]))
-        assert post.mean == pytest.approx(0.0, abs=1e-12)
-        assert post.variance == pytest.approx(params.signal_variance, rel=1e-12)
+        mean, var = predict_batch(state, np.array([[25.0]]))
+        assert mean[0] == pytest.approx(0.0, abs=1e-12)
+        assert var[0] == pytest.approx(params.signal_variance, rel=1e-12)
 
     def test_single_matches_batch(self):
         state, X, _, _ = self._interpolation_state()
         grid = np.linspace(-1.2, 1.2, 7).reshape(-1, 1)
         mean, var = predict_batch(state, grid)
         for i in range(7):
-            post = predict(state, grid[i])
-            assert post.mean == pytest.approx(mean[i], rel=1e-12, abs=1e-12)
-            assert post.variance == pytest.approx(var[i], rel=1e-12, abs=1e-12)
+            one_mean, one_var = predict_batch(state, grid[i : i + 1])
+            assert one_mean[0] == pytest.approx(mean[i], rel=1e-12, abs=1e-12)
+            assert one_var[0] == pytest.approx(var[i], rel=1e-12, abs=1e-12)
 
     def test_matrix_only_state_cannot_predict(self):
         state = fit_matrix(np.eye(2), np.zeros(2), np.ones(2))
         with pytest.raises(InvalidInputError):
-            predict(state, np.array([0.0]))
+            predict_batch(state, np.array([[0.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -490,8 +489,8 @@ class TestLoocv:
         for i in range(n):
             mask = np.arange(n) != i
             sub = fit(params, sigma[mask], X[mask], y[mask])
-            post = predict(sub, X[i])
-            err = y[i] - post.mean
-            std = np.sqrt(post.variance + sigma[i])
+            mean, var = predict_batch(sub, X[i : i + 1])
+            err = y[i] - mean[0]
+            std = np.sqrt(var[0] + sigma[i])
             assert res.errors[i] == pytest.approx(err, rel=1e-9, abs=1e-12)
             assert res.stds[i] == pytest.approx(std, rel=1e-9)

@@ -1,6 +1,8 @@
 """Tests for noise-vector optimization: multiplicative updates, the uniform
 variant, the projected-gradient baseline, and joint hyperparameter search."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -24,11 +26,11 @@ from gplabelnoise import (
     mult_update_step,
     optimize_sigma,
     optimize_sigma_matrix,
-    optimize_sigma_uniform,
     optimize_sigma_uniform_matrix,
     projected_gradient_baseline_matrix,
+    write_dataset,
 )
-from gplabelnoise import kernel, noiseopt
+from gplabelnoise import cli, kernel, noiseopt
 from gplabelnoise.rng import make_rng, normals
 
 # configurations tight enough to chase hand-checkable fixed points to high
@@ -350,13 +352,45 @@ class TestOptimizeSigmaUniform:
         with pytest.raises(ConfigError):
             optimize_sigma_uniform_matrix(np.eye(2), np.ones(2), config)
 
-    def test_dataset_and_matrix_front_ends_agree(self):
+    def test_dataset_and_matrix_front_ends_agree(self, tmp_path, capsys):
+        # the dataset-level front end of the shared model is `fit --mode basic`
         data = gen_example1(1)
-        params = heuristic_params(data.X, data.y_centered)
-        s1, _ = optimize_sigma_uniform(params, data)
-        K = build_kernel_matrix(params, data.X)
+        write_dataset(data, tmp_path / "data.csv")
+        out = tmp_path / "fit.json"
+        assert cli.main(["fit", "--data", str(tmp_path / "data.csv"), "--mode", "basic",
+                         "--out", str(out)]) == 0
+        s1 = json.loads(out.read_text())["sigma_shared"]
+        K = build_kernel_matrix(heuristic_params(data.X, data.y), data.X)
         s2, _ = optimize_sigma_uniform_matrix(K, data.y_centered)
         assert s1 == s2
+
+    @pytest.mark.parametrize("k", [0.5, 1.5, 5.0])
+    def test_diagonal_kernel_closed_form(self, k):
+        # on K = k*I the shared optimum is max(mean(y^2) - k, 0), the
+        # basic-model analogue of diagonal_solution
+        y = np.array([1.0, -2.0, 3.0, 0.5])
+        config = MultUpdateConfig(tol_sigma=1e-14, tol_nll=0.0)
+        sigma, trace = optimize_sigma_uniform_matrix(k * np.eye(4), y, config)
+        assert trace.converged and trace.monotone
+        assert abs(sigma - max(float(np.mean(y * y)) - k, 0.0)) < 1e-8
+
+    def test_mult_update_step_is_looked_up_per_call(self, monkeypatch):
+        # the benchmark tracer counts steps by patching the module attribute
+        calls = []
+        original = noiseopt.mult_update_step
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(noiseopt, "mult_update_step", counting)
+        data = gen_example1(2)
+        K = build_kernel_matrix(heuristic_params(data.X, data.y_centered), data.X)
+        _, trace = optimize_sigma_matrix(K, data.y_centered)
+        assert len(calls) == trace.iters > 0
+        calls.clear()
+        optimize_sigma_uniform_matrix(K, data.y_centered)
+        assert calls == []
 
 
 # ---------------------------------------------------------------------------
