@@ -400,7 +400,7 @@ def _cmd_gen(args) -> int:
     if kind == "example1":
         dataset = gen_example1(cfg["seed"])
     elif kind == "hetero":
-        dataset = gen_heteroscedastic(cfg["hetero"], cfg["n"], cfg["n_corrupt"], {}, cfg["seed"])
+        dataset = gen_heteroscedastic(cfg["hetero"], cfg["n"], cfg["n_corrupt"], cfg["seed"])
     else:
         gp_params = KernelParams(cfg["gp_signal_variance"], cfg["gp_length_scale"])
         clean = gen_gp(
@@ -472,7 +472,9 @@ def _load_report_labels(path: str) -> tuple[np.ndarray, LabelTruth | None]:
         raise ParseError(f"{path}: missing per_label sigma entries", line=1) from None
     except ValueError:
         raise ParseError(f"{path}: per_label sigma entries must be numbers", line=1) from None
-    if rows and "corrupted" in rows[0]:
+    if sigma.shape[0] == 0 or not np.all(np.isfinite(sigma) & (sigma >= 0.0)):
+        raise ParseError(f"{path}: per_label needs one or more finite, non-negative sigma entries", line=1)
+    if "corrupted" in rows[0]:
         try:
             eps = np.array([row.get("epsilon", 0.0) for row in rows], dtype=float)
             corrupted = np.array([bool(row["corrupted"]) for row in rows])

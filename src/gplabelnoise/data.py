@@ -34,8 +34,6 @@ __all__ = [
     "inject_noise",
     "read_dataset",
     "write_dataset",
-    "GOLDBERG_PARAMS",
-    "LE_PARAMS",
 ]
 
 
@@ -94,11 +92,11 @@ def make_dataset(X, y, truth: LabelTruth | None = None) -> Dataset:
 @dataclass(frozen=True)
 class NoiseInjectionSpec:
     """Corruption protocol: rate = fraction of labels corrupted, level =
-    ratio of the corruption std to the pristine-label std."""
+    ratio of the corruption std to the pristine-label std. Noise on every
+    label belongs to the clean data, e.g. ``gen_gp(base_noise_std=...)``."""
 
     rate: float
     level: float
-    base_noise_std: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
@@ -106,8 +104,6 @@ class NoiseInjectionSpec:
             raise ConfigError(f"noise rate must be in [0, 1], got {self.rate}")
         if self.level < 0.0:
             raise ConfigError(f"noise level must be non-negative, got {self.level}")
-        if self.base_noise_std < 0.0:
-            raise ConfigError("base_noise_std must be non-negative")
 
     def corrupted_count(self, n: int) -> int:
         # round-half-up, so the count is exact for every rate/N combination
@@ -131,18 +127,18 @@ def gen_example1(seed: int) -> Dataset:
     return make_dataset(x[:, None], f + base + eps, LabelTruth(eps, corrupted))
 
 
-# Default parameters for the two heteroscedastic setups. The shapes below are
-# reconstructions of the classic benchmarks (sinusoid with linearly growing
-# noise; product-of-sines with an input-dependent noise bowl), not values
-# taken from any table: tune via generator_params as needed.
-GOLDBERG_PARAMS = {
+# The two heteroscedastic families. The shapes are reconstructions of the
+# classic benchmarks (sinusoid with linearly growing noise; product-of-sines
+# with an input-dependent noise bowl), not values taken from any table; they
+# are fixed, with inputs drawn uniformly on [x_low, x_high].
+_GOLDBERG_PARAMS = {
     "x_low": 0.0,
     "x_high": 1.0,
     "mean_scale": 2.0,
     "noise_scale": 1.0,
     "contamination_std": 4.0,
 }
-LE_PARAMS = {
+_LE_PARAMS = {
     "x_low": 0.0,
     "x_high": float(np.pi),
     "mean_scale": 1.0,
@@ -150,28 +146,21 @@ LE_PARAMS = {
     "contamination_std": 1.0,
 }
 
-_HETERO_DEFAULTS = {"goldberg": GOLDBERG_PARAMS, "le": LE_PARAMS}
+_HETERO_PARAMS = {"goldberg": _GOLDBERG_PARAMS, "le": _LE_PARAMS}
 
 
-def gen_heteroscedastic(name: str, n: int, n_corrupt: int, generator_params, seed: int) -> Dataset:
+def gen_heteroscedastic(name: str, n: int, n_corrupt: int, seed: int) -> Dataset:
     """Heteroscedastic 1-D benchmark with ``n_corrupt`` contaminated labels.
 
-    ``name`` picks the curve family ('goldberg': sinusoid with linearly
-    increasing base-noise std; 'le': product of sines with a sine-shaped
-    base-noise profile). ``generator_params`` must be a dict; missing keys
-    fall back to the family defaults above, unknown keys are rejected.
+    ``name`` picks the curve family ('goldberg': sinusoid on [0, 1] with
+    linearly increasing base-noise std; 'le': product of sines on [0, pi]
+    with a sine-shaped base-noise profile).
     """
-    if name not in _HETERO_DEFAULTS:
+    if name not in _HETERO_PARAMS:
         raise ConfigError(f"unknown generator {name!r}; expected 'goldberg' or 'le'")
-    if generator_params is None:
-        raise ConfigError("generator_params is required (see GOLDBERG_PARAMS / LE_PARAMS)")
     if n_corrupt > n or n_corrupt < 0:
         raise ConfigError(f"n_corrupt must lie in [0, {n}], got {n_corrupt}")
-    defaults = _HETERO_DEFAULTS[name]
-    unknown = set(generator_params) - set(defaults)
-    if unknown:
-        raise ConfigError(f"unknown generator_params keys: {sorted(unknown)}")
-    p = {**defaults, **generator_params}
+    p = _HETERO_PARAMS[name]
 
     rng = make_rng(seed)
     x = np.sort(p["x_low"] + (p["x_high"] - p["x_low"]) * rng.random(n))
@@ -196,11 +185,9 @@ def gen_gp(
     n: int,
     d: int = 1,
     seed: int = 0,
-    x_low: float = -1.0,
-    x_high: float = 1.0,
     base_noise_std: float = 0.0,
 ) -> Dataset:
-    """Pristine draw from an RBF GP prior over uniform random inputs.
+    """Pristine draw from an RBF GP prior over inputs uniform on [-1, 1]^d.
 
     No truth record: the result plays the role of clean data that
     ``inject_noise`` corrupts. ``base_noise_std`` adds iid observation noise.
@@ -208,7 +195,7 @@ def gen_gp(
     if n < 1:
         raise EmptyDatasetError("n must be at least 1")
     rng = make_rng(seed)
-    X = x_low + (x_high - x_low) * rng.random((n, d))
+    X = -1.0 + 2.0 * rng.random((n, d))
     K = build_kernel_matrix(params, X)
     L, _ = cholesky_with_jitter(K, diag_ref=float(np.mean(np.diag(K))))
     y = L @ normals(rng, n)

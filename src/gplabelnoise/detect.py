@@ -40,12 +40,12 @@ CV_MODES = ("plain", "basic", "full")
 
 @dataclass(frozen=True)
 class DetectionReport:
-    """Noise vector, the threshold applied, and the flags.
+    """The threshold applied and the flags.
 
-    The fitted variances are the scores: flags[i] = (sigma[i] > threshold).
+    The fitted variances are the scores: flags[i] = (sigma[i] > threshold)
+    for the vector given to ``flag_noisy``, which the caller keeps.
     """
 
-    sigma: np.ndarray
     threshold: float
     flags: np.ndarray
 
@@ -66,14 +66,14 @@ def flag_noisy(sigma, threshold: float | None = None) -> DetectionReport:
 
     With ``threshold=None`` the median + 3 MAD default is used.
     """
-    sigma = np.asarray(sigma, dtype=float).copy()
+    sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim != 1 or sigma.shape[0] == 0:
         raise InvalidInputError("sigma must be a non-empty vector")
     if threshold is None:
         threshold = default_threshold(sigma)
     if threshold < 0.0:
         raise InvalidInputError(f"threshold must be non-negative, got {threshold}")
-    return DetectionReport(sigma=sigma, threshold=float(threshold), flags=sigma > threshold)
+    return DetectionReport(threshold=float(threshold), flags=sigma > threshold)
 
 
 def _check_binary_truth(scores: np.ndarray, truth) -> np.ndarray:
@@ -176,11 +176,7 @@ def cv_mae(
                 sigma, _ = optimize_sigma_matrix(K, y_train, config)
             state = fit_matrix(K, sigma, y_train, params=params, X=X_train)
         except NumericalError as e:
-            raise NumericalError(
-                f"fold {fold_id}: {e.args[0]}",
-                smallest_pivot=e.smallest_pivot,
-                iteration=e.iteration,
-            ) from e
+            raise NumericalError(f"fold {fold_id}: {e.args[0]}", smallest_pivot=e.smallest_pivot) from e
         mean, _ = predict_batch(state, X[test_idx])
         maes.append(float(np.mean(np.abs(mean - y[test_idx]))))
     return float(np.mean(maes))

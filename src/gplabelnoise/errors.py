@@ -32,14 +32,14 @@ class ParseError(GplnError):
 class NumericalError(GplnError):
     """Factorization failure that survived the jitter escalation policy.
 
-    ``smallest_pivot`` is the most negative/smallest Cholesky pivot seen;
-    ``iteration`` is set when the failure happened inside an optimizer loop.
+    ``smallest_pivot`` is the most negative/smallest Cholesky pivot seen.
+    Optimizers let it propagate unchanged; wrappers that add context to the
+    message (``joint_optimize``, ``cv_mae``) keep the pivot.
     """
 
-    def __init__(self, message, smallest_pivot=None, iteration=None):
+    def __init__(self, message, smallest_pivot=None):
         super().__init__(message)
         self.smallest_pivot = smallest_pivot
-        self.iteration = iteration
 
 
 class UndefinedMetricError(GplnError):

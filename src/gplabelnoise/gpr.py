@@ -260,9 +260,6 @@ def predict_batch(state: GprState, X_star) -> tuple[np.ndarray, np.ndarray]:
     """Posterior means and (clamped) variances at many query points."""
     if state.params is None or state.X is None:
         raise InvalidInputError("state carries no kernel/inputs; fit with fit() to predict")
-    X_star = np.asarray(X_star, dtype=float)
-    if X_star.ndim == 1:
-        X_star = X_star[:, None]
     Ks = cross_kernel(state.params, X_star, state.X)
     means = Ks @ state.alpha
     # k' Kt^-1 k = |L^-1 k|^2: one triangular solve instead of two

@@ -70,6 +70,8 @@ _MONOTONE_SLACK = 1e-10
 # log theta beyond this box describes degenerate kernels (identity or
 # constant) and overflows double precision; it bounds the theta search
 _LOG_THETA_BOUND = 200.0
+_THETA_MAX_STEPS = 20  # L-BFGS-B iterations per theta block
+_RESTART_SPREAD = 2.0  # log-space halfwidth of the box random restarts draw from
 
 
 @dataclass(frozen=True)
@@ -131,25 +133,19 @@ class PgdConfig:
 
 @dataclass(frozen=True)
 class JointOptConfig:
-    """Settings for block-coordinate descent over (sigma, theta).
-
-    ``theta_max_steps`` caps the L-BFGS-B iterations of each theta block; 0
-    leaves theta at its start.
-    """
+    """Settings for block-coordinate descent over (sigma, theta). Each theta
+    block runs at most 20 L-BFGS-B iterations; random restarts draw log theta
+    within +-2 of the heuristic."""
 
     outer_rounds: int = 3
-    theta_max_steps: int = 20
     restarts: int = 4
     restart_seed: int = 0
-    restart_spread: float = 2.0  # log-space halfwidth around the heuristic center
 
     def __post_init__(self):
         if self.outer_rounds < 0:
             raise ConfigError("outer_rounds must be non-negative")
         if self.restarts < 1:
             raise ConfigError(f"restarts must be >= 1, got {self.restarts}")
-        if self.theta_max_steps < 0:
-            raise ConfigError("theta_max_steps must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -221,12 +217,13 @@ def _make_trace(nlls, changes, evals, stop_reason: str) -> OptTrace:
 
 
 def _fixed_point_stop(
-    rel: float, previous: float, value: float, config: MultUpdateConfig
+    rel: float, previous: float, value: float, config: MultUpdateConfig | PgdConfig
 ) -> str | None:
-    """Stop reason after a fixed-point step from objective ``previous`` to
-    ``value``, or None to keep going.
+    """Stop reason after a step from objective ``previous`` to ``value``, or
+    None to keep going.
 
-    A rise beyond round-off is reported as such, never as convergence.
+    A rise beyond round-off is reported as such, never as convergence (an
+    accepted projected-gradient step never rises).
     """
     if _is_rise(previous, value):
         return "nll_increase"
@@ -267,15 +264,6 @@ def _rel_change(new: np.ndarray, old: np.ndarray) -> float:
     if scale == 0.0:
         scale = 1.0
     return float(np.abs(new - old).max()) / scale
-
-
-def _refit(
-    K: np.ndarray, sigma: np.ndarray, y: np.ndarray, iteration: int, params=None, X=None
-) -> GprState:
-    try:
-        return fit_matrix(K, sigma, y, params=params, X=X)
-    except NumericalError as e:
-        raise NumericalError(str(e.args[0]), smallest_pivot=e.smallest_pivot, iteration=iteration) from e
 
 
 def mult_update_step(state: GprState, y: np.ndarray, config: MultUpdateConfig) -> np.ndarray:
@@ -326,16 +314,16 @@ def _mult_loop(
     # state's own copy of the labels, so they read its cached alpha.
     evals = [1 if state is None else 0]
     if state is None:
-        state = _refit(K, sigma, y, iteration=0)
+        state = fit_matrix(K, sigma, y)
     nlls = [nll(state, state.y)]
     objective = nlls[0] + _penalty(sigma, config)
     changes = [0.0]
     stop = "max_iters"
     step = step or mult_update_step
-    for t in range(1, config.max_iters + 1):
+    for _ in range(config.max_iters):
         new_sigma = step(state, state.y, config)
         rel = _rel_change(new_sigma, sigma)
-        state = _refit(K, new_sigma, y, t, params=state.params, X=state.X)
+        state = fit_matrix(K, new_sigma, y, params=state.params, X=state.X)
         value = nll(state, state.y)
         previous, objective = objective, value + _penalty(new_sigma, config)
         reason = _fixed_point_stop(rel, previous, objective, config)
@@ -413,7 +401,7 @@ def projected_gradient_baseline_matrix(
     y = np.asarray(y, dtype=float)
     sigma = _resolve_sigma_init(config.sigma_init, y, y.shape[0])
 
-    state = _refit(K, sigma, y, iteration=0)
+    state = fit_matrix(K, sigma, y)
     value = nll(state, state.y)
     nlls = [value]
     changes = [0.0]
@@ -421,7 +409,7 @@ def projected_gradient_baseline_matrix(
     evals = [1]
     eta = config.step_size
     stop = "max_iters"
-    for t in range(1, config.max_iters + 1):
+    for _ in range(config.max_iters):
         g = grad_sigma(state, state.y)
         residual = np.where(sigma > 0.0, np.abs(g), np.maximum(-g, 0.0))
         if float(np.max(residual / state.kinv_diag)) <= config.tol_grad:
@@ -431,7 +419,7 @@ def projected_gradient_baseline_matrix(
         accepted = False
         for _ in range(config.max_halvings + 1):
             cand = np.maximum(sigma - trial * g, 0.0)
-            cand_state = _refit(K, cand, y, iteration=t)
+            cand_state = fit_matrix(K, cand, y)
             cand_value = nll(cand_state, cand_state.y)
             evals_done += 1
             if cand_value <= value:
@@ -444,17 +432,14 @@ def projected_gradient_baseline_matrix(
             stop = "nll_tol"
             break
         rel = _rel_change(cand, sigma)
-        decrease = value - cand_value
+        reason = _fixed_point_stop(rel, value, cand_value, config)
         sigma, state, value = cand, cand_state, cand_value
         nlls.append(value)
         changes.append(rel)
         evals.append(evals_done)
         eta = trial * 2.0
-        if rel < config.tol_sigma:
-            stop = "sigma_tol"
-            break
-        if decrease < config.tol_nll:
-            stop = "nll_tol"
+        if reason is not None:
+            stop = reason
             break
     return sigma, _make_trace(nlls, changes, evals, stop)
 
@@ -474,7 +459,7 @@ def joint_optimize(
     The trace has one entry per sigma step and per L-BFGS-B iteration.
     Restart 0 starts at the data-driven heuristic (signal variance = var(y),
     length scale = median pairwise distance); the rest draw log-theta
-    uniformly from a +-restart_spread box around it, seeded by restart_seed.
+    uniformly from a +-2 box around it in log space, seeded by restart_seed.
     The winner is the restart with the lowest final NLL, earliest index on
     ties; restarts that fail numerically are dropped, and only if all of them
     fail does the failure propagate.
@@ -489,7 +474,7 @@ def joint_optimize(
     best = None
     failures: list[NumericalError] = []
     for r in range(config.restarts):
-        offset = config.restart_spread * (2.0 * rng.random(2) - 1.0)
+        offset = _RESTART_SPREAD * (2.0 * rng.random(2) - 1.0)
         log_theta = center if r == 0 else center + offset
         try:
             result = _joint_single_start(X, d2, y, log_theta, config, mult_config)
@@ -503,7 +488,6 @@ def joint_optimize(
         raise NumericalError(
             f"all {config.restarts} joint restarts failed numerically",
             smallest_pivot=failures[-1].smallest_pivot,
-            iteration=failures[-1].iteration,
         )
     return best
 
@@ -519,15 +503,13 @@ def _joint_single_start(
     params = KernelParams.from_log(log_theta)
     K = rbf_from_sq_dists(params, d2)
     sigma = _resolve_sigma_init(mult_config.sigma_init, y, y.shape[0])
-    state = _refit(K, sigma, y, 0, params=params, X=X)
+    state = fit_matrix(K, sigma, y, params=params, X=X)
     nlls, changes, evals = [nll(state, state.y)], [0.0], [1]
     fits = 1  # every fit so far, theta trials after a block's last iteration included
 
     for round_ in range(config.outer_rounds + 1):
-        if round_ > 0 and config.theta_max_steps > 0:
-            log_theta, K, state, steps, trials = _theta_block(
-                log_theta, K, state, d2, config.theta_max_steps
-            )
+        if round_ > 0:
+            log_theta, K, state, steps, trials = _theta_block(log_theta, K, state, d2)
             for value, n in steps:
                 nlls.append(value)
                 changes.append(0.0)
@@ -546,7 +528,7 @@ def _joint_single_start(
 
 
 def _theta_block(
-    log_theta: np.ndarray, K: np.ndarray, state: GprState, d2: np.ndarray, max_steps: int
+    log_theta: np.ndarray, K: np.ndarray, state: GprState, d2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, GprState, list[tuple[float, int]], int]:
     """L-BFGS-B on log theta from ``state``, the fit of (K, sigma) under
     ``log_theta``, at fixed sigma.
@@ -585,7 +567,7 @@ def _theta_block(
         jac=True,
         method="L-BFGS-B",
         bounds=[(-_LOG_THETA_BOUND, _LOG_THETA_BOUND)] * len(log_theta),
-        options={"maxiter": max_steps},
+        options={"maxiter": _THETA_MAX_STEPS},
         callback=record,
     )
     kept = fitted.get(KernelParams.from_log(res.x))

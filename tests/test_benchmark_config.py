@@ -1,11 +1,14 @@
-"""Consistency of BENCHMARK.json with the library it measures.
+"""Consistency of BENCHMARK.json and perfbench/ with the library they measure.
 
 ``perfbench/run.py --trace 1`` fails on a declared per-layer metric that no
 traced function produces, so every ``<layer>.<function>.calls`` or
 ``.self_s`` entry must name a function the tracer patches: one defined in
-that layer and listed in its ``__all__``. The file is only read here.
+that layer and listed in its ``__all__``. The workloads call the library
+through its public names, so each must exist and accept the call as written.
+These files are only read here.
 """
 
+import ast
 import importlib
 import inspect
 import json
@@ -13,7 +16,11 @@ from pathlib import Path
 
 import pytest
 
-BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+import gplabelnoise
+
+ROOT = Path(__file__).resolve().parents[1]
+BENCHMARK = ROOT / "BENCHMARK.json"
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
 
 # patched on the GprState class instead of found through gpr.__all__
 CLASS_METHODS = {"gpr.solve": ("GprState", "solve")}
@@ -44,3 +51,36 @@ def test_per_layer_function_is_traced(entry):
     assert name in module.__all__, f"{entry} is declared in BENCHMARK.json but not in {layer}.__all__"
     fn = getattr(module, name)
     assert inspect.isfunction(fn) and fn.__module__ == module.__name__
+
+
+def _workload_references() -> tuple[list[str], list[ast.Call]]:
+    """The ``gpl.<name>`` attributes read in perfbench/workloads.py, and
+    the calls made through them."""
+    tree = ast.parse(WORKLOADS.read_text())
+
+    def is_gpl(node) -> bool:
+        return isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "gpl"
+
+    names = [node.attr for node in ast.walk(tree) if is_gpl(node)]
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call) and is_gpl(node.func)]
+    return names, calls
+
+
+def test_workloads_use_public_names():
+    names, _ = _workload_references()
+    assert names
+    missing = sorted(set(names) - set(gplabelnoise.__all__))
+    assert not missing, f"perfbench/workloads.py uses names outside gplabelnoise.__all__: {missing}"
+
+
+def test_workload_calls_bind_to_signatures():
+    _, calls = _workload_references()
+    assert calls
+    for call in calls:
+        fn = getattr(gplabelnoise, call.func.attr)
+        keywords = [kw.arg for kw in call.keywords]
+        assert not any(isinstance(a, ast.Starred) for a in call.args) and None not in keywords
+        try:
+            inspect.signature(fn).bind(*call.args, **dict.fromkeys(keywords))
+        except TypeError as e:
+            pytest.fail(f"perfbench/workloads.py:{call.lineno}: gpl.{call.func.attr}(...) does not bind: {e}")

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import gplabelnoise
-from gplabelnoise import cli, read_dataset
+from gplabelnoise import NumericalError, cli, noiseopt, read_dataset
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -201,6 +201,14 @@ class TestFit:
         assert trace["converged"] is False
         assert trace["stop_reason"] == "max_iters"
 
+    def test_numerical_failure_exits_3(self, example_csv, tmp_path, monkeypatch, capsys):
+        def failing_fit(*args, **kwargs):
+            raise NumericalError("factorization failed", smallest_pivot=-1.0)
+
+        monkeypatch.setattr(noiseopt, "fit_matrix", failing_fit)
+        assert run("fit", "--data", str(example_csv), "--out", str(tmp_path / "f.json")) == 3
+        assert "factorization failed" in capsys.readouterr().err
+
     def test_penalized_fit_converges(self, example_csv, tmp_path, capsys):
         # a heavy penalty pulls the noise below the likelihood optimum, so the
         # NLL rises on the way; the loop watches the penalized objective,
@@ -286,6 +294,23 @@ class TestDetect:
         )
         assert run("detect", "--report", str(report), "--out", str(tmp_path / "x.json")) == 2
         assert "sigma" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"per_label": []}',
+            '{"per_label": [{"sigma": -1.0}, {"sigma": 2.0}]}',
+            '{"per_label": [{"sigma": NaN}, {"sigma": 2.0}]}',
+        ],
+        ids=["empty", "negative", "nan"],
+    )
+    def test_report_without_usable_sigma_is_a_parse_error(self, text, tmp_path, capsys):
+        report = tmp_path / "fit.json"
+        report.write_text(text)
+        out = tmp_path / "x.json"
+        assert run("detect", "--report", str(report), "--out", str(out)) == 2
+        assert "finite, non-negative sigma" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_requires_exactly_one_input(self, example_csv, tmp_path, capsys):
         assert run("detect", "--out", str(tmp_path / "x.json")) == 1

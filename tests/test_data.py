@@ -20,7 +20,6 @@ from gplabelnoise import (
     read_dataset,
     write_dataset,
 )
-from gplabelnoise.data import GOLDBERG_PARAMS, LE_PARAMS
 from gplabelnoise.rng import choose_subset, make_rng, normals
 
 # ---------------------------------------------------------------------------
@@ -124,36 +123,29 @@ class TestGenExample1:
 
 
 class TestGenHeteroscedastic:
-    """Configurable one-dimensional benchmark families."""
+    """Fixed one-dimensional benchmark families."""
 
     def test_first_family_ranges(self):
-        data = gen_heteroscedastic("goldberg", 30, 5, dict(GOLDBERG_PARAMS), seed=0)
+        data = gen_heteroscedastic("goldberg", 30, 5, seed=0)
         assert data.X.shape == (30, 1)
         assert data.X.min() >= 0.0 and data.X.max() <= 1.0
         assert int(data.truth.corrupted.sum()) == 5
 
     def test_second_family_ranges(self):
-        data = gen_heteroscedastic("le", 30, 3, dict(LE_PARAMS), seed=1)
+        data = gen_heteroscedastic("le", 30, 3, seed=1)
         assert data.X.min() >= 0.0 and data.X.max() <= np.pi
 
-    def test_empty_params_mean_family_defaults(self):
-        explicit = gen_heteroscedastic("goldberg", 20, 4, dict(GOLDBERG_PARAMS), seed=2)
-        defaulted = gen_heteroscedastic("goldberg", 20, 4, {}, seed=2)
-        assert np.array_equal(explicit.y, defaulted.y)
-
     @pytest.mark.parametrize(
-        "name,n,n_corrupt,params",
+        "name,n,n_corrupt",
         [
-            ("bogus", 10, 2, {}),                      # unknown family
-            ("goldberg", 10, 2, None),                 # params must be a mapping
-            ("goldberg", 10, 2, {"unknown_key": 1.0}),  # unknown override
-            ("goldberg", 10, 11, {}),                  # more corrupt than points
-            ("goldberg", 10, -1, {}),                  # negative count
+            ("bogus", 10, 2),      # unknown family
+            ("goldberg", 10, 11),  # more corrupt than points
+            ("goldberg", 10, -1),  # negative count
         ],
     )
-    def test_bad_arguments_rejected(self, name, n, n_corrupt, params):
+    def test_bad_arguments_rejected(self, name, n, n_corrupt):
         with pytest.raises(ConfigError):
-            gen_heteroscedastic(name, n, n_corrupt, params, seed=0)
+            gen_heteroscedastic(name, n, n_corrupt, seed=0)
 
 
 class TestGenGp:
@@ -166,8 +158,8 @@ class TestGenGp:
         assert data.truth is None
 
     def test_input_range(self):
-        data = gen_gp(KernelParams(1.0, 0.5), 50, d=2, seed=1, x_low=2.0, x_high=5.0)
-        assert data.X.min() >= 2.0 and data.X.max() <= 5.0
+        data = gen_gp(KernelParams(1.0, 0.5), 50, d=2, seed=1)
+        assert data.X.min() >= -1.0 and data.X.max() <= 1.0
 
     def test_observation_noise_perturbs_labels(self):
         clean = gen_gp(KernelParams(1.0, 0.5), 16, d=1, seed=4)
@@ -227,7 +219,6 @@ class TestInjectNoise:
             dict(rate=1.1, level=1.0),
             dict(rate=-0.1, level=1.0),
             dict(rate=0.5, level=-1.0),
-            dict(rate=0.5, level=1.0, base_noise_std=-1.0),
         ],
     )
     def test_bad_spec_rejected(self, kwargs):

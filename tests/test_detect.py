@@ -9,6 +9,7 @@ from gplabelnoise import (
     InvalidInputError,
     KernelParams,
     NoiseInjectionSpec,
+    NumericalError,
     UndefinedMetricError,
     cv_mae,
     default_threshold,
@@ -21,6 +22,7 @@ from gplabelnoise import (
     r2_noise,
     roc_auc,
 )
+from gplabelnoise import detect, noiseopt
 from gplabelnoise.detect import CV_MODES
 from gplabelnoise.rng import make_rng, normals
 
@@ -245,3 +247,15 @@ class TestCvMae:
         assert a == b
         c = cv_mae(data, params, "basic", folds=4, seed=12)
         assert np.isfinite(c)
+
+    @pytest.mark.parametrize("mode", CV_MODES)
+    def test_failed_fit_names_its_fold(self, mode, monkeypatch):
+        def failing_fit(*args, **kwargs):
+            raise NumericalError("factorization failed", smallest_pivot=-1.0)
+
+        monkeypatch.setattr(noiseopt, "fit_matrix", failing_fit)
+        monkeypatch.setattr(detect, "fit_matrix", failing_fit)
+        data = gen_gp(KernelParams(1.0, 0.5), 12, d=1, seed=0)
+        with pytest.raises(NumericalError, match="^fold 0: factorization failed$") as info:
+            cv_mae(data, KernelParams(1.0, 0.5), mode)
+        assert info.value.smallest_pivot == -1.0

@@ -523,7 +523,7 @@ class TestJointOptimize:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [dict(outer_rounds=-1), dict(restarts=0), dict(theta_max_steps=-1)],
+        [dict(outer_rounds=-1), dict(restarts=0)],
     )
     def test_bad_configuration_rejected(self, kwargs):
         with pytest.raises(ConfigError):
@@ -626,3 +626,30 @@ class TestJointOptimize:
         # one for the heuristic length scale, one shared by every restart
         assert counts["sq_dists"] == 2
         assert counts["kernels"] > 10 * restarts
+
+
+# ---------------------------------------------------------------------------
+# numerical failure
+# ---------------------------------------------------------------------------
+
+
+def _failing_fit(*args, **kwargs):
+    raise NumericalError("factorization failed", smallest_pivot=-1.0)
+
+
+class TestNumericalFailure:
+    """A fit that fails propagates with its pivot; wrappers keep it."""
+
+    def test_sigma_loop_propagates_the_failure(self, monkeypatch):
+        monkeypatch.setattr(noiseopt, "fit_matrix", _failing_fit)
+        data = gen_example1(0)
+        K = build_kernel_matrix(heuristic_params(data.X, data.y), data.X)
+        with pytest.raises(NumericalError) as info:
+            optimize_sigma_matrix(K, data.y_centered)
+        assert info.value.smallest_pivot == -1.0
+
+    def test_joint_reports_all_restarts_failed(self, monkeypatch):
+        monkeypatch.setattr(noiseopt, "fit_matrix", _failing_fit)
+        with pytest.raises(NumericalError, match="all 4 joint restarts failed numerically") as info:
+            joint_optimize(gen_example1(0))
+        assert info.value.smallest_pivot == -1.0
