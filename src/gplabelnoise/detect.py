@@ -4,11 +4,12 @@ used to judge them.
 A label's score is its fitted noise variance sigma_i. Detection is a
 threshold on that score; the default threshold is median + 3 * MAD, which
 stays put when a minority of labels carries large variances. Ranking quality
-is measured threshold-free by ROC AUC (Mann-Whitney form, ties get half
-credit) and by precision at fixed recall levels; calibration of the fitted
-variances against the actually injected noise by an R^2; and end-to-end
-regression benefit by cross-validated MAE of the GP predictor with the noise
-model switched off (``plain``), shared (``basic``), or per-label (``full``).
+is measured threshold-free by ROC AUC (Mann-Whitney form, from mid-ranks
+computed in NumPy, so ties get half credit) and by precision at fixed recall
+levels; calibration of the fitted variances against the actually injected
+noise by an R^2; and end-to-end regression benefit by cross-validated MAE of
+the GP predictor with the noise model switched off (``plain``), shared
+(``basic``), or per-label (``full``).
 """
 
 from __future__ import annotations
@@ -16,11 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .data import Dataset
 from .errors import ConfigError, InvalidInputError, NumericalError, UndefinedMetricError
-from .gpr import fit_matrix, predict_batch
+from .gpr import _check_sigma, fit_matrix, predict_batch
 from .kernel import KernelParams, build_kernel_matrix
 from .noiseopt import MultUpdateConfig, optimize_sigma_matrix, optimize_sigma_uniform_matrix
 from .rng import make_rng
@@ -64,14 +64,16 @@ def default_threshold(scores) -> float:
 def flag_noisy(sigma, threshold: float | None = None) -> DetectionReport:
     """Flag labels whose noise variance exceeds the threshold (strictly).
 
-    With ``threshold=None`` the median + 3 MAD default is used.
+    With ``threshold=None`` the median + 3 MAD default is used. Variances
+    must be finite and non-negative, and the threshold non-negative (not NaN).
     """
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim != 1 or sigma.shape[0] == 0:
         raise InvalidInputError("sigma must be a non-empty vector")
+    _check_sigma(sigma, sigma.shape[0])
     if threshold is None:
         threshold = default_threshold(sigma)
-    if threshold < 0.0:
+    if not threshold >= 0.0:
         raise InvalidInputError(f"threshold must be non-negative, got {threshold}")
     return DetectionReport(threshold=float(threshold), flags=sigma > threshold)
 
@@ -83,16 +85,31 @@ def _check_binary_truth(scores: np.ndarray, truth) -> np.ndarray:
     return truth.astype(bool)
 
 
+def _midranks(scores: np.ndarray) -> np.ndarray:
+    """Ranks from 1, ties given the mean of the ranks they span; all NaN if
+    any score is NaN. Bitwise equal to ``scipy.stats.rankdata(scores)``."""
+    if np.isnan(scores).any():
+        return np.full(scores.shape, np.nan)
+    order = np.argsort(scores, kind="mergesort")
+    ordered = scores[order]
+    first = np.r_[True, ordered[1:] != ordered[:-1]]  # starts a tie group
+    dense = np.empty(scores.shape[0], dtype=np.intp)
+    dense[order] = first.cumsum()
+    count = np.r_[np.nonzero(first)[0], scores.shape[0]]
+    return 0.5 * (count[dense] + count[dense - 1] + 1)
+
+
 def roc_auc(scores, truth) -> float:
     """Probability that a random corrupted label outscores a random clean
-    one, ties counted half — the Mann-Whitney statistic, computed from ranks."""
+    one, ties counted half — the Mann-Whitney statistic, computed from
+    mid-ranks in NumPy."""
     scores = np.asarray(scores, dtype=float)
     truth = _check_binary_truth(scores, truth)
     n_pos = int(np.sum(truth))
     n_neg = truth.shape[0] - n_pos
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("AUC needs at least one corrupted and one clean label")
-    ranks = rankdata(scores)
+    ranks = _midranks(scores)
     return float((np.sum(ranks[truth]) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 

@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.optimize
 
 from .data import Dataset
 from .errors import ConfigError, InvalidInputError, NumericalError
@@ -71,6 +70,9 @@ _MONOTONE_SLACK = 1e-10
 # constant) and overflows double precision; it bounds the theta search
 _LOG_THETA_BOUND = 200.0
 _THETA_MAX_STEPS = 20  # L-BFGS-B iterations per theta block
+# log-space half-widths of the box around a theta block's start: the whole
+# range first, then the shrinking boxes of the retries after failing trials
+_THETA_BOX_HALFWIDTHS = (math.inf,) + tuple(2.0**-k for k in range(11))
 _RESTART_SPREAD = 2.0  # log-space halfwidth of the box random restarts draw from
 
 
@@ -535,8 +537,15 @@ def _theta_block(
 
     Returns the log theta, K and state kept (the start unless the result's
     NLL is no higher), one (NLL, fits so far) pair per iteration, and the
-    number of fits. A trial whose fit fails is infinitely bad.
+    number of fits. A trial whose fit fails is infinitely bad. L-BFGS-B's
+    line search barely backs off from such a trial, so a run that met one
+    and did not lower the NLL is repeated from the start inside a box of
+    half-width 1 around it in log space, the box halved on each repeat,
+    until a run lowers the NLL, meets no failing trial, or the half-width
+    falls below 2**-10.
     """
+    import scipy.optimize  # loaded by the first theta block, not with the package
+
     sigma, y, X = state.sigma, state.y, state.X
     start = nll(state, y)
     # fitted trials by their parameters (log theta values a rounding apart
@@ -546,6 +555,7 @@ def _theta_block(
     steps: list[tuple[float, int]] = []
 
     def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
+        nonlocal failed
         try:
             params = KernelParams.from_log(x)
             if params not in fitted:
@@ -553,6 +563,7 @@ def _theta_block(
                 trial = fit_matrix(trial_K, sigma, y, params=params, X=X)
                 fitted[params] = (trial_K, trial, nll(trial, trial.y))
         except (NumericalError, InvalidInputError):
+            failed = True
             return math.inf, np.zeros_like(x)
         trial_K, trial, value = fitted[params]
         return value, grad_theta(trial, trial.y, rbf_grad_from_sq_dists(params, trial_K, d2))
@@ -561,16 +572,22 @@ def _theta_block(
         # called once per iteration, at an iterate already fitted
         steps.append((fitted[KernelParams.from_log(x)][2], len(fitted) - 1))
 
-    res = scipy.optimize.minimize(
-        objective,
-        log_theta,
-        jac=True,
-        method="L-BFGS-B",
-        bounds=[(-_LOG_THETA_BOUND, _LOG_THETA_BOUND)] * len(log_theta),
-        options={"maxiter": _THETA_MAX_STEPS},
-        callback=record,
-    )
-    kept = fitted.get(KernelParams.from_log(res.x))
+    for halfwidth in _THETA_BOX_HALFWIDTHS:
+        failed = False
+        steps.clear()  # a run that is repeated recorded only the start
+        res = scipy.optimize.minimize(
+            objective,
+            log_theta,
+            jac=True,
+            method="L-BFGS-B",
+            bounds=list(zip(np.maximum(log_theta - halfwidth, -_LOG_THETA_BOUND),
+                            np.minimum(log_theta + halfwidth, _LOG_THETA_BOUND))),
+            options={"maxiter": _THETA_MAX_STEPS},
+            callback=record,
+        )
+        kept = fitted.get(KernelParams.from_log(res.x))
+        if not failed or (kept is not None and kept[2] < start):
+            break
     if kept is None or kept[2] > start:
         return log_theta, K, state, steps, len(fitted) - 1
     return res.x, kept[0], kept[1], steps, len(fitted) - 1

@@ -70,17 +70,33 @@ class TestTopLevel:
         assert Path(gplabelnoise.__file__).resolve().parent == SRC / "gplabelnoise"
 
     def test_module_entry_point(self):
-        # the child process imports the same sources as this one
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "gplabelnoise", "--version"],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
+        proc = _child_python("-m", "gplabelnoise", "--version")
         assert proc.returncode == 0
         assert "0.1.0" in proc.stdout
+
+    def test_start_up_loads_only_what_runs(self):
+        """A fresh interpreter importing the package and its CLI loads neither
+        scipy.stats nor scipy.optimize; the first joint fit loads the latter."""
+        code = (
+            "import json, sys\n"
+            "import gplabelnoise, gplabelnoise.cli\n"
+            "loaded = lambda: [m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules]\n"
+            "at_import = loaded()\n"
+            "gplabelnoise.joint_optimize(gplabelnoise.gen_example1(0))\n"
+            "print(json.dumps([at_import, loaded()]))\n"
+        )
+        proc = _child_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        at_import, after_joint = json.loads(proc.stdout)
+        assert at_import == []
+        assert after_joint == ["scipy.optimize"]
+
+
+def _child_python(*argv):
+    """Run a fresh interpreter that imports the same sources as this one."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +326,17 @@ class TestDetect:
         out = tmp_path / "x.json"
         assert run("detect", "--report", str(report), "--out", str(out)) == 2
         assert "finite, non-negative sigma" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["--data", "--report"])
+    def test_nan_threshold_is_a_config_error(self, source, example_csv, tmp_path, capsys):
+        path = example_csv
+        if source == "--report":
+            path = tmp_path / "fit.json"
+            assert run("fit", "--data", str(example_csv), "--out", str(path)) == 0
+        out = tmp_path / "x.json"
+        assert run("detect", source, str(path), "--threshold", "nan", "--out", str(out)) == 1
+        assert "threshold must be non-negative" in capsys.readouterr().err
         assert not out.exists()
 
     def test_requires_exactly_one_input(self, example_csv, tmp_path, capsys):

@@ -3,6 +3,7 @@ noise R², and cross-validated MAE."""
 
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
 from gplabelnoise import (
     ConfigError,
@@ -73,11 +74,20 @@ class TestFlagNoisy:
             ([1.0, 2.0], -1.0),              # negative threshold
             ([], None),                      # empty scores
             ([[1.0, 2.0]], None),            # not one-dimensional
+            pytest.param([1.0, 2.0], np.nan, id="nan-threshold"),
+            pytest.param([np.nan, 1.0, 2.0], None, id="nan-default"),  # default threshold NaN
+            pytest.param([np.nan, 1.0, 2.0], 1.5, id="nan-given"),
+            pytest.param([-1.0, 2.0], None, id="negative"),
+            pytest.param([np.inf, 1.0, 2.0], None, id="inf"),
+            pytest.param([-np.inf, 1.0], 0.5, id="minus-inf"),
         ],
     )
     def test_invalid_inputs_rejected(self, sigma, threshold):
         with pytest.raises(InvalidInputError):
             flag_noisy(sigma, threshold=threshold)
+
+    def test_infinite_threshold_flags_nothing(self):
+        assert flag_noisy([1.0, 2.0], threshold=np.inf).n_flagged == 0
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +147,47 @@ class TestRocAuc:
     def test_single_class_truth_rejected(self, truth):
         with pytest.raises(UndefinedMetricError):
             roc_auc([1.0, 2.0, 3.0], truth)
+
+
+def _tied_scores(rng, n):
+    """Scores on a coarse grid (ties) with infinities and signed zeros."""
+    grid = np.array([-np.inf, -1.5, -0.0, 0.0, 0.5, 2.0, np.inf])
+    return np.where(rng.random(n) < 0.5, grid[rng.integers(0, grid.size, n)], rng.standard_normal(n))
+
+
+class TestMidRanks:
+    """The NumPy mid-ranks against ``scipy.stats.rankdata``, bit for bit."""
+
+    def test_ranks_bitwise_equal_rankdata(self):
+        rng = np.random.default_rng(90)
+        for n in [1, 2, 3, 7, 24, 200]:
+            for _ in range(50):
+                scores = _tied_scores(rng, n)
+                ranks = detect._midranks(scores)
+                assert ranks.dtype == np.float64
+                assert ranks.tobytes() == rankdata(scores).tobytes(), scores
+
+    def test_auc_bitwise_equal_rankdata_formula(self):
+        rng = np.random.default_rng(91)
+        checked = 0
+        for _ in range(300):
+            n = int(rng.integers(2, 60))
+            scores, truth = _tied_scores(rng, n), rng.random(n) < 0.4
+            n_pos = int(truth.sum())
+            n_neg = n - n_pos
+            if n_pos == 0 or n_neg == 0:
+                continue
+            ranks = rankdata(scores)
+            expected = float((np.sum(ranks[truth]) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+            assert roc_auc(scores, truth).hex() == expected.hex(), scores
+            checked += 1
+        assert checked > 250
+
+    def test_any_nan_gives_nan_ranks_and_auc(self):
+        scores = np.array([0.3, np.nan, 0.1, 0.3])
+        assert np.isnan(detect._midranks(scores)).all()
+        assert np.isnan(rankdata(scores)).all()
+        assert np.isnan(roc_auc(scores, [1, 0, 0, 1]))
 
 
 class TestPrecisionAtRecall:

@@ -30,7 +30,7 @@ from gplabelnoise import (
     projected_gradient_baseline_matrix,
     write_dataset,
 )
-from gplabelnoise import cli, kernel, noiseopt
+from gplabelnoise import cli, gpr, kernel, noiseopt
 from gplabelnoise.rng import make_rng, normals
 
 # configurations tight enough to chase hand-checkable fixed points to high
@@ -567,6 +567,51 @@ class TestJointOptimize:
         assert np.isfinite(params.signal_variance) and 0.0 < params.length_scale <= cut
         assert np.all(np.isfinite(sigma))
         assert trace.monotone and np.isfinite(trace.final_nll)
+
+    def test_failed_theta_block_retries_in_a_shrinking_box(self, monkeypatch):
+        """With fits above l = 0.3 failing, three of the four restarts on
+        gen_example1(0) fail outright and the fourth starts at l = 0.25007,
+        whose unconstrained theta step lands far beyond the cut. The block
+        retries in a box around its start instead of ending there, so the
+        fit moves l off its start and lowers the NLL below -15.58, the value
+        at the start's sigma optimum."""
+        cut, fit = 0.3, noiseopt.fit_matrix
+
+        def failing_fit(K, sigma, y, params=None, X=None):
+            if params is not None and params.length_scale > cut:
+                raise NumericalError("length scale above the cut-off")
+            return fit(K, sigma, y, params=params, X=X)
+
+        monkeypatch.setattr(noiseopt, "fit_matrix", failing_fit)
+        params, sigma, trace = joint_optimize(gen_example1(0))
+        assert 0.2501 < params.length_scale <= cut
+        assert trace.final_nll < -15.58
+        assert trace.monotone and np.all(np.isfinite(sigma))
+
+    def test_theta_block_retries_end_at_a_negligible_box(self, monkeypatch):
+        """When every trial but the start fails, the retries stop after the
+        smallest box and the block keeps its start, having fitted nothing;
+        the trace gets at most the one row of the last run."""
+        data = gen_example1(0)
+        params = heuristic_params(data.X, data.y)
+        d2 = kernel.sq_dists(data.X)
+        K = kernel.rbf_from_sq_dists(params, d2)
+        state = fit_matrix(K, np.full(data.n, 0.1), data.y_centered, params=params, X=data.X)
+        trials = []
+
+        def failing_fit(K, sigma, y, params=None, X=None):
+            trials.append(params)
+            raise NumericalError("every trial fails")
+
+        monkeypatch.setattr(noiseopt, "fit_matrix", failing_fit)
+        log_theta = params.log_vector()
+        kept, kept_K, kept_state, steps, fits = noiseopt._theta_block(log_theta, K, state, d2)
+        assert np.array_equal(kept, log_theta) and kept_K is K and kept_state is state
+        assert fits == 0 and steps in ([], [(gpr.nll(state, state.y), 0)])
+        assert len(trials) >= len(noiseopt._THETA_BOX_HALFWIDTHS)
+        # the last retries stay inside the smallest box
+        smallest = noiseopt._THETA_BOX_HALFWIDTHS[-1]
+        assert np.all(np.abs(trials[-1].log_vector() - log_theta) <= smallest * (1 + 1e-12))
 
     def test_no_fit_repeats_the_one_before(self, monkeypatch):
         """States cross the theta/sigma boundary: no fit factors the same K
