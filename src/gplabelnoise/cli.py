@@ -23,7 +23,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .data import (
     Dataset,
     LabelTruth,
     NoiseInjectionSpec,
+    _write_text,
     gen_example1,
     gen_gp,
     gen_heteroscedastic,
@@ -44,7 +45,6 @@ from .errors import (
     ConfigError,
     EmptyDatasetError,
     GplnError,
-    InvalidInputError,
     NumericalError,
     ParseError,
     UndefinedMetricError,
@@ -117,29 +117,34 @@ class _Opt:
 
 
 _SEED_OPT = _Opt("--seed", int, None, f"global seed (default: ${_SEED_ENV} or 0)")
+_MAX_ITERS_OPT = _Opt("--max-iters", int, MultUpdateConfig.max_iters, "iteration cap for the noise optimizer")
+_KERNEL_OPTS = [
+    _Opt("--signal-variance", float, None, "kernel signal variance (default: var(y))"),
+    _Opt("--length-scale", float, None, "kernel length scale (default: median pairwise distance)"),
+]
+_RECALL_LEVELS_OPT = _Opt("--recall-levels", _parse_float_list, [0.7, 0.95], "recall levels for precision")
 
 _FIT_OPTS = [
     _Opt("--data", str, None, "dataset CSV to fit"),
     _Opt("--out", str, "report.json", "report path"),
     _Opt("--mode", str, "full", "noise model: full (per-label) or basic (shared)"),
     _Opt("--joint", None, False, "also optimize kernel parameters (restarted descent)", is_flag=True),
-    _Opt("--lambda", float, 0.0, "penalty weight on ||sigma||_p^p"),
-    _Opt("--p", float, 1.0, "penalty exponent (>= 1)"),
-    _Opt("--max-iters", int, 10000, "iteration cap for the noise optimizer"),
-    _Opt("--tol-sigma", float, 1e-8, "relative sigma-change stopping tolerance"),
-    _Opt("--tol-nll", float, 1e-10, "NLL-decrease stopping tolerance"),
+    _Opt("--lambda", float, MultUpdateConfig.penalty_lambda, "penalty weight on ||sigma||_p^p"),
+    _Opt("--p", float, MultUpdateConfig.penalty_p, "penalty exponent (>= 1)"),
+    _MAX_ITERS_OPT,
+    _Opt("--tol-sigma", float, MultUpdateConfig.tol_sigma, "relative sigma-change stopping tolerance"),
+    _Opt("--tol-nll", float, MultUpdateConfig.tol_nll, "NLL-decrease stopping tolerance"),
     _Opt("--sigma-init", float, None, "initial noise variance (default: 0.1 * var(y))"),
-    _Opt("--signal-variance", float, None, "kernel signal variance (default: var(y))"),
-    _Opt("--length-scale", float, None, "kernel length scale (default: median pairwise distance)"),
-    _Opt("--outer-rounds", int, 3, "joint mode: block-coordinate rounds"),
-    _Opt("--restarts", int, 4, "joint mode: random restarts"),
+    *_KERNEL_OPTS,
+    _Opt("--outer-rounds", int, JointOptConfig.outer_rounds, "joint mode: block-coordinate rounds"),
+    _Opt("--restarts", int, JointOptConfig.restarts, "joint mode: random restarts"),
     _SEED_OPT,
 ]
 
 _DETECT_OPTS = _FIT_OPTS + [
     _Opt("--report", str, None, "reuse a fit report instead of fitting"),
     _Opt("--threshold", float, None, "flagging threshold (default: median + 3*MAD)"),
-    _Opt("--recall-levels", _parse_float_list, [0.7, 0.95], "recall levels for precision"),
+    _RECALL_LEVELS_OPT,
 ]
 
 _GEN_OPTS = [
@@ -167,19 +172,18 @@ _BENCHMARK_OPTS = [
     _Opt("--base-noise", float, 0.0, "iid base noise std for the generated base"),
     _Opt("--rates", _parse_float_list, [0.1, 0.3], "noise rates to sweep"),
     _Opt("--levels", _parse_float_list, [0.5, 1.0], "noise levels to sweep"),
-    _Opt("--recall-levels", _parse_float_list, [0.7, 0.95], "recall levels for precision"),
+    _RECALL_LEVELS_OPT,
     _Opt("--folds", int, 5, "cross-validation folds"),
     _Opt("--joint", None, False, "fit kernel parameters per cell instead of the heuristic", is_flag=True),
-    _Opt("--max-iters", int, 10000, "iteration cap for the noise optimizer"),
+    _MAX_ITERS_OPT,
     _Opt("--out", str, "benchmark.csv", "output CSV path"),
     _SEED_OPT,
 ]
 
 _COMPARE_OPTS = [
     _Opt("--data", str, None, "dataset CSV"),
-    _Opt("--signal-variance", float, None, "kernel signal variance (default: var(y))"),
-    _Opt("--length-scale", float, None, "kernel length scale (default: median pairwise distance)"),
-    _Opt("--max-iters", int, 5000, "iteration cap for both optimizers"),
+    *_KERNEL_OPTS,
+    replace(_MAX_ITERS_OPT, default=PgdConfig.max_iters, help="iteration cap for both optimizers"),
     _Opt("--out", str, "optimizers.csv", "output CSV path"),
 ]
 
@@ -263,13 +267,6 @@ def _resolve(args: argparse.Namespace, opts: list[_Opt]) -> tuple[dict, set]:
     return resolved, provided
 
 
-def _write_text(path: str, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 def _write_report(path: str, doc: dict) -> None:
     _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
@@ -282,15 +279,14 @@ def _float_cell(value) -> str:
 # fitting plumbing shared by fit / detect / benchmark
 
 
+# CLI settings -> MultUpdateConfig fields; a field whose setting a command
+# lacks keeps its default
+_MULT_FIELDS = {"max_iters": "max_iters", "tol_sigma": "tol_sigma", "tol_nll": "tol_nll",
+                "sigma_init": "sigma_init", "lambda": "penalty_lambda", "p": "penalty_p"}
+
+
 def _mult_config(cfg: dict) -> MultUpdateConfig:
-    return MultUpdateConfig(
-        max_iters=cfg.get("max_iters", 10000),
-        tol_sigma=cfg.get("tol_sigma", 1e-8),
-        tol_nll=cfg.get("tol_nll", 1e-10),
-        sigma_init=cfg.get("sigma_init"),
-        penalty_lambda=cfg.get("lambda", 0.0),
-        penalty_p=cfg.get("p", 1.0),
-    )
+    return MultUpdateConfig(**{field: cfg[key] for key, field in _MULT_FIELDS.items() if key in cfg})
 
 
 def _explicit_params(cfg: dict, data: Dataset) -> KernelParams:
@@ -606,16 +602,13 @@ def main(argv=None) -> int:
         return _HANDLERS[args.command](args)
     except SystemExit as e:  # --help / --version
         return e.code if isinstance(e.code, int) else 0
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
     except (ParseError, EmptyDatasetError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
     except NumericalError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (InvalidInputError, UndefinedMetricError, GplnError) as e:
+    except GplnError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -114,70 +114,41 @@ def gen_example1(seed: int) -> Dataset:
     """24-point 1-D benchmark: cos(3 pi x) + sin(pi x) + 2 x^2 on a uniform
     grid over [-1, 1], mild noise (std 0.05) on every label and strong
     contamination (std 0.75) on a seeded subset of 10."""
-    n, n_corrupt = 24, 10
+    n = 24
     x = np.linspace(-1.0, 1.0, n)
     f = np.cos(3.0 * np.pi * x) + np.sin(np.pi * x) + 2.0 * x * x
     rng = make_rng(seed)
-    base = normals(rng, n, std=0.05)
-    idx = choose_subset(rng, n, n_corrupt)
-    eps = np.zeros(n)
-    eps[idx] = normals(rng, n_corrupt, std=0.75)
-    corrupted = np.zeros(n, dtype=bool)
-    corrupted[idx] = True
-    return make_dataset(x[:, None], f + base + eps, LabelTruth(eps, corrupted))
-
-
-# The two heteroscedastic families. The shapes are reconstructions of the
-# classic benchmarks (sinusoid with linearly growing noise; product-of-sines
-# with an input-dependent noise bowl), not values taken from any table; they
-# are fixed, with inputs drawn uniformly on [x_low, x_high].
-_GOLDBERG_PARAMS = {
-    "x_low": 0.0,
-    "x_high": 1.0,
-    "mean_scale": 2.0,
-    "noise_scale": 1.0,
-    "contamination_std": 4.0,
-}
-_LE_PARAMS = {
-    "x_low": 0.0,
-    "x_high": float(np.pi),
-    "mean_scale": 1.0,
-    "noise_scale": 1.0,
-    "contamination_std": 1.0,
-}
-
-_HETERO_PARAMS = {"goldberg": _GOLDBERG_PARAMS, "le": _LE_PARAMS}
+    return _corrupt(rng, x[:, None], f + normals(rng, n, std=0.05), 10, 0.75)
 
 
 def gen_heteroscedastic(name: str, n: int, n_corrupt: int, seed: int) -> Dataset:
     """Heteroscedastic 1-D benchmark with ``n_corrupt`` contaminated labels.
 
-    ``name`` picks the curve family ('goldberg': sinusoid on [0, 1] with
-    linearly increasing base-noise std; 'le': product of sines on [0, pi]
-    with a sine-shaped base-noise profile).
+    The shapes are reconstructions of the classic benchmarks, not values
+    taken from any table. ``name`` picks the family:
+
+    - 'goldberg': 2 sin(2 pi x) with x uniform on [0, 1], base-noise std
+      0.5 + x, contamination std 4;
+    - 'le': sin(2.5 x) sin(1.5 x) with x uniform on [0, pi], base-noise std
+      0.01 + 0.25 (1 - sin(2.5 x))^2, contamination std 1.
     """
-    if name not in _HETERO_PARAMS:
+    if name not in ("goldberg", "le"):
         raise ConfigError(f"unknown generator {name!r}; expected 'goldberg' or 'le'")
     if n_corrupt > n or n_corrupt < 0:
         raise ConfigError(f"n_corrupt must lie in [0, {n}], got {n_corrupt}")
-    p = _HETERO_PARAMS[name]
-
     rng = make_rng(seed)
-    x = np.sort(p["x_low"] + (p["x_high"] - p["x_low"]) * rng.random(n))
     if name == "goldberg":
-        mean = p["mean_scale"] * np.sin(2.0 * np.pi * x)
-        x01 = (x - p["x_low"]) / (p["x_high"] - p["x_low"])
-        noise_std = p["noise_scale"] * (0.5 + x01)
+        x = np.sort(rng.random(n))
+        mean = 2.0 * np.sin(2.0 * np.pi * x)
+        noise_std = 0.5 + x
+        contamination_std = 4.0
     else:
-        mean = p["mean_scale"] * np.sin(2.5 * x) * np.sin(1.5 * x)
-        noise_std = p["noise_scale"] * (0.01 + 0.25 * (1.0 - np.sin(2.5 * x)) ** 2)
+        x = np.sort(float(np.pi) * rng.random(n))
+        mean = np.sin(2.5 * x) * np.sin(1.5 * x)
+        noise_std = 0.01 + 0.25 * (1.0 - np.sin(2.5 * x)) ** 2
+        contamination_std = 1.0
     y = mean + noise_std * normals(rng, n)
-    idx = choose_subset(rng, n, n_corrupt)
-    eps = np.zeros(n)
-    eps[idx] = normals(rng, n_corrupt, std=p["contamination_std"])
-    corrupted = np.zeros(n, dtype=bool)
-    corrupted[idx] = True
-    return make_dataset(x[:, None], y + eps, LabelTruth(eps, corrupted))
+    return _corrupt(rng, x[:, None], y, n_corrupt, contamination_std)
 
 
 def gen_gp(
@@ -210,15 +181,20 @@ def inject_noise(clean: Dataset, spec: NoiseInjectionSpec) -> Dataset:
     Exactly round-half-up(rate * N) labels are hit; the rest are untouched.
     Any existing truth record is replaced.
     """
-    n = clean.n
-    count = spec.corrupted_count(n)
-    rng = make_rng(spec.seed)
+    std = spec.level * float(np.std(clean.y))
+    return _corrupt(make_rng(spec.seed), clean.X, clean.y, spec.corrupted_count(clean.n), std)
+
+
+def _corrupt(rng: np.random.Generator, X: np.ndarray, y: np.ndarray, count: int, std: float) -> Dataset:
+    """The corruption protocol every generator shares: draw ``count`` label
+    indices, then one N(0, std^2) perturbation for each, in that order."""
+    n = y.shape[0]
     idx = choose_subset(rng, n, count)
     eps = np.zeros(n)
-    eps[idx] = normals(rng, count, std=spec.level * float(np.std(clean.y)))
+    eps[idx] = normals(rng, count, std=std)
     corrupted = np.zeros(n, dtype=bool)
     corrupted[idx] = True
-    return make_dataset(clean.X, clean.y + eps, LabelTruth(eps, corrupted))
+    return make_dataset(X, y + eps, LabelTruth(eps, corrupted))
 
 
 def _header(d: int, with_truth: bool) -> list[str]:
@@ -238,9 +214,15 @@ def write_dataset(dataset: Dataset, path) -> None:
             cells.append(repr(float(dataset.truth.epsilon[i])))
             cells.append("1" if dataset.truth.corrupted[i] else "0")
         lines.append(",".join(cells))
+    _write_text(path, "\n".join(lines) + "\n")
+
+
+def _write_text(path, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path``, then rename it
+    over ``path``, so a reader never sees a half-written file."""
     tmp = f"{path}.tmp"
     with open(tmp, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text)
     os.replace(tmp, path)
 
 

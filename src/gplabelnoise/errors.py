@@ -4,6 +4,16 @@ The CLI maps these onto stable exit codes (see ``cli.EXIT_*``); library users
 can catch ``GplnError`` to handle anything raised by this package.
 """
 
+__all__ = [
+    "GplnError",
+    "InvalidInputError",
+    "EmptyDatasetError",
+    "ConfigError",
+    "ParseError",
+    "NumericalError",
+    "UndefinedMetricError",
+]
+
 
 class GplnError(Exception):
     """Base class for all errors raised by gplabelnoise."""

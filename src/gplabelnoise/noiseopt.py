@@ -155,13 +155,11 @@ class OptTrace:
     """Per-iteration record of an optimization run.
 
     ``nll_per_iter`` has ``iters + 1`` entries (initial point included);
-    ``sigma_change_per_iter`` and ``func_evals_per_iter`` align with it, the
-    latter counting cumulative NLL evaluations including rejected line-search
-    trials (a joint trace records a sigma change of 0 for each theta
-    iteration). ``monotone`` is true iff no recorded NLL step rose beyond
-    round-off (1e-10, relative to the NLL where its magnitude exceeds 1).
-    Under a penalty the NLL may rise by design; the loop itself watches the
-    penalized objective.
+    ``func_evals_per_iter`` aligns with it, counting cumulative NLL
+    evaluations including rejected line-search trials. ``monotone`` is true
+    iff no recorded NLL step rose beyond round-off (1e-10, relative to the
+    NLL where its magnitude exceeds 1). Under a penalty the NLL may rise by
+    design; the loop itself watches the penalized objective.
 
     ``stop_reason`` says why the run ended: ``sigma_tol`` (relative sigma
     change below tolerance), ``nll_tol`` (NLL decrease below tolerance, or
@@ -173,7 +171,6 @@ class OptTrace:
     """
 
     nll_per_iter: np.ndarray
-    sigma_change_per_iter: np.ndarray
     func_evals_per_iter: np.ndarray
     iters: int
     converged: bool
@@ -204,12 +201,11 @@ def _is_rise(previous: float, value: float) -> bool:
     return value - previous > _MONOTONE_SLACK * max(1.0, abs(previous))
 
 
-def _make_trace(nlls, changes, evals, stop_reason: str) -> OptTrace:
+def _make_trace(nlls, evals, stop_reason: str) -> OptTrace:
     nlls = np.asarray(nlls, dtype=float)
     steps = nlls.tolist()
     return OptTrace(
         nll_per_iter=nlls,
-        sigma_change_per_iter=np.asarray(changes, dtype=float),
         func_evals_per_iter=np.asarray(evals, dtype=int),
         iters=len(nlls) - 1,
         converged=stop_reason in _CONVERGED_REASONS,
@@ -319,7 +315,6 @@ def _mult_loop(
         state = fit_matrix(K, sigma, y)
     nlls = [nll(state, state.y)]
     objective = nlls[0] + _penalty(sigma, config)
-    changes = [0.0]
     stop = "max_iters"
     step = step or mult_update_step
     for _ in range(config.max_iters):
@@ -330,13 +325,12 @@ def _mult_loop(
         previous, objective = objective, value + _penalty(new_sigma, config)
         reason = _fixed_point_stop(rel, previous, objective, config)
         nlls.append(value)
-        changes.append(rel)
         evals.append(evals[-1] + 1)
         sigma = new_sigma
         if reason is not None:
             stop = reason
             break
-    return sigma, _make_trace(nlls, changes, evals, stop), state
+    return sigma, _make_trace(nlls, evals, stop), state
 
 
 def optimize_sigma(
@@ -406,7 +400,6 @@ def projected_gradient_baseline_matrix(
     state = fit_matrix(K, sigma, y)
     value = nll(state, state.y)
     nlls = [value]
-    changes = [0.0]
     evals_done = 1
     evals = [1]
     eta = config.step_size
@@ -437,13 +430,12 @@ def projected_gradient_baseline_matrix(
         reason = _fixed_point_stop(rel, value, cand_value, config)
         sigma, state, value = cand, cand_state, cand_value
         nlls.append(value)
-        changes.append(rel)
         evals.append(evals_done)
         eta = trial * 2.0
         if reason is not None:
             stop = reason
             break
-    return sigma, _make_trace(nlls, changes, evals, stop)
+    return sigma, _make_trace(nlls, evals, stop)
 
 
 def joint_optimize(
@@ -458,13 +450,13 @@ def joint_optimize(
     the analytic gradient; multiplicative re-optimization warm-started from
     the current sigma). Each block starts from the state the other fitted
     last, and a theta block keeps its result only if the NLL did not rise.
-    The trace has one entry per sigma step and per L-BFGS-B iteration.
-    Restart 0 starts at the data-driven heuristic (signal variance = var(y),
-    length scale = median pairwise distance); the rest draw log-theta
-    uniformly from a +-2 box around it in log space, seeded by restart_seed.
-    The winner is the restart with the lowest final NLL, earliest index on
-    ties; restarts that fail numerically are dropped, and only if all of them
-    fail does the failure propagate.
+    The trace has one entry per sigma step and per L-BFGS-B iteration that
+    moved theta. Restart 0 starts at the data-driven heuristic (signal
+    variance = var(y), length scale = median pairwise distance); the rest
+    draw log-theta uniformly from a +-2 box around it in log space, seeded
+    by restart_seed. The winner is the restart with the lowest final NLL,
+    earliest index on ties; restarts that fail numerically are dropped, and
+    only if all of them fail does the failure propagate.
     """
     config = config or JointOptConfig()
     mult_config = mult_config or MultUpdateConfig()
@@ -506,7 +498,7 @@ def _joint_single_start(
     K = rbf_from_sq_dists(params, d2)
     sigma = _resolve_sigma_init(mult_config.sigma_init, y, y.shape[0])
     state = fit_matrix(K, sigma, y, params=params, X=X)
-    nlls, changes, evals = [nll(state, state.y)], [0.0], [1]
+    nlls, evals = [nll(state, state.y)], [1]
     fits = 1  # every fit so far, theta trials after a block's last iteration included
 
     for round_ in range(config.outer_rounds + 1):
@@ -514,19 +506,17 @@ def _joint_single_start(
             log_theta, K, state, steps, trials = _theta_block(log_theta, K, state, d2)
             for value, n in steps:
                 nlls.append(value)
-                changes.append(0.0)
                 evals.append(fits + n)
             fits += trials
         # sigma's optimum moves with theta: run the scheme from the current
         # vector (its exact zeros are fixed points and simply stay)
         sigma, trace, state = _mult_loop(K, y, state.sigma, mult_config, state)
         nlls.extend(trace.nll_per_iter[1:])
-        changes.extend(trace.sigma_change_per_iter[1:])
         evals.extend(fits + trace.func_evals_per_iter[1:])
         fits = evals[-1]
         stop = trace.stop_reason
 
-    return state.params, sigma, _make_trace(nlls, changes, evals, stop)
+    return state.params, sigma, _make_trace(nlls, evals, stop)
 
 
 def _theta_block(
@@ -536,13 +526,13 @@ def _theta_block(
     ``log_theta``, at fixed sigma.
 
     Returns the log theta, K and state kept (the start unless the result's
-    NLL is no higher), one (NLL, fits so far) pair per iteration, and the
-    number of fits. A trial whose fit fails is infinitely bad. L-BFGS-B's
-    line search barely backs off from such a trial, so a run that met one
-    and did not lower the NLL is repeated from the start inside a box of
-    half-width 1 around it in log space, the box halved on each repeat,
-    until a run lowers the NLL, meets no failing trial, or the half-width
-    falls below 2**-10.
+    NLL is no higher), one (NLL, fits so far) pair per iteration that left
+    the start, and the number of fits. A trial whose fit fails is infinitely
+    bad. L-BFGS-B's line search barely backs off from such a trial, so a run
+    that met one and did not lower the NLL is repeated from the start inside
+    a box of half-width 1 around it in log space, the box halved on each
+    repeat, until a run lowers the NLL, meets no failing trial, or the
+    half-width falls below 2**-10.
     """
     import scipy.optimize  # loaded by the first theta block, not with the package
 
@@ -569,8 +559,11 @@ def _theta_block(
         return value, grad_theta(trial, trial.y, rbf_grad_from_sq_dists(params, trial_K, d2))
 
     def record(x: np.ndarray) -> None:
-        # called once per iteration, at an iterate already fitted
-        steps.append((fitted[KernelParams.from_log(x)][2], len(fitted) - 1))
+        # called once per iteration, at an iterate already fitted; also after
+        # a first line search that failed, at the start, which adds no row
+        params = KernelParams.from_log(x)
+        if params != state.params:
+            steps.append((fitted[params][2], len(fitted) - 1))
 
     for halfwidth in _THETA_BOX_HALFWIDTHS:
         failed = False

@@ -227,6 +227,65 @@ class TestInjectNoise:
 
 
 # ---------------------------------------------------------------------------
+# the documented draw order, rebuilt from the rng helpers
+# ---------------------------------------------------------------------------
+
+
+def _corrupted_reference(rng, X, y, count, std):
+    """Draw the corrupted indices, then one N(0, std^2) perturbation each."""
+    n = y.shape[0]
+    idx = choose_subset(rng, n, count)
+    eps = np.zeros(n)
+    eps[idx] = normals(rng, count, std=std)
+    return X, y + eps, eps, np.isin(np.arange(n), idx)
+
+
+def _assert_same(data, reference):
+    X, y, eps, corrupted = reference
+    assert np.array_equal(data.X, X)
+    assert np.array_equal(data.y, y)
+    assert np.array_equal(data.truth.epsilon, eps)
+    assert np.array_equal(data.truth.corrupted, corrupted)
+
+
+class TestDrawOrder:
+    """Each generator equals its documented recipe, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_example1(self, seed):
+        x = np.linspace(-1.0, 1.0, 24)
+        f = np.cos(3.0 * np.pi * x) + np.sin(np.pi * x) + 2.0 * x * x
+        rng = make_rng(seed)
+        base = normals(rng, 24, std=0.05)
+        _assert_same(gen_example1(seed), _corrupted_reference(rng, x[:, None], f + base, 10, 0.75))
+
+    @pytest.mark.parametrize("n,n_corrupt,seed", [(30, 6, 0), (7, 0, 3), (5, 5, 2)])
+    def test_goldberg(self, n, n_corrupt, seed):
+        rng = make_rng(seed)
+        x = np.sort(rng.random(n))
+        y = 2.0 * np.sin(2.0 * np.pi * x) + (0.5 + x) * normals(rng, n)
+        reference = _corrupted_reference(rng, x[:, None], y, n_corrupt, 4.0)
+        _assert_same(gen_heteroscedastic("goldberg", n, n_corrupt, seed), reference)
+
+    @pytest.mark.parametrize("n,n_corrupt,seed", [(30, 6, 0), (7, 0, 3), (5, 5, 2)])
+    def test_le(self, n, n_corrupt, seed):
+        rng = make_rng(seed)
+        x = np.sort(np.pi * rng.random(n))
+        noise_std = 0.01 + 0.25 * (1.0 - np.sin(2.5 * x)) ** 2
+        y = np.sin(2.5 * x) * np.sin(1.5 * x) + noise_std * normals(rng, n)
+        reference = _corrupted_reference(rng, x[:, None], y, n_corrupt, 1.0)
+        _assert_same(gen_heteroscedastic("le", n, n_corrupt, seed), reference)
+
+    @pytest.mark.parametrize("rate,level,seed", [(0.1, 1.0, 0), (0.5, 0.5, 4), (1.0, 2.0, 9)])
+    def test_inject_noise(self, rate, level, seed):
+        clean = gen_gp(KernelParams(1.0, 0.5), 25, d=2, seed=3)
+        count = int(np.floor(rate * 25 + 0.5))
+        std = level * float(np.std(clean.y))
+        reference = _corrupted_reference(make_rng(seed), clean.X, clean.y, count, std)
+        _assert_same(inject_noise(clean, NoiseInjectionSpec(rate=rate, level=level, seed=seed)), reference)
+
+
+# ---------------------------------------------------------------------------
 # CSV persistence
 # ---------------------------------------------------------------------------
 
