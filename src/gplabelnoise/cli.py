@@ -164,12 +164,7 @@ _GEN_OPTS = [
 ]
 
 _BENCHMARK_OPTS = [
-    _Opt("--data", str, None, "pristine base dataset CSV"),
-    _Opt("--gp-n", int, None, "generate the base from a GP draw with this many points"),
-    _Opt("--gp-d", int, 1, "input dimension for the generated base"),
-    _Opt("--gp-signal-variance", float, 1.0, "generating kernel signal variance"),
-    _Opt("--gp-length-scale", float, 0.3, "generating kernel length scale"),
-    _Opt("--base-noise", float, 0.0, "iid base noise std for the generated base"),
+    _Opt("--data", str, None, "pristine base dataset CSV (e.g. from gen --grid --rate 0)"),
     _Opt("--rates", _parse_float_list, [0.1, 0.3], "noise rates to sweep"),
     _Opt("--levels", _parse_float_list, [0.5, 1.0], "noise levels to sweep"),
     _RECALL_LEVELS_OPT,
@@ -502,20 +497,11 @@ def _cmd_detect(args) -> int:
 
 def _cmd_benchmark(args) -> int:
     cfg, _ = _resolve(args, _BENCHMARK_OPTS)
-    if (cfg["data"] is None) == (cfg["gp_n"] is None):
-        raise ConfigError("pass exactly one of --data or --gp-n")
-    if cfg["data"] is not None:
-        base = read_dataset(cfg["data"])
-        if base.truth is not None:
-            raise ConfigError("benchmark base dataset must be pristine (no truth columns)")
-    else:
-        base = gen_gp(
-            KernelParams(cfg["gp_signal_variance"], cfg["gp_length_scale"]),
-            cfg["gp_n"],
-            d=cfg["gp_d"],
-            seed=cfg["seed"],
-            base_noise_std=cfg["base_noise"],
-        )
+    if cfg["data"] is None:
+        raise ConfigError("--data is required")
+    base = read_dataset(cfg["data"])
+    if base.truth is not None and base.truth.corrupted.any():
+        raise ConfigError("benchmark base dataset must be pristine (no label marked corrupted)")
 
     levels_cols = [f"precision_at_{level!r}" for level in cfg["recall_levels"]]
     header = ["rate", "level", "r2", "auc", *levels_cols, "mae_plain", "mae_basic", "mae_full", "error"]
@@ -550,8 +536,9 @@ def _benchmark_cell(
         metrics, _ = _metrics_section(sigma, noisy.truth, levels)
         for mode in ("plain", "basic", "full"):
             maes[mode] = cv_mae(noisy, params, mode, folds=cfg["folds"], seed=cell_seed, config=mult)
-    except GplnError as e:
-        # a failed cell reports its error and the sweep moves on
+    except NumericalError as e:
+        # a cell whose fit fails reports its error and the sweep moves on;
+        # a bad setting is no cell's failure and ends the run
         error = str(e).replace(",", ";").replace("\n", " ")
     precision = metrics.get("precision_at_recall", {})
     cells = [

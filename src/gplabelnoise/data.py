@@ -134,6 +134,8 @@ def gen_heteroscedastic(name: str, n: int, n_corrupt: int, seed: int) -> Dataset
     """
     if name not in ("goldberg", "le"):
         raise ConfigError(f"unknown generator {name!r}; expected 'goldberg' or 'le'")
+    if n < 1:
+        raise ConfigError(f"n must be at least 1, got {n}")
     if n_corrupt > n or n_corrupt < 0:
         raise ConfigError(f"n_corrupt must lie in [0, {n}], got {n_corrupt}")
     rng = make_rng(seed)
@@ -164,7 +166,7 @@ def gen_gp(
     ``inject_noise`` corrupts. ``base_noise_std`` adds iid observation noise.
     """
     if n < 1:
-        raise EmptyDatasetError("n must be at least 1")
+        raise ConfigError(f"n must be at least 1, got {n}")
     rng = make_rng(seed)
     X = -1.0 + 2.0 * rng.random((n, d))
     K = build_kernel_matrix(params, X)

@@ -155,18 +155,19 @@ def heuristic_params(X, y) -> KernelParams:
 
     Signal variance = var(y), length scale = median pairwise distance; both
     fall back to 1.0 when the data is degenerate (constant labels, a single
-    point, or duplicate inputs only).
+    point, or duplicate inputs only). X goes through ``sq_dists``, which
+    rejects an empty or non-finite X.
     """
-    X = _as_points(X)
+    d2 = sq_dists(X)
     y = np.asarray(y, dtype=float)
     s2 = float(np.var(y))
     if not np.isfinite(s2) or s2 <= 0.0:
         s2 = 1.0
-    n = X.shape[0]
+    n = d2.shape[0]
     if n < 2:
         ell = 1.0
     else:
-        d = np.sqrt(_sq_dists(X, X))
+        d = np.sqrt(d2, out=d2)  # in place: no second N x N array
         ell = float(np.median(d[np.triu_indices(n, k=1)]))
         if not np.isfinite(ell) or ell <= 0.0:
             ell = 1.0

@@ -18,11 +18,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigError
+
 __all__ = ["make_rng", "normals", "choose_subset"]
 
 
 def make_rng(seed: int) -> np.random.Generator:
-    """Philox-backed generator for the given seed."""
+    """Philox-backed generator for the given seed, an integer in [0, 2**64)."""
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"seed must lie in [0, 2**64), got {seed!r}")
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 

@@ -366,14 +366,16 @@ class TestAcceptance:
         assert ok, f"penalized l1 {np.sum(penalized):.4f} > plain {np.sum(plain):.4f}"
 
     def test_criterion_11_benchmark_is_deterministic(self, announce, tmp_path):
+        base = tmp_path / "base.csv"
+        code_gen = cli.main(["gen", "--grid", "--n", "40", "--rate", "0", "--seed", "5", "--out", str(base)])
         argv = [
-            "benchmark", "--gp-n", "40", "--rates", "0.1,0.3",
+            "benchmark", "--data", str(base), "--rates", "0.1,0.3",
             "--levels", "0.5,1.0", "--seed", "5",
         ]
         first = tmp_path / "a.csv"
         second = tmp_path / "b.csv"
         code_a = cli.main(argv + ["--out", str(first)])
         code_b = cli.main(argv + ["--out", str(second)])
-        ok = code_a == 0 and code_b == 0 and first.read_bytes() == second.read_bytes()
+        ok = code_gen == code_a == code_b == 0 and first.read_bytes() == second.read_bytes()
         announce(11, "benchmark output is byte-identical across runs", ok)
         assert ok

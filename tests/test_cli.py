@@ -147,6 +147,15 @@ class TestGen:
     def test_conflicting_flags_are_usage_errors(self, argv, tmp_path, capsys):
         assert run(*argv, "--out", str(tmp_path / "x.csv")) == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("--grid", "--n", "0"), ("--hetero", "goldberg", "--n", "0", "--n-corrupt", "0")],
+        ids=["grid", "hetero"],
+    )
+    def test_no_points_is_a_config_error(self, argv, tmp_path, capsys):
+        assert run("gen", *argv, "--out", str(tmp_path / "x.csv")) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_seed_changes_output(self, tmp_path):
         a, b, c = (tmp_path / name for name in ("a.csv", "b.csv", "c.csv"))
         run("gen", "--example1", "--seed", "1", "--out", str(a))
@@ -390,10 +399,18 @@ class TestBenchmark:
     HEADER = ("rate,level,r2,auc,precision_at_0.7,precision_at_0.95,"
               "mae_plain,mae_basic,mae_full,error")
 
+    @staticmethod
+    def _base(tmp_path, *gen_argv, seed="5"):
+        """A pristine base written by ``gen`` with nothing corrupted."""
+        path = tmp_path / f"base-{seed}.csv"
+        assert run("gen", *gen_argv, "--seed", seed, "--out", str(path)) == 0
+        return path
+
     def _tiny(self, tmp_path, name, seed="5"):
+        base = self._base(tmp_path, "--grid", "--n", "24", "--rate", "0", seed=seed)
         out = tmp_path / name
         code = run(
-            "benchmark", "--gp-n", "24", "--rates", "0.1", "--levels", "0.5",
+            "benchmark", "--data", str(base), "--rates", "0.1", "--levels", "0.5",
             "--folds", "3", "--max-iters", "500", "--seed", seed, "--out", str(out),
         )
         return code, out
@@ -422,6 +439,49 @@ class TestBenchmark:
             run("benchmark", "--data", str(example_csv), "--rates", "0.1",
                 "--levels", "0.5", "--out", str(tmp_path / "b.csv")) == 1
         )
+
+    @pytest.mark.parametrize(
+        "gen_argv",
+        [("--grid", "--n", "24", "--rate", "0"),
+         ("--hetero", "le", "--n", "24", "--n-corrupt", "0")],
+        ids=["grid", "hetero"],
+    )
+    def test_accepts_gen_base_with_nothing_corrupted(self, gen_argv, tmp_path, capsys):
+        base = self._base(tmp_path, *gen_argv)
+        out = tmp_path / "b.csv"
+        assert (
+            run("benchmark", "--data", str(base), "--rates", "0.1", "--levels", "0.5",
+                "--folds", "3", "--max-iters", "500", "--out", str(out)) == 0
+        )
+        assert out.read_text().splitlines()[1].split(",")[-1] == ""
+
+    def test_requires_data(self, tmp_path, capsys):
+        assert run("benchmark", "--out", str(tmp_path / "b.csv")) == 1
+        assert "--data is required" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag", ["--gp-n", "--gp-d", "--gp-signal-variance", "--gp-length-scale", "--base-noise"]
+    )
+    def test_generator_flags_are_gone(self, flag, tmp_path, capsys):
+        assert run("benchmark", flag, "1", "--out", str(tmp_path / "b.csv")) == 1
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [(("--folds", "1"), "error: folds must be >= 2"),
+         (("--recall-levels", "2"), "error: recall levels must lie in (0, 1]"),
+         (("--rates", "1.5"), "error: noise rate must be in [0, 1]")],
+        ids=["folds", "recall-levels", "rates"],
+    )
+    def test_bad_setting_exits_1_without_output(self, setting, message, tmp_path, capsys):
+        base = self._base(tmp_path, "--grid", "--n", "12", "--rate", "0")
+        out = tmp_path / "b.csv"
+        assert (
+            run("benchmark", "--data", str(base), "--rates", "0.1", "--levels", "0.5",
+                "--max-iters", "50", *setting, "--out", str(out)) == 1
+        )
+        assert capsys.readouterr().err.startswith(message)
+        assert not out.exists()
 
 
 class TestCompareOptimizers:
@@ -483,6 +543,16 @@ class TestConfigPrecedence:
         monkeypatch.delenv("GPLABELNOISE_SEED")
         run("gen", "--example1", "--seed", "2", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("flag_seed, env_seed", [("-1", None), (None, "-3"), (str(2**64), None)])
+    def test_seed_outside_the_key_range_is_a_config_error(self, flag_seed, env_seed, tmp_path,
+                                                          monkeypatch, capsys):
+        if env_seed is not None:
+            monkeypatch.setenv("GPLABELNOISE_SEED", env_seed)
+        seed_argv = () if flag_seed is None else ("--seed", flag_seed)
+        assert run("gen", "--example1", *seed_argv, "--out", str(tmp_path / "x.csv")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "settings.cfg"

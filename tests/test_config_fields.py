@@ -1,9 +1,11 @@
 """Every settable field of the configuration records is read by the library,
-and every field of the result records by a module other than their own.
+every field of the result records by a module other than their own, and
+every CLI option by the command-line front-end.
 
 A field that only ``__post_init__`` looks at is validated and then ignored:
 setting it changes nothing. A result field that only its own module reads
-is carried along for nobody. The source is only read here.
+is carried along for nobody. An option the front-end never reads is parsed
+and then dropped. The source is only read here.
 """
 
 import ast
@@ -12,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from gplabelnoise import cli
 from gplabelnoise import (
     DetectionReport,
     JointOptConfig,
@@ -56,3 +59,49 @@ def test_every_result_field_is_read_elsewhere(record):
     module = record.__module__.rpartition(".")[2]
     unread = [f.name for f in dataclasses.fields(record) if f.name not in _attributes_read(skip=module)]
     assert not unread, f"{record.__name__} fields only {module} reads: {unread}"
+
+
+def _settings_read(source: str) -> set[str]:
+    """Setting names ``cli.py`` reads: ``cfg[...]`` and ``cfg.get(...)``
+    keys, ``_MULT_FIELDS`` keys, and the names in a tuple a loop walks
+    (the ``gen`` mode selectors)."""
+    seen = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name) and node.value.id == "cfg":
+            keys = [node.slice]
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "get" and isinstance(node.func.value, ast.Name)
+              and node.func.value.id == "cfg"):
+            keys = node.args[:1]
+        elif (isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
+              and any(isinstance(t, ast.Name) and t.id == "_MULT_FIELDS" for t in node.targets)):
+            keys = node.value.keys
+        elif isinstance(node, (ast.For, ast.comprehension)) and isinstance(node.iter, ast.Tuple):
+            keys = node.iter.elts
+        else:
+            continue
+        seen.update(k.value for k in keys if isinstance(k, ast.Constant) and isinstance(k.value, str))
+    return seen
+
+
+CLI_SOURCE = (SRC / "cli.py").read_text()
+
+
+def test_every_cli_option_is_read():
+    read = _settings_read(CLI_SOURCE)
+    unread = [(command, o.dest) for command, opts in cli._COMMAND_OPTS.items() for o in opts
+              if o.dest not in read]
+    assert not unread, f"options the CLI declares but never reads: {unread}"
+
+
+@pytest.mark.parametrize(
+    "read, dest",
+    [('cfg["folds"]', "folds"), ('"tol_nll": "tol_nll",', "tol_nll"), ('"example1", ', "example1")],
+    ids=["cfg-key", "mult-field", "mode-tuple"],
+)
+def test_option_guard_flags_a_removed_read(read, dest):
+    assert dest in _settings_read(CLI_SOURCE)
+    replacement = "5" if read.startswith("cfg") else ""
+    mutated = CLI_SOURCE.replace(read, replacement)
+    assert mutated != CLI_SOURCE
+    assert dest not in _settings_read(mutated)

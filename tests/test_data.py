@@ -60,6 +60,14 @@ class TestRngHelpers:
         assert choose_subset(make_rng(3), 5, 0).shape == (0,)
         assert np.array_equal(choose_subset(make_rng(3), 5, 5), np.arange(5))
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_the_key_range_rejected(self, seed):
+        with pytest.raises(ConfigError):
+            make_rng(seed)
+
+    def test_largest_seed_accepted(self):
+        assert normals(make_rng(2**64 - 1), 2).shape == (2,)
+
 
 # ---------------------------------------------------------------------------
 # dataset container
@@ -141,6 +149,7 @@ class TestGenHeteroscedastic:
             ("bogus", 10, 2),      # unknown family
             ("goldberg", 10, 11),  # more corrupt than points
             ("goldberg", 10, -1),  # negative count
+            ("goldberg", 0, 0),    # no points
         ],
     )
     def test_bad_arguments_rejected(self, name, n, n_corrupt):
@@ -171,6 +180,10 @@ class TestGenGp:
         a = gen_gp(KernelParams(2.0, 0.3), 12, d=2, seed=7)
         b = gen_gp(KernelParams(2.0, 0.3), 12, d=2, seed=7)
         assert np.array_equal(a.y, b.y)
+
+    def test_no_points_is_a_config_error(self):
+        with pytest.raises(ConfigError):
+            gen_gp(KernelParams(1.0, 0.5), 0, seed=0)
 
 
 # ---------------------------------------------------------------------------

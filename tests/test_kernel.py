@@ -256,3 +256,9 @@ class TestHeuristicParams:
         params = heuristic_params(rng.random((15, 3)), normals(rng, 15))
         assert params.signal_variance > 0.0
         assert params.length_scale > 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_inputs_rejected(self, bad):
+        X = np.array([[0.0], [1.0], [bad]])
+        with pytest.raises(InvalidInputError):
+            heuristic_params(X, np.array([0.0, 1.0, 2.0]))
