@@ -1,11 +1,10 @@
 """Batch command-line front-end.
 
 Five subcommands: ``gen`` writes synthetic datasets, ``fit`` learns a noise
-model and writes a JSON report, ``detect`` thresholds fitted variances into
-noisy-label flags (fitting in-line or reusing a fit report), ``benchmark``
-sweeps a noise-rate x noise-level grid into a CSV table, and
-``compare-optimizers`` dumps the multiplicative and projected-gradient
-traces side by side for plotting.
+model and writes a JSON report, ``detect`` thresholds the fitted variances of
+a fit report into noisy-label flags, ``benchmark`` sweeps a noise-rate x
+noise-level grid into a CSV table, and ``compare-optimizers`` dumps the
+multiplicative and projected-gradient traces side by side for plotting.
 
 Settings resolve as flags > config file > documented defaults; the config
 file is flat ``key=value`` with ``#`` comments, keys named after the long
@@ -20,6 +19,7 @@ Exit codes: 0 success, 1 usage/config, 2 I/O or parse, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -40,7 +40,15 @@ from .data import (
     read_dataset,
     write_dataset,
 )
-from .detect import cv_mae, flag_noisy, precision_at_recall, r2_noise, roc_auc
+from .detect import (
+    _check_folds,
+    _check_recall_levels,
+    cv_mae,
+    flag_noisy,
+    precision_at_recall,
+    r2_noise,
+    roc_auc,
+)
 from .errors import (
     ConfigError,
     EmptyDatasetError,
@@ -141,8 +149,9 @@ _FIT_OPTS = [
     _SEED_OPT,
 ]
 
-_DETECT_OPTS = _FIT_OPTS + [
-    _Opt("--report", str, None, "reuse a fit report instead of fitting"),
+_DETECT_OPTS = [
+    _Opt("--report", str, None, "fit report to threshold"),
+    _Opt("--out", str, "detection.json", "detection report path"),
     _Opt("--threshold", float, None, "flagging threshold (default: median + 3*MAD)"),
     _RECALL_LEVELS_OPT,
 ]
@@ -271,7 +280,7 @@ def _float_cell(value) -> str:
 
 
 # ---------------------------------------------------------------------------
-# fitting plumbing shared by fit / detect / benchmark
+# fitting plumbing shared by fit / benchmark
 
 
 # CLI settings -> MultUpdateConfig fields; a field whose setting a command
@@ -309,6 +318,9 @@ def _run_fit(data: Dataset, cfg: dict, provided: set) -> tuple[KernelParams, np.
         )
         params, sigma, trace = joint_optimize(data, joint, mult)
         return params, sigma, trace, None
+    unused = provided & {"outer_rounds", "restarts"}
+    if unused:
+        raise ConfigError(f"--{max(unused).replace('_', '-')} needs --joint")
     params = _explicit_params(cfg, data)
     if cfg["mode"] == "basic":
         K = build_kernel_matrix(params, data.X)
@@ -380,8 +392,9 @@ def _cmd_gen(args) -> int:
     kind = selectors[0]
 
     fixed = {
-        "example1": {"n", "d", "n_corrupt", "rate", "level", "base_noise"},
-        "hetero": {"d", "rate", "level", "base_noise"},
+        "example1": {"n", "d", "n_corrupt", "rate", "level", "base_noise",
+                     "gp_signal_variance", "gp_length_scale"},
+        "hetero": {"d", "rate", "level", "base_noise", "gp_signal_variance", "gp_length_scale"},
         "grid": {"n_corrupt"},
     }[kind]
     clash = provided & fixed
@@ -406,7 +419,7 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _report_document(command: str, cfg: dict, sigma, truth: LabelTruth | None, threshold, levels):
+def _report_document(command: str, cfg: dict, sigma, truth: LabelTruth | None, threshold=None, levels=None):
     """The report fields every command shares; metrics only when ``levels``
     is given. Returns the document and the detection report."""
     report = flag_noisy(sigma, threshold)
@@ -423,24 +436,19 @@ def _report_document(command: str, cfg: dict, sigma, truth: LabelTruth | None, t
     return doc, report
 
 
-def _fit_document(command: str, dataset: Dataset, cfg: dict, provided: set, threshold=None, levels=None):
+def _cmd_fit(args) -> int:
+    cfg, provided = _resolve(args, _FIT_OPTS)
+    if cfg["data"] is None:
+        raise ConfigError("--data is required")
+    dataset = read_dataset(cfg["data"])
     params, sigma, trace, shared = _run_fit(dataset, cfg, provided)
-    doc, report = _report_document(command, cfg, sigma, dataset.truth, threshold, levels)
+    doc, _ = _report_document("fit", cfg, sigma, dataset.truth)
     doc.update(
         theta={"signal_variance": params.signal_variance, "length_scale": params.length_scale},
         sigma_shared=shared,
         trace=_trace_section(trace),
         final_nll=trace.final_nll,
     )
-    return doc, trace, report
-
-
-def _cmd_fit(args) -> int:
-    cfg, provided = _resolve(args, _FIT_OPTS)
-    if cfg["data"] is None:
-        raise ConfigError("--data is required")
-    dataset = read_dataset(cfg["data"])
-    doc, trace, _ = _fit_document("fit", dataset, cfg, provided)
     _write_report(cfg["out"], doc)
     status = "converged" if trace.converged else "not converged"
     print(
@@ -465,31 +473,24 @@ def _load_report_labels(path: str) -> tuple[np.ndarray, LabelTruth | None]:
         raise ParseError(f"{path}: per_label sigma entries must be numbers", line=1) from None
     if sigma.shape[0] == 0 or not np.all(np.isfinite(sigma) & (sigma >= 0.0)):
         raise ParseError(f"{path}: per_label needs one or more finite, non-negative sigma entries", line=1)
-    if "corrupted" in rows[0]:
-        try:
-            eps = np.array([row.get("epsilon", 0.0) for row in rows], dtype=float)
-            corrupted = np.array([bool(row["corrupted"]) for row in rows])
-        except KeyError:
-            raise ParseError(f"{path}: per_label rows must all carry corrupted when the first does", line=1) from None
-        except (TypeError, ValueError):
-            raise ParseError(f"{path}: per_label epsilon entries must be numbers", line=1) from None
-        return sigma, LabelTruth(eps, corrupted)
-    return sigma, None
+    if not any("corrupted" in row for row in rows):
+        return sigma, None
+    # truth is all or nothing: scoring a row whose truth is missing or
+    # mistyped would invent that truth
+    if not all(isinstance(row.get("corrupted"), bool) for row in rows):
+        raise ParseError(f"{path}: per_label rows must all carry a true/false corrupted when one does", line=1)
+    eps = [row.get("epsilon") for row in rows]
+    if not all(isinstance(e, (int, float)) and not isinstance(e, bool) for e in eps):
+        raise ParseError(f"{path}: per_label epsilon entries must be numbers", line=1)
+    return sigma, LabelTruth(np.array(eps, dtype=float), np.array([row["corrupted"] for row in rows]))
 
 
 def _cmd_detect(args) -> int:
-    cfg, provided = _resolve(args, _DETECT_OPTS)
-    levels = cfg["recall_levels"]
-    if (cfg["data"] is None) == (cfg["report"] is None):
-        raise ConfigError("pass exactly one of --data (fit in-line) or --report")
-    if cfg["report"] is not None:
-        sigma, truth = _load_report_labels(cfg["report"])
-        doc, report = _report_document("detect", cfg, sigma, truth, cfg["threshold"], levels)
-    else:
-        dataset = read_dataset(cfg["data"])
-        doc, _, report = _fit_document(
-            "detect", dataset, cfg, provided, threshold=cfg["threshold"], levels=levels
-        )
+    cfg, _ = _resolve(args, _DETECT_OPTS)
+    if cfg["report"] is None:
+        raise ConfigError("--report is required")
+    sigma, truth = _load_report_labels(cfg["report"])
+    doc, report = _report_document("detect", cfg, sigma, truth, cfg["threshold"], cfg["recall_levels"])
     _write_report(cfg["out"], doc)
     print(f"wrote {cfg['out']}: flagged={report.n_flagged}/{len(report.flags)} threshold={report.threshold!r}")
     return EXIT_OK
@@ -503,42 +504,40 @@ def _cmd_benchmark(args) -> int:
     if base.truth is not None and base.truth.corrupted.any():
         raise ConfigError("benchmark base dataset must be pristine (no label marked corrupted)")
 
+    # every setting is checked before the first cell fits anything
+    mult = _mult_config(cfg)
+    specs = [NoiseInjectionSpec(rate=rate, level=level, seed=cfg["seed"] + cell)
+             for cell, (rate, level) in enumerate(itertools.product(cfg["rates"], cfg["levels"]))]
+    _check_recall_levels(cfg["recall_levels"])
+    _check_folds(cfg["folds"], base.n)
+
     levels_cols = [f"precision_at_{level!r}" for level in cfg["recall_levels"]]
     header = ["rate", "level", "r2", "auc", *levels_cols, "mae_plain", "mae_basic", "mae_full", "error"]
-    lines = [",".join(header)]
-    mult = _mult_config(cfg)
-    cell = 0
-    for rate in cfg["rates"]:
-        for level in cfg["levels"]:
-            row = _benchmark_cell(base, rate, level, cfg, mult, cell_seed=cfg["seed"] + cell)
-            lines.append(",".join(row))
-            cell += 1
+    lines = [",".join(header)] + [",".join(_benchmark_cell(base, spec, cfg, mult)) for spec in specs]
     _write_text(cfg["out"], "\n".join(lines) + "\n")
-    print(f"wrote {cfg['out']}: {cell} cells")
+    print(f"wrote {cfg['out']}: {len(specs)} cells")
     return EXIT_OK
 
 
-def _benchmark_cell(
-    base: Dataset, rate: float, level: float, cfg: dict, mult: MultUpdateConfig, cell_seed: int
-) -> list[str]:
+def _benchmark_cell(base: Dataset, spec: NoiseInjectionSpec, cfg: dict, mult: MultUpdateConfig) -> list[str]:
     levels = cfg["recall_levels"]
     metrics: dict = {}
     maes: dict[str, float] = {}
     error = ""
     try:
-        noisy = inject_noise(base, NoiseInjectionSpec(rate=rate, level=level, seed=cell_seed))
+        noisy = inject_noise(base, spec)
         if cfg["joint"]:
-            joint = JointOptConfig(restart_seed=cell_seed)
+            joint = JointOptConfig(restart_seed=spec.seed)
             params, sigma, _ = joint_optimize(noisy, joint, mult)
         else:
             params = heuristic_params(noisy.X, noisy.y)
             sigma, _ = optimize_sigma(params, noisy, mult)
         metrics, _ = _metrics_section(sigma, noisy.truth, levels)
         for mode in ("plain", "basic", "full"):
-            maes[mode] = cv_mae(noisy, params, mode, folds=cfg["folds"], seed=cell_seed, config=mult)
+            maes[mode] = cv_mae(noisy, params, mode, folds=cfg["folds"], seed=spec.seed, config=mult)
     except NumericalError as e:
         # a cell whose fit fails reports its error and the sweep moves on;
-        # a bad setting is no cell's failure and ends the run
+        # the settings were checked before the first cell
         error = str(e).replace(",", ";").replace("\n", " ")
     precision = metrics.get("precision_at_recall", {})
     cells = [
@@ -547,7 +546,7 @@ def _benchmark_cell(
         *[precision.get(repr(lv)) for lv in levels],
         *[maes.get(mode) for mode in ("plain", "basic", "full")],
     ]
-    return [repr(float(rate)), repr(float(level))] + [_float_cell(c) for c in cells] + [error]
+    return [repr(float(spec.rate)), repr(float(spec.level))] + [_float_cell(c) for c in cells] + [error]
 
 
 def _cmd_compare_optimizers(args) -> int:

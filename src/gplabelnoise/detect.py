@@ -124,8 +124,7 @@ def precision_at_recall(scores, truth, levels) -> dict[float, float]:
     scores = np.asarray(scores, dtype=float)
     truth = _check_binary_truth(scores, truth)
     levels = [float(v) for v in np.atleast_1d(levels)]
-    if any(not (0.0 < v <= 1.0) for v in levels):
-        raise InvalidInputError(f"recall levels must lie in (0, 1], got {levels}")
+    _check_recall_levels(levels)
     n_pos = int(np.sum(truth))
     if n_pos == 0:
         raise UndefinedMetricError("precision@recall needs at least one corrupted label")
@@ -141,6 +140,11 @@ def precision_at_recall(scores, truth, levels) -> dict[float, float]:
     return out
 
 
+def _check_recall_levels(levels: list[float]) -> None:
+    if any(not (0.0 < v <= 1.0) for v in levels):
+        raise InvalidInputError(f"recall levels must lie in (0, 1], got {levels}")
+
+
 def r2_noise(sigma, injected_sq) -> float:
     """R^2 of fitted variances against squared injected perturbations."""
     sigma = np.asarray(sigma, dtype=float)
@@ -151,6 +155,13 @@ def r2_noise(sigma, injected_sq) -> float:
     if ss_tot == 0.0:
         raise UndefinedMetricError("R^2 is undefined for constant injected noise")
     return 1.0 - float(np.sum((target - sigma) ** 2)) / ss_tot
+
+
+def _check_folds(folds: int, n: int) -> None:
+    if folds < 2:
+        raise ConfigError(f"folds must be >= 2, got {folds}")
+    if n < folds:
+        raise ConfigError(f"need at least {folds} samples for {folds}-fold CV, got {n}")
 
 
 def cv_mae(
@@ -170,10 +181,7 @@ def cv_mae(
     """
     if mode not in CV_MODES:
         raise ConfigError(f"mode must be one of {CV_MODES}, got {mode!r}")
-    if folds < 2:
-        raise ConfigError(f"folds must be >= 2, got {folds}")
-    if data.n < folds:
-        raise ConfigError(f"need at least {folds} samples for {folds}-fold CV, got {data.n}")
+    _check_folds(folds, data.n)
     config = config or MultUpdateConfig()
     X, y = data.X, data.y_centered
     perm = make_rng(seed).permutation(data.n)

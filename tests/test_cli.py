@@ -142,10 +142,18 @@ class TestGen:
             ("gen", "--example1", "--n", "10"),              # size is fixed
             ("gen", "--hetero", "goldberg", "--rate", "0.1"),  # wrong knob
             ("gen", "--grid", "--n-corrupt", "2"),           # grid uses --rate
+            # the generating kernel belongs to the grid's GP draw
+            ("gen", "--hetero", "goldberg", "--gp-length-scale", "5"),
+            ("gen", "--hetero", "le", "--gp-signal-variance", "9"),
+            ("gen", "--example1", "--gp-signal-variance", "9"),
+            ("gen", "--example1", "--gp-length-scale", "5"),
         ],
     )
     def test_conflicting_flags_are_usage_errors(self, argv, tmp_path, capsys):
-        assert run(*argv, "--out", str(tmp_path / "x.csv")) == 1
+        out = tmp_path / "x.csv"
+        assert run(*argv, "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv",
@@ -259,6 +267,29 @@ class TestFit:
         bad.write_text("x0,y\n1.0\n")
         assert run("fit", "--data", str(bad), "--out", str(tmp_path / "x.json")) == 2
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(("--restarts", "9"), "--restarts needs --joint"),
+         (("--outer-rounds", "7"), "--outer-rounds needs --joint"),
+         (("--restarts", "9", "--outer-rounds", "7"), "--restarts needs --joint"),
+         (("--mode", "basic", "--restarts", "9"), "--restarts needs --joint")],
+        ids=["restarts", "outer-rounds", "both", "basic"],
+    )
+    def test_joint_settings_need_joint(self, argv, message, example_csv, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert run("fit", "--data", str(example_csv), *argv, "--out", str(out)) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_joint_settings_from_config_file_need_joint(self, example_csv, tmp_path, capsys):
+        cfg = tmp_path / "settings.cfg"
+        cfg.write_text("restarts=9\n")
+        assert (
+            run("fit", "--data", str(example_csv), "--config", str(cfg),
+                "--out", str(tmp_path / "x.json")) == 1
+        )
+        assert "--restarts needs --joint" in capsys.readouterr().err
+
     def test_bad_mode_rejected(self, example_csv, tmp_path, capsys):
         assert (
             run("fit", "--data", str(example_csv), "--mode", "bogus",
@@ -274,9 +305,17 @@ class TestFit:
 class TestDetect:
     """Score thresholding plus ground-truth metrics when available."""
 
+    @staticmethod
+    def _fit(data_csv, tmp_path, *fit_argv, code=0):
+        """A ``fit`` report of ``data_csv``; ``fit`` must exit with ``code``."""
+        path = tmp_path / "fit.json"
+        assert run("fit", "--data", str(data_csv), *fit_argv, "--out", str(path)) == code
+        return path
+
     def test_metrics_with_ground_truth(self, example_csv, tmp_path, capsys):
         out = tmp_path / "det.json"
-        assert run("detect", "--data", str(example_csv), "--out", str(out)) == 0
+        fit_out = self._fit(example_csv, tmp_path)
+        assert run("detect", "--report", str(fit_out), "--out", str(out)) == 0
         report = json.loads(out.read_text())
         metrics = report["metrics"]
         assert set(metrics) == {"auc", "precision_at_recall", "r2_noise"}
@@ -289,19 +328,29 @@ class TestDetect:
                                  if row["sigma"] > report["threshold"])
 
     def test_reuses_existing_fit_report(self, example_csv, tmp_path, capsys):
-        fit_out = tmp_path / "fit.json"
-        run("fit", "--data", str(example_csv), "--out", str(fit_out))
+        fit_out = self._fit(example_csv, tmp_path)
         out = tmp_path / "det.json"
         assert run("detect", "--report", str(fit_out), "--out", str(out)) == 0
-        direct = tmp_path / "det2.json"
-        run("detect", "--data", str(example_csv), "--out", str(direct))
         a = json.loads(out.read_text())
-        b = json.loads(direct.read_text())
+        b = json.loads(fit_out.read_text())
         assert [r["sigma"] for r in a["per_label"]] == [r["sigma"] for r in b["per_label"]]
 
+    def test_config_holds_only_detect_settings(self, example_csv, tmp_path, capsys):
+        fit_out = self._fit(example_csv, tmp_path, "--joint")
+        out = tmp_path / "det.json"
+        assert run("detect", "--report", str(fit_out), "--out", str(out)) == 0
+        assert set(json.loads(out.read_text())["config"]) == {"out", "recall_levels", "report", "threshold"}
+
+    def test_default_outputs_keep_the_fit_report(self, example_csv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run("fit", "--data", str(example_csv)) == 0
+        fit_bytes = (tmp_path / "report.json").read_bytes()
+        assert run("detect", "--report", "report.json") == 0
+        assert (tmp_path / "report.json").read_bytes() == fit_bytes
+        assert json.loads((tmp_path / "detection.json").read_text())["command"] == "detect"
+
     def _edited_report(self, example_csv, tmp_path, edit):
-        fit_out = tmp_path / "fit.json"
-        run("fit", "--data", str(example_csv), "--out", str(fit_out))
+        fit_out = self._fit(example_csv, tmp_path)
         doc = json.loads(fit_out.read_text())
         assert "corrupted" in doc["per_label"][0]
         edit(doc["per_label"])
@@ -312,6 +361,23 @@ class TestDetect:
         report = self._edited_report(example_csv, tmp_path, lambda rows: rows[5].pop("corrupted"))
         assert run("detect", "--report", str(report), "--out", str(tmp_path / "x.json")) == 2
         assert "corrupted" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda rows: rows[2].pop("epsilon"), "epsilon"),
+            (lambda rows: rows[2].update(corrupted="false"), "corrupted"),
+            (lambda rows: rows[2].update(corrupted=None), "corrupted"),
+            (lambda rows: rows[0].pop("corrupted"), "corrupted"),
+        ],
+        ids=["missing-epsilon", "string-corrupted", "null-corrupted", "first-row-without-corrupted"],
+    )
+    def test_report_truth_is_all_or_nothing(self, edit, message, example_csv, tmp_path, capsys):
+        report = self._edited_report(example_csv, tmp_path, edit)
+        out = tmp_path / "x.json"
+        assert run("detect", "--report", str(report), "--out", str(out)) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_report_non_numeric_sigma_is_a_parse_error(self, example_csv, tmp_path, capsys):
         report = self._edited_report(
@@ -337,27 +403,23 @@ class TestDetect:
         assert "finite, non-negative sigma" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("source", ["--data", "--report"])
-    def test_nan_threshold_is_a_config_error(self, source, example_csv, tmp_path, capsys):
-        path = example_csv
-        if source == "--report":
-            path = tmp_path / "fit.json"
-            assert run("fit", "--data", str(example_csv), "--out", str(path)) == 0
+    def test_nan_threshold_is_a_config_error(self, example_csv, tmp_path, capsys):
+        path = self._fit(example_csv, tmp_path)
         out = tmp_path / "x.json"
-        assert run("detect", source, str(path), "--threshold", "nan", "--out", str(out)) == 1
+        assert run("detect", "--report", str(path), "--threshold", "nan", "--out", str(out)) == 1
         assert "threshold must be non-negative" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_requires_exactly_one_input(self, example_csv, tmp_path, capsys):
+    def test_requires_a_report(self, example_csv, tmp_path, capsys):
         assert run("detect", "--out", str(tmp_path / "x.json")) == 1
-        assert (
-            run("detect", "--data", str(example_csv), "--report", str(example_csv),
-                "--out", str(tmp_path / "x.json")) == 1
-        )
+        assert "--report is required" in capsys.readouterr().err
+        assert run("detect", "--data", str(example_csv), "--out", str(tmp_path / "x.json")) == 1
+        assert "unrecognized arguments: --data" in capsys.readouterr().err
 
     def test_truthless_data_skips_metrics(self, truthless_csv, tmp_path, capsys):
         out = tmp_path / "det.json"
-        assert run("detect", "--data", str(truthless_csv), "--out", str(out)) == 0
+        fit_out = self._fit(truthless_csv, tmp_path)
+        assert run("detect", "--report", str(fit_out), "--out", str(out)) == 0
         report = json.loads(out.read_text())
         assert report["metrics"] is None
         assert report["metric_errors"] == {}
@@ -367,25 +429,25 @@ class TestDetect:
         run("gen", "--grid", "--n", "16", "--rate", "0", "--level", "1.0",
             "--out", str(clean))
         out = tmp_path / "det.json"
-        assert run("detect", "--data", str(clean), "--out", str(out)) == 0
+        fit_out = self._fit(clean, tmp_path)
+        assert run("detect", "--report", str(fit_out), "--out", str(out)) == 0
         report = json.loads(out.read_text())
         assert report["metrics"] == {}
         assert set(report["metric_errors"]) == {"auc", "precision_at_recall", "r2_noise"}
 
     def test_explicit_threshold_respected(self, example_csv, tmp_path, capsys):
         out = tmp_path / "det.json"
+        fit_out = self._fit(example_csv, tmp_path)
         assert (
-            run("detect", "--data", str(example_csv), "--threshold", "0.5",
+            run("detect", "--report", str(fit_out), "--threshold", "0.5",
                 "--out", str(out)) == 0
         )
         assert json.loads(out.read_text())["threshold"] == 0.5
 
     def test_exit_zero_even_without_convergence(self, example_csv, tmp_path, capsys):
+        fit_out = self._fit(example_csv, tmp_path, "--max-iters", "1", code=4)
         out = tmp_path / "det.json"
-        assert (
-            run("detect", "--data", str(example_csv), "--max-iters", "1",
-                "--out", str(out)) == 0
-        )
+        assert run("detect", "--report", str(fit_out), "--out", str(out)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -469,18 +531,28 @@ class TestBenchmark:
     @pytest.mark.parametrize(
         "setting, message",
         [(("--folds", "1"), "error: folds must be >= 2"),
-         (("--recall-levels", "2"), "error: recall levels must lie in (0, 1]"),
-         (("--rates", "1.5"), "error: noise rate must be in [0, 1]")],
-        ids=["folds", "recall-levels", "rates"],
+         (("--folds", "100"), "error: need at least 100 samples for 100-fold CV"),
+         (("--recall-levels", "0.5,2"), "error: recall levels must lie in (0, 1]"),
+         (("--rates", "0.1,1.5"), "error: noise rate must be in [0, 1]")],
+        ids=["folds", "folds-100", "recall-levels", "rates"],
     )
-    def test_bad_setting_exits_1_without_output(self, setting, message, tmp_path, capsys):
-        base = self._base(tmp_path, "--grid", "--n", "12", "--rate", "0")
+    def test_bad_setting_exits_1_without_output(self, setting, message, tmp_path, monkeypatch, capsys):
+        """Every setting is checked before the first cell fits anything."""
+        base = self._base(tmp_path, "--grid", "--n", "60", "--d", "2", "--rate", "0")
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return noiseopt.optimize_sigma(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "optimize_sigma", counting)
         out = tmp_path / "b.csv"
         assert (
             run("benchmark", "--data", str(base), "--rates", "0.1", "--levels", "0.5",
                 "--max-iters", "50", *setting, "--out", str(out)) == 1
         )
         assert capsys.readouterr().err.startswith(message)
+        assert calls == []
         assert not out.exists()
 
 
