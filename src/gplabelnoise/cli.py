@@ -68,6 +68,7 @@ from .noiseopt import (
     optimize_sigma_uniform_matrix,
     projected_gradient_baseline_matrix,
 )
+from .rng import _check_seed
 
 __all__ = ["main"]
 
@@ -458,19 +459,26 @@ def _cmd_fit(args) -> int:
     return EXIT_OK if trace.converged else EXIT_NOT_CONVERGED
 
 
+def _is_json_number(value) -> bool:
+    # json reads true/false as bool, a subclass of int
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _load_report_labels(path: str) -> tuple[np.ndarray, LabelTruth | None]:
     with open(path, "r") as fh:
         try:
-            doc = json.load(fh)
+            # integers read as floats: one too large for a float is inf
+            doc = json.load(fh, parse_int=float)
         except json.JSONDecodeError as e:
             raise ParseError(f"{path}: not valid JSON ({e})", line=e.lineno) from None
     try:
         rows = doc["per_label"]
-        sigma = np.array([row["sigma"] for row in rows], dtype=float)
+        sigma = [row["sigma"] for row in rows]
     except (KeyError, TypeError):
         raise ParseError(f"{path}: missing per_label sigma entries", line=1) from None
-    except ValueError:
-        raise ParseError(f"{path}: per_label sigma entries must be numbers", line=1) from None
+    if not all(map(_is_json_number, sigma)):
+        raise ParseError(f"{path}: per_label sigma entries must be numbers", line=1)
+    sigma = np.array(sigma, dtype=float)
     if sigma.shape[0] == 0 or not np.all(np.isfinite(sigma) & (sigma >= 0.0)):
         raise ParseError(f"{path}: per_label needs one or more finite, non-negative sigma entries", line=1)
     if not any("corrupted" in row for row in rows):
@@ -480,13 +488,15 @@ def _load_report_labels(path: str) -> tuple[np.ndarray, LabelTruth | None]:
     if not all(isinstance(row.get("corrupted"), bool) for row in rows):
         raise ParseError(f"{path}: per_label rows must all carry a true/false corrupted when one does", line=1)
     eps = [row.get("epsilon") for row in rows]
-    if not all(isinstance(e, (int, float)) and not isinstance(e, bool) for e in eps):
+    if not all(map(_is_json_number, eps)):
         raise ParseError(f"{path}: per_label epsilon entries must be numbers", line=1)
     return sigma, LabelTruth(np.array(eps, dtype=float), np.array([row["corrupted"] for row in rows]))
 
 
 def _cmd_detect(args) -> int:
     cfg, _ = _resolve(args, _DETECT_OPTS)
+    # checked here, not only by the metrics: a report without truth skips them
+    _check_recall_levels(cfg["recall_levels"])
     if cfg["report"] is None:
         raise ConfigError("--report is required")
     sigma, truth = _load_report_labels(cfg["report"])
@@ -508,6 +518,8 @@ def _cmd_benchmark(args) -> int:
     mult = _mult_config(cfg)
     specs = [NoiseInjectionSpec(rate=rate, level=level, seed=cfg["seed"] + cell)
              for cell, (rate, level) in enumerate(itertools.product(cfg["rates"], cfg["levels"]))]
+    for spec in specs:
+        _check_seed(spec.seed)
     _check_recall_levels(cfg["recall_levels"])
     _check_folds(cfg["folds"], base.n)
 

@@ -25,9 +25,13 @@ __all__ = ["make_rng", "normals", "choose_subset"]
 
 def make_rng(seed: int) -> np.random.Generator:
     """Philox-backed generator for the given seed, an integer in [0, 2**64)."""
+    _check_seed(seed)
+    return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+
+
+def _check_seed(seed: int) -> None:
     if not 0 <= seed < 2**64:
         raise ConfigError(f"seed must lie in [0, 2**64), got {seed!r}")
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 
 def normals(rng: np.random.Generator, size, std: float = 1.0) -> np.ndarray:

@@ -388,12 +388,27 @@ class TestDetect:
 
     @pytest.mark.parametrize(
         "text",
+        ['{"per_label": [{"sigma": "0.1"}, {"sigma": 2.0}]}',
+         '{"per_label": [{"sigma": true}, {"sigma": 2.0}]}'],
+        ids=["string", "bool"],
+    )
+    def test_report_sigma_must_be_a_json_number(self, text, tmp_path, capsys):
+        report = tmp_path / "fit.json"
+        report.write_text(text)
+        out = tmp_path / "x.json"
+        assert run("detect", "--report", str(report), "--out", str(out)) == 2
+        assert "sigma entries must be numbers" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text",
         [
             '{"per_label": []}',
             '{"per_label": [{"sigma": -1.0}, {"sigma": 2.0}]}',
             '{"per_label": [{"sigma": NaN}, {"sigma": 2.0}]}',
+            '{"per_label": [{"sigma": 1%s}, {"sigma": 2.0}]}' % ("0" * 400),
         ],
-        ids=["empty", "negative", "nan"],
+        ids=["empty", "negative", "nan", "int-beyond-float"],
     )
     def test_report_without_usable_sigma_is_a_parse_error(self, text, tmp_path, capsys):
         report = tmp_path / "fit.json"
@@ -408,6 +423,13 @@ class TestDetect:
         out = tmp_path / "x.json"
         assert run("detect", "--report", str(path), "--threshold", "nan", "--out", str(out)) == 1
         assert "threshold must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_recall_levels_checked_without_truth(self, truthless_csv, tmp_path, capsys):
+        fit_out = self._fit(truthless_csv, tmp_path)
+        out = tmp_path / "det.json"
+        assert run("detect", "--report", str(fit_out), "--recall-levels", "2", "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith("error: recall levels must lie in (0, 1]")
         assert not out.exists()
 
     def test_requires_a_report(self, example_csv, tmp_path, capsys):
@@ -496,6 +518,17 @@ class TestBenchmark:
         _, c = self._tiny(tmp_path, "c.csv", seed="6")
         assert a.read_bytes() != c.read_bytes()
 
+    def test_byte_identical_across_runs_above_order_64(self, tmp_path, capsys):
+        """Folds of 80 take diag(Kt^-1) by recursive blocked inversion,
+        which the smaller sweeps never reach."""
+        base = self._base(tmp_path, "--grid", "--n", "100", "--rate", "0")
+        outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for out in outs:
+            assert run("benchmark", "--data", str(base), "--rates", "0.2", "--levels", "1.0",
+                       "--folds", "5", "--seed", "5", "--out", str(out)) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert outs[0].read_text().splitlines()[1].split(",")[-1] == ""
+
     def test_rejects_pregenerated_truth(self, example_csv, tmp_path, capsys):
         assert (
             run("benchmark", "--data", str(example_csv), "--rates", "0.1",
@@ -533,8 +566,10 @@ class TestBenchmark:
         [(("--folds", "1"), "error: folds must be >= 2"),
          (("--folds", "100"), "error: need at least 100 samples for 100-fold CV"),
          (("--recall-levels", "0.5,2"), "error: recall levels must lie in (0, 1]"),
-         (("--rates", "0.1,1.5"), "error: noise rate must be in [0, 1]")],
-        ids=["folds", "folds-100", "recall-levels", "rates"],
+         (("--rates", "0.1,1.5"), "error: noise rate must be in [0, 1]"),
+         # the first cell's seed is in range, the second's is 2**64
+         (("--rates", "0.1,0.2", "--seed", str(2**64 - 1)), "error: seed must lie in [0, 2**64)")],
+        ids=["folds", "folds-100", "recall-levels", "rates", "cell-seed"],
     )
     def test_bad_setting_exits_1_without_output(self, setting, message, tmp_path, monkeypatch, capsys):
         """Every setting is checked before the first cell fits anything."""

@@ -307,6 +307,76 @@ class TestLazyReads:
         assert peak <= 2 * 8 * n * n + 64 * 1024, f"peak {peak / (8 * n * n):.3f} N^2 doubles"
 
 
+class TestTriangularInverse:
+    """diag(Kt^-1) from dtrtri up to order 64 and from recursive blocked
+    inversion (two dtrmm calls per halving) above it."""
+
+    @staticmethod
+    def _state(n, seed=61, duplicate=False):
+        rng = make_rng(seed)
+        X = rng.random((n, 2))
+        sigma = 0.1 + rng.random(n)
+        if duplicate:
+            X[1] = X[0]
+            sigma[:2] = 0.0
+        K = build_kernel_matrix(KernelParams(1.0, 0.5), X)
+        return K, sigma, fit_matrix(K, sigma, normals(rng, n))
+
+    @staticmethod
+    def _assert_inverts(L):
+        """|L X - I| <= n u |L| |X| entrywise, the bound of the usual
+        triangular inversion methods, and X lower triangular."""
+        n = L.shape[0]
+        X = gpr._tri_inv(L)
+        assert np.all(np.triu(X, 1) == 0.0)
+        bound = n * np.finfo(float).eps * (np.abs(L) @ np.abs(X))
+        assert np.all(np.abs(L @ X - np.eye(n)) <= bound)
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 127, 128, 129, 200, 333])
+    def test_matches_full_inverse(self, n):
+        K, sigma, state = self._state(n)
+        assert state.jitter == 0.0
+        direct = np.diag(np.linalg.inv(K + np.diag(sigma)))
+        assert np.allclose(state.kinv_diag, direct, rtol=1e-9, atol=0.0)
+        self._assert_inverts(state.chol)
+
+    def test_order_64_is_dtrtri_bitwise(self):
+        _, _, state = self._state(gpr._TRTRI_MAX_N)
+        linv = scipy.linalg.lapack.dtrtri(state.chol, lower=1)[0]
+        assert np.array_equal(state.kinv_diag, np.einsum("ij,ij->j", linv, linv))
+
+    def test_nll_alone_calls_neither_routine(self, monkeypatch):
+        calls = []
+        for name in ("_trtri", "_trmm"):
+            routine = getattr(gpr, name)
+
+            def counting(*args, _name=name, _routine=routine, **kwargs):
+                calls.append(_name)
+                return _routine(*args, **kwargs)
+
+            monkeypatch.setattr(gpr, name, counting)
+        _, _, state = self._state(200)
+        nll(state, state.y)
+        assert calls == []
+        state.kinv_diag
+        # 200 halves into two blocks of 100; each halves into two dtrtri
+        # leaves of 50 and takes 2 dtrmm calls, and the top takes 2 more
+        assert calls.count("_trtri") == 4 and calls.count("_trmm") == 6
+
+    def test_jittered_duplicate_inputs(self):
+        K, sigma, state = self._state(100, seed=62, duplicate=True)
+        assert state.jitter > 0.0
+        same_factor = np.diag(scipy.linalg.cho_solve((state.chol, True), np.eye(100)))
+        assert np.allclose(state.kinv_diag, same_factor, rtol=1e-9, atol=0.0)
+        self._assert_inverts(state.chol)
+
+    def test_factor_is_not_written(self):
+        _, _, state = self._state(200)
+        before = state.chol.tobytes()
+        state.kinv_diag
+        assert state.chol.tobytes() == before
+
+
 # ---------------------------------------------------------------------------
 # marginal likelihood and its gradients
 # ---------------------------------------------------------------------------
