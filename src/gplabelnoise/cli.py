@@ -272,6 +272,9 @@ def _resolve(args: argparse.Namespace, opts: list[_Opt]) -> tuple[dict, set]:
     return resolved, provided
 
 
+_TOOL = {"name": "gplabelnoise", "version": __version__}
+
+
 def _write_report(path: str, doc: dict) -> None:
     _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
@@ -302,8 +305,8 @@ def _explicit_params(cfg: dict, data: Dataset) -> KernelParams:
     )
 
 
-def _run_fit(data: Dataset, cfg: dict, provided: set) -> tuple[KernelParams, np.ndarray, object, float | None]:
-    """Returns (params, per-label sigma, trace, shared-sigma-or-None)."""
+def _run_fit(data: Dataset, cfg: dict, provided: set) -> tuple[KernelParams, np.ndarray, object]:
+    """Returns (params, per-label sigma, trace)."""
     if cfg["mode"] not in ("full", "basic"):
         raise ConfigError(f"mode must be full or basic, got {cfg['mode']!r}")
     mult = _mult_config(cfg)
@@ -317,8 +320,7 @@ def _run_fit(data: Dataset, cfg: dict, provided: set) -> tuple[KernelParams, np.
             restarts=cfg["restarts"],
             restart_seed=cfg["seed"],
         )
-        params, sigma, trace = joint_optimize(data, joint, mult)
-        return params, sigma, trace, None
+        return joint_optimize(data, joint, mult)
     unused = provided & {"outer_rounds", "restarts"}
     if unused:
         raise ConfigError(f"--{max(unused).replace('_', '-')} needs --joint")
@@ -326,19 +328,15 @@ def _run_fit(data: Dataset, cfg: dict, provided: set) -> tuple[KernelParams, np.
     if cfg["mode"] == "basic":
         K = build_kernel_matrix(params, data.X)
         shared, trace = optimize_sigma_uniform_matrix(K, data.y_centered, mult)
-        return params, np.full(data.n, shared), trace, shared
+        return params, np.full(data.n, shared), trace
     sigma, trace = optimize_sigma(params, data, mult)
-    return params, sigma, trace, None
+    return params, sigma, trace
 
 
-def _per_label_section(sigma, flags, truth: LabelTruth | None) -> list[dict]:
+def _per_label_section(sigma, truth: LabelTruth | None) -> list[dict]:
     rows = []
     for i in range(len(sigma)):
-        row = {
-            "index": i,
-            "sigma": float(sigma[i]),
-            "flag": bool(flags[i]),
-        }
+        row = {"index": i, "sigma": float(sigma[i])}
         if truth is not None:
             row["epsilon"] = float(truth.epsilon[i])
             row["corrupted"] = bool(truth.corrupted[i])
@@ -420,37 +418,20 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _report_document(command: str, cfg: dict, sigma, truth: LabelTruth | None, threshold=None, levels=None):
-    """The report fields every command shares; metrics only when ``levels``
-    is given. Returns the document and the detection report."""
-    report = flag_noisy(sigma, threshold)
-    metrics, metric_errors = _metrics_section(sigma, truth, levels) if levels is not None else (None, {})
-    doc = {
-        "tool": {"name": "gplabelnoise", "version": __version__},
-        "command": command,
-        "config": {k: v for k, v in sorted(cfg.items())},
-        "threshold": report.threshold,
-        "per_label": _per_label_section(sigma, report.flags, truth),
-        "metrics": metrics,
-        "metric_errors": metric_errors,
-    }
-    return doc, report
-
-
 def _cmd_fit(args) -> int:
     cfg, provided = _resolve(args, _FIT_OPTS)
     if cfg["data"] is None:
         raise ConfigError("--data is required")
     dataset = read_dataset(cfg["data"])
-    params, sigma, trace, shared = _run_fit(dataset, cfg, provided)
-    doc, _ = _report_document("fit", cfg, sigma, dataset.truth)
-    doc.update(
-        theta={"signal_variance": params.signal_variance, "length_scale": params.length_scale},
-        sigma_shared=shared,
-        trace=_trace_section(trace),
-        final_nll=trace.final_nll,
-    )
-    _write_report(cfg["out"], doc)
+    params, sigma, trace = _run_fit(dataset, cfg, provided)
+    _write_report(cfg["out"], {
+        "tool": _TOOL,
+        "command": "fit",
+        "config": cfg,
+        "theta": {"signal_variance": params.signal_variance, "length_scale": params.length_scale},
+        "trace": _trace_section(trace),
+        "per_label": _per_label_section(sigma, dataset.truth),
+    })
     status = "converged" if trace.converged else "not converged"
     print(
         f"wrote {cfg['out']}: N={dataset.n} iters={trace.iters} "
@@ -488,8 +469,8 @@ def _load_report_labels(path: str) -> tuple[np.ndarray, LabelTruth | None]:
     if not all(isinstance(row.get("corrupted"), bool) for row in rows):
         raise ParseError(f"{path}: per_label rows must all carry a true/false corrupted when one does", line=1)
     eps = [row.get("epsilon") for row in rows]
-    if not all(map(_is_json_number, eps)):
-        raise ParseError(f"{path}: per_label epsilon entries must be numbers", line=1)
+    if not (all(map(_is_json_number, eps)) and np.all(np.isfinite(eps))):
+        raise ParseError(f"{path}: per_label epsilon entries must be finite numbers", line=1)
     return sigma, LabelTruth(np.array(eps, dtype=float), np.array([row["corrupted"] for row in rows]))
 
 
@@ -500,8 +481,20 @@ def _cmd_detect(args) -> int:
     if cfg["report"] is None:
         raise ConfigError("--report is required")
     sigma, truth = _load_report_labels(cfg["report"])
-    doc, report = _report_document("detect", cfg, sigma, truth, cfg["threshold"], cfg["recall_levels"])
-    _write_report(cfg["out"], doc)
+    report = flag_noisy(sigma, cfg["threshold"])
+    rows = _per_label_section(sigma, truth)
+    for row, flag in zip(rows, report.flags):
+        row["flag"] = bool(flag)
+    metrics, metric_errors = _metrics_section(sigma, truth, cfg["recall_levels"])
+    _write_report(cfg["out"], {
+        "tool": _TOOL,
+        "command": "detect",
+        "config": cfg,
+        "threshold": report.threshold,
+        "per_label": rows,
+        "metrics": metrics,
+        "metric_errors": metric_errors,
+    })
     print(f"wrote {cfg['out']}: flagged={report.n_flagged}/{len(report.flags)} threshold={report.threshold!r}")
     return EXIT_OK
 

@@ -102,7 +102,7 @@ class NoiseInjectionSpec:
     def __post_init__(self):
         if not (0.0 <= self.rate <= 1.0):
             raise ConfigError(f"noise rate must be in [0, 1], got {self.rate}")
-        if self.level < 0.0:
+        if not self.level >= 0.0:
             raise ConfigError(f"noise level must be non-negative, got {self.level}")
 
     def corrupted_count(self, n: int) -> int:
@@ -167,6 +167,10 @@ def gen_gp(
     """
     if n < 1:
         raise ConfigError(f"n must be at least 1, got {n}")
+    if d < 1:
+        raise ConfigError(f"d must be at least 1, got {d}")
+    if not (math.isfinite(base_noise_std) and base_noise_std >= 0.0):
+        raise ConfigError(f"base_noise_std must be finite and non-negative, got {base_noise_std}")
     rng = make_rng(seed)
     X = -1.0 + 2.0 * rng.random((n, d))
     K = build_kernel_matrix(params, X)
@@ -249,6 +253,8 @@ def read_dataset(path) -> Dataset:
     if "y" not in header:
         raise ParseError("header must contain a y column", line=1)
     d = header.index("y")
+    if d == 0:
+        raise ParseError("header must contain an x0 column", line=1)
     with_truth = header[d + 1 :] == ["epsilon", "corrupted"]
     if header != _header(d, with_truth):
         raise ParseError(f"malformed header {lines[0]!r}", line=1)

@@ -98,15 +98,16 @@ class MultUpdateConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.tol_sigma < 0.0 or self.tol_nll < 0.0:
+        # each check is written so that NaN fails it
+        if not (self.tol_sigma >= 0.0 and self.tol_nll >= 0.0):
             raise ConfigError("tolerances must be non-negative")
-        if self.penalty_lambda < 0.0:
+        if not self.penalty_lambda >= 0.0:
             raise ConfigError("penalty_lambda must be non-negative")
-        if self.penalty_p < 1.0:
+        if not self.penalty_p >= 1.0:
             raise ConfigError(f"penalty_p must be >= 1, got {self.penalty_p}")
-        if self.sigma_init is not None and np.any(np.asarray(self.sigma_init) <= 0.0):
+        if self.sigma_init is not None and not np.all(np.asarray(self.sigma_init) > 0.0):
             raise ConfigError("sigma_init entries must be positive")
-        if self.zero_clip is not None and self.zero_clip < 0.0:
+        if self.zero_clip is not None and not self.zero_clip >= 0.0:
             raise ConfigError("zero_clip must be non-negative")
 
 
@@ -125,11 +126,11 @@ class PgdConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
-        if min(self.tol_sigma, self.tol_nll, self.tol_grad) < 0.0:
+        if not all(tol >= 0.0 for tol in (self.tol_sigma, self.tol_nll, self.tol_grad)):
             raise ConfigError("tolerances must be non-negative")
-        if self.step_size <= 0.0:
+        if not self.step_size > 0.0:
             raise ConfigError("step_size must be positive")
-        if self.sigma_init is not None and np.any(np.asarray(self.sigma_init) <= 0.0):
+        if self.sigma_init is not None and not np.all(np.asarray(self.sigma_init) > 0.0):
             raise ConfigError("sigma_init entries must be positive")
 
 
@@ -526,44 +527,54 @@ def _theta_block(
     ``log_theta``, at fixed sigma.
 
     Returns the log theta, K and state kept (the start unless the result's
-    NLL is no higher), one (NLL, fits so far) pair per iteration that left
-    the start, and the number of fits. A trial whose fit fails is infinitely
-    bad. L-BFGS-B's line search barely backs off from such a trial, so a run
-    that met one and did not lower the NLL is repeated from the start inside
-    a box of half-width 1 around it in log space, the box halved on each
-    repeat, until a run lowers the NLL, meets no failing trial, or the
-    half-width falls below 2**-10.
+    NLL is no higher), one (NLL, trials so far) pair per iteration that left
+    the start, and the number of trials fitted (the result is refitted,
+    uncounted, when it is not the latest trial). A trial whose fit fails is
+    infinitely bad. L-BFGS-B's line search barely backs off from such a
+    trial, so a run that met one and did not lower the NLL is repeated from
+    the start inside a box of half-width 1 around it in log space, the box
+    halved on each repeat, until a run lowers the NLL, meets no failing
+    trial, or the half-width falls below 2**-10.
     """
     import scipy.optimize  # loaded by the first theta block, not with the package
 
     sigma, y, X = state.sigma, state.y, state.X
     start = nll(state, y)
-    # fitted trials by their parameters (log theta values a rounding apart
-    # give the same kernel); the start is the caller's fit, so L-BFGS-B's
-    # first evaluation refits nothing
-    fitted = {state.params: (K, state, start)}
+    # (NLL, gradient) of each fitted trial by its parameters (log theta
+    # values a rounding apart give the same kernel), but the kernel and fit
+    # of the latest trial only. The start is the caller's fit and L-BFGS-B's
+    # first evaluation, so that refits nothing.
+    evaluated = {state.params: (start, grad_theta(state, y, rbf_grad_from_sq_dists(state.params, K, d2)))}
+    latest = (state.params, K, state)
     steps: list[tuple[float, int]] = []
+
+    def fit_at(params: KernelParams) -> tuple[np.ndarray, GprState]:
+        nonlocal latest
+        if latest[0] != params:
+            trial_K = rbf_from_sq_dists(params, d2)
+            latest = (params, trial_K, fit_matrix(trial_K, sigma, y, params=params, X=X))
+        return latest[1:]
 
     def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
         nonlocal failed
         try:
             params = KernelParams.from_log(x)
-            if params not in fitted:
-                trial_K = rbf_from_sq_dists(params, d2)
-                trial = fit_matrix(trial_K, sigma, y, params=params, X=X)
-                fitted[params] = (trial_K, trial, nll(trial, trial.y))
+            if params in evaluated:
+                return evaluated[params]
+            trial_K, trial = fit_at(params)
+            value = nll(trial, trial.y)
         except (NumericalError, InvalidInputError):
             failed = True
             return math.inf, np.zeros_like(x)
-        trial_K, trial, value = fitted[params]
-        return value, grad_theta(trial, trial.y, rbf_grad_from_sq_dists(params, trial_K, d2))
+        evaluated[params] = value, grad_theta(trial, trial.y, rbf_grad_from_sq_dists(params, trial_K, d2))
+        return evaluated[params]
 
     def record(x: np.ndarray) -> None:
-        # called once per iteration, at an iterate already fitted; also after
-        # a first line search that failed, at the start, which adds no row
+        # called once per iteration, at an iterate already evaluated; also
+        # after a first line search that failed, at the start, which adds no row
         params = KernelParams.from_log(x)
         if params != state.params:
-            steps.append((fitted[params][2], len(fitted) - 1))
+            steps.append((evaluated[params][0], len(evaluated) - 1))
 
     for halfwidth in _THETA_BOX_HALFWIDTHS:
         failed = False
@@ -578,9 +589,9 @@ def _theta_block(
             options={"maxiter": _THETA_MAX_STEPS},
             callback=record,
         )
-        kept = fitted.get(KernelParams.from_log(res.x))
-        if not failed or (kept is not None and kept[2] < start):
+        kept = evaluated.get(KernelParams.from_log(res.x))
+        if not failed or (kept is not None and kept[0] < start):
             break
-    if kept is None or kept[2] > start:
-        return log_theta, K, state, steps, len(fitted) - 1
-    return res.x, kept[0], kept[1], steps, len(fitted) - 1
+    if kept is None or kept[0] > start:
+        return log_theta, K, state, steps, len(evaluated) - 1
+    return (res.x, *fit_at(KernelParams.from_log(res.x)), steps, len(evaluated) - 1)

@@ -164,6 +164,18 @@ class TestGen:
         assert run("gen", *argv, "--out", str(tmp_path / "x.csv")) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("--d", "0"), ("--d", "-1"), ("--base-noise", "-1"), ("--base-noise", "nan"),
+         ("--level", "nan")],
+        ids=["d-zero", "d-negative", "base-noise-negative", "base-noise-nan", "level-nan"],
+    )
+    def test_impossible_grid_setting_is_a_config_error(self, argv, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run("gen", "--grid", *argv, "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_seed_changes_output(self, tmp_path):
         a, b, c = (tmp_path / name for name in ("a.csv", "b.csv", "c.csv"))
         run("gen", "--example1", "--seed", "1", "--out", str(a))
@@ -185,20 +197,18 @@ class TestFit:
         out = tmp_path / "fit.json"
         assert run("fit", "--data", str(example_csv), "--out", str(out)) == 0
         report = json.loads(out.read_text())
-        assert set(report) == {
-            "command", "config", "final_nll", "metric_errors", "metrics",
-            "per_label", "sigma_shared", "theta", "threshold", "tool", "trace",
-        }
+        # what the fit produced only: flags and metrics come from `detect`
+        assert set(report) == {"command", "config", "per_label", "theta", "tool", "trace"}
         assert report["command"] == "fit"
         assert report["tool"] == {"name": "gplabelnoise", "version": "0.1.0"}
-        assert report["sigma_shared"] is None
+        assert len({row["sigma"] for row in report["per_label"]}) > 1  # one sigma per label
         assert set(report["theta"]) == {"signal_variance", "length_scale"}
         assert len(report["per_label"]) == 24
         row = report["per_label"][0]
-        assert set(row) == {"corrupted", "epsilon", "flag", "index", "sigma"}
+        assert set(row) == {"corrupted", "epsilon", "index", "sigma"}
         assert report["trace"]["converged"] is True
         assert report["trace"]["stop_reason"] in ("sigma_tol", "nll_tol")
-        assert np.isfinite(report["final_nll"])
+        assert np.isfinite(report["trace"]["final_nll"])
 
     def test_shared_noise_mode(self, example_csv, tmp_path, capsys):
         out = tmp_path / "u.json"
@@ -207,9 +217,9 @@ class TestFit:
                 "--out", str(out)) == 0
         )
         report = json.loads(out.read_text())
-        shared = report["sigma_shared"]
-        assert shared is not None and shared > 0.0
-        assert all(row["sigma"] == shared for row in report["per_label"])
+        assert report["config"]["mode"] == "basic"
+        shared = {row["sigma"] for row in report["per_label"]}
+        assert len(shared) == 1 and shared.pop() > 0.0
 
     def test_joint_mode_moves_hyperparameters(self, example_csv, tmp_path, capsys):
         plain_out = tmp_path / "plain.json"
@@ -221,7 +231,7 @@ class TestFit:
         )
         plain = json.loads(plain_out.read_text())
         joint = json.loads(joint_out.read_text())
-        assert joint["final_nll"] < plain["final_nll"]
+        assert joint["trace"]["final_nll"] < plain["trace"]["final_nll"]
         assert joint["theta"] != plain["theta"]
 
     def test_unconverged_fit_signals_exit_code(self, example_csv, tmp_path, capsys):
@@ -255,6 +265,13 @@ class TestFit:
         assert trace["converged"] is True
         assert trace["stop_reason"] in ("sigma_tol", "nll_tol")
         assert f"stop_reason={trace['stop_reason']}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", ["--lambda", "--tol-sigma"])
+    def test_nan_setting_is_a_config_error(self, flag, example_csv, tmp_path, capsys):
+        out = tmp_path / "f.json"
+        assert run("fit", "--data", str(example_csv), flag, "nan", "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     def test_missing_data_flag(self, capsys):
         assert run("fit", "--out", "x.json") == 1
@@ -369,8 +386,12 @@ class TestDetect:
             (lambda rows: rows[2].update(corrupted="false"), "corrupted"),
             (lambda rows: rows[2].update(corrupted=None), "corrupted"),
             (lambda rows: rows[0].pop("corrupted"), "corrupted"),
+            # written as NaN and Infinity, which json reads back
+            (lambda rows: rows[2].update(epsilon=float("nan")), "epsilon entries must be finite"),
+            (lambda rows: rows[2].update(epsilon=float("inf")), "epsilon entries must be finite"),
         ],
-        ids=["missing-epsilon", "string-corrupted", "null-corrupted", "first-row-without-corrupted"],
+        ids=["missing-epsilon", "string-corrupted", "null-corrupted", "first-row-without-corrupted",
+             "nan-epsilon", "infinite-epsilon"],
     )
     def test_report_truth_is_all_or_nothing(self, edit, message, example_csv, tmp_path, capsys):
         report = self._edited_report(example_csv, tmp_path, edit)
@@ -470,6 +491,69 @@ class TestDetect:
         fit_out = self._fit(example_csv, tmp_path, "--max-iters", "1", code=4)
         out = tmp_path / "det.json"
         assert run("detect", "--report", str(fit_out), "--out", str(out)) == 0
+
+
+# ---------------------------------------------------------------------------
+# the documents fit and detect write
+# ---------------------------------------------------------------------------
+
+
+def _strict_json(path):
+    """``path`` parsed as strict JSON: NaN and Infinity are errors."""
+    def reject(name):
+        raise ValueError(f"{path.name}: {name} is not strict JSON")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+class TestDocuments:
+    """Fit and detection reports of each fit mode and kind of truth are
+    strict JSON, and detect reads only the fitted sigma and the truth columns
+    of a fit report."""
+
+    @pytest.mark.parametrize(
+        "data, fit_argv",
+        [("example", ()), ("example", ("--mode", "basic")), ("example", ("--joint", "--restarts", "2")),
+         ("truthless", ()), ("degenerate", ())],
+        ids=["full", "basic", "joint", "without-truth", "degenerate-truth"],
+    )
+    def test_fit_and_detect_write_strict_json(self, data, fit_argv, example_csv, truthless_csv,
+                                              tmp_path, capsys):
+        if data == "degenerate":  # nothing corrupted: every detection metric is undefined
+            path = tmp_path / "clean.csv"
+            assert run("gen", "--grid", "--n", "16", "--rate", "0", "--out", str(path)) == 0
+        else:
+            path = example_csv if data == "example" else truthless_csv
+        fit_out, det_out = tmp_path / "fit.json", tmp_path / "det.json"
+        assert run("fit", "--data", str(path), *fit_argv, "--out", str(fit_out)) == 0
+        assert run("detect", "--report", str(fit_out), "--out", str(det_out)) == 0
+        _strict_json(fit_out)
+        detection = _strict_json(det_out)
+        if data == "degenerate":
+            assert set(detection["metric_errors"]) == {"auc", "precision_at_recall", "r2_noise"}
+
+    def test_fit_report_with_the_dropped_fields_detects_the_same(self, example_csv, tmp_path, capsys):
+        """A fit report that also carries threshold, row flags, metrics,
+        metric_errors, final_nll and sigma_shared, as fit reports once did,
+        gives the same detection report byte for byte."""
+        fit_out, det_out = tmp_path / "fit.json", tmp_path / "det.json"
+        assert run("fit", "--data", str(example_csv), "--out", str(fit_out)) == 0
+        doc = json.loads(fit_out.read_text())
+        assert run("detect", "--report", str(fit_out), "--out", str(det_out)) == 0
+        expected = det_out.read_bytes()
+
+        flags = gplabelnoise.flag_noisy([row["sigma"] for row in doc["per_label"]])
+        doc.update(
+            threshold=flags.threshold,
+            per_label=[dict(row, flag=bool(f)) for row, f in zip(doc["per_label"], flags.flags)],
+            metrics=None,
+            metric_errors={},
+            final_nll=doc["trace"]["final_nll"],
+            sigma_shared=None,
+        )
+        fit_out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        assert run("detect", "--report", str(fit_out), "--out", str(det_out)) == 0
+        assert det_out.read_bytes() == expected
 
 
 # ---------------------------------------------------------------------------

@@ -185,6 +185,16 @@ class TestGenGp:
         with pytest.raises(ConfigError):
             gen_gp(KernelParams(1.0, 0.5), 0, seed=0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(d=0), dict(d=-1), dict(base_noise_std=-1.0), dict(base_noise_std=float("nan")),
+         dict(base_noise_std=float("inf"))],
+        ids=["d-zero", "d-negative", "noise-negative", "noise-nan", "noise-inf"],
+    )
+    def test_bad_arguments_rejected(self, kwargs):
+        with pytest.raises(ConfigError):
+            gen_gp(KernelParams(1.0, 0.5), 8, seed=0, **kwargs)
+
 
 # ---------------------------------------------------------------------------
 # noise injection
@@ -232,6 +242,7 @@ class TestInjectNoise:
             dict(rate=1.1, level=1.0),
             dict(rate=-0.1, level=1.0),
             dict(rate=0.5, level=-1.0),
+            dict(rate=0.5, level=float("nan")),
         ],
     )
     def test_bad_spec_rejected(self, kwargs):
@@ -344,6 +355,12 @@ class TestReadDatasetErrors:
         bad = tmp_path / "bad.csv"
         bad.write_text("\n".join(["totally,wrong,header"] + lines[1:]) + "\n")
         with pytest.raises(ParseError):
+            read_dataset(bad)
+
+    def test_header_without_inputs_rejected(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("y,epsilon,corrupted\n1.0,0.0,0\n")
+        with pytest.raises(ParseError, match="x0"):
             read_dataset(bad)
 
     def test_ragged_row_reports_line(self, tmp_path):
