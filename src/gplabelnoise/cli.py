@@ -57,6 +57,7 @@ from .errors import (
     ParseError,
     UndefinedMetricError,
 )
+from .gpr import _finite_nonnegative
 from .kernel import KernelParams, build_kernel_matrix, heuristic_params
 from .noiseopt import (
     JointOptConfig,
@@ -480,6 +481,10 @@ def _cmd_detect(args) -> int:
     _check_recall_levels(cfg["recall_levels"])
     if cfg["report"] is None:
         raise ConfigError("--report is required")
+    # flag_noisy reads an infinite threshold as "flag nothing", but the
+    # report, strict JSON, cannot hold one
+    if cfg["threshold"] is not None and not _finite_nonnegative(cfg["threshold"]):
+        raise ConfigError(f"threshold must be non-negative and finite, got {cfg['threshold']}")
     sigma, truth = _load_report_labels(cfg["report"])
     report = flag_noisy(sigma, cfg["threshold"])
     rows = _per_label_section(sigma, truth)

@@ -199,9 +199,9 @@ def cv_mae(
                 sigma = np.full(y_train.shape[0], shared)
             else:
                 sigma, _ = optimize_sigma_matrix(K, y_train, config)
-            state = fit_matrix(K, sigma, y_train, params=params, X=X_train)
+            state = fit_matrix(K, sigma, y_train)
         except NumericalError as e:
             raise NumericalError(f"fold {fold_id}: {e.args[0]}", smallest_pivot=e.smallest_pivot) from e
-        mean, _ = predict_batch(state, X[test_idx])
+        mean, _ = predict_batch(params, X_train, state, X[test_idx])
         maes.append(float(np.mean(np.abs(mean - y[test_idx]))))
     return float(np.mean(maes))

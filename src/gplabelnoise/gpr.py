@@ -8,10 +8,12 @@ else is read off the factor on first access and cached on the state:
 ``logdet`` (log det Kt, for the negative log-likelihood), ``kinv_diag``
 (diag(Kt^-1), as column sums of squares of the triangular inverse L^-1,
 for the noise update, the sigma gradient and the closed-form leave-one-out
-quantities) and ``kinv`` (the full inverse, for the full-matrix sigma
-gradient and the kernel-hyperparameter gradient). A state whose only
-reader is the NLL, such as a rejected line-search trial, never inverts its
-factor.
+quantities) and ``kinv`` (the full inverse, for the kernel-hyperparameter
+gradient). A state whose only reader is the NLL, such as a rejected
+line-search trial, never inverts its factor. A state is the factorization
+and nothing else: the kernel and the training inputs stay with the caller,
+who passes them to ``predict_batch`` (Rasmussen and Williams, GPML,
+Algorithm 2.1).
 
 The factor path calls LAPACK directly: ``dpotrf`` for the Cholesky factor,
 ``dpotrs`` for solves against it, ``dtrtri`` for the triangular inverse and
@@ -48,18 +50,16 @@ import numpy as np
 import scipy.linalg
 
 from .errors import EmptyDatasetError, InvalidInputError, NumericalError
-from .kernel import KernelParams, build_kernel_matrix, cross_kernel
+from .kernel import KernelParams, cross_kernel
 
 __all__ = [
     "GprState",
     "LoocvResult",
     "cholesky_with_jitter",
-    "fit",
     "fit_matrix",
     "predict_batch",
     "nll",
     "grad_sigma",
-    "grad_sigma_full_matrix",
     "grad_theta",
     "loocv",
 ]
@@ -88,15 +88,11 @@ _TRTRI_MAX_N = 64
 class GprState:
     """Factorized regularized covariance plus the reads of it that are used.
 
-    ``params`` and ``X`` are kept for prediction and are None for states
-    built directly from a covariance matrix (``fit_matrix``). ``y`` is a
-    copy of the fitted labels, so readers can tell when ``alpha`` answers
-    for the labels they are given. ``logdet``, ``kinv_diag`` and ``kinv``
-    are computed from the factor on first access and cached.
+    ``y`` is a copy of the fitted labels, so readers can tell when ``alpha``
+    answers for the labels they are given. ``logdet``, ``kinv_diag`` and
+    ``kinv`` are computed from the factor on first access and cached.
     """
 
-    params: KernelParams | None
-    X: np.ndarray | None
     sigma: np.ndarray
     y: np.ndarray
     chol: np.ndarray  # lower Cholesky factor of Kt (+ applied jitter), upper triangle zero
@@ -144,7 +140,8 @@ class GprState:
         """Kt^-1, built from the factor on first access and cached.
 
         Symmetric by construction, with the diagonal taken from ``kinv_diag``
-        so that the full-matrix and diagonal gradient forms agree bitwise.
+        so that the full-matrix and diagonal sigma-gradient forms agree
+        bitwise.
         """
         # info is 0: a successful Cholesky leaves a positive diagonal.
         # dpotri overwrites only the lower triangle of (a copy of) the
@@ -231,23 +228,24 @@ def cholesky_with_jitter(M: np.ndarray, diag_ref: float) -> tuple[np.ndarray, fl
     )
 
 
+def _finite_nonnegative(x) -> bool:
+    """Whether x, a number or a non-empty array, is finite and non-negative
+    in every entry."""
+    x = np.asarray(x, dtype=float)
+    # two reductions, no temporaries; NaN fails the first comparison
+    return x.size > 0 and x.min() >= 0.0 and x.max() < math.inf
+
+
 def _check_sigma(sigma, n: int) -> np.ndarray:
     sigma = np.asarray(sigma, dtype=float)
     if sigma.shape != (n,):
         raise InvalidInputError(f"sigma must have shape ({n},), got {sigma.shape}")
-    # two reductions, no temporaries; NaN fails the first comparison
-    if not (sigma.min() >= 0.0 and sigma.max() < math.inf):
+    if not _finite_nonnegative(sigma):
         raise InvalidInputError("sigma entries must be finite and non-negative")
     return sigma
 
 
-def fit_matrix(
-    K: np.ndarray,
-    sigma,
-    y,
-    params: KernelParams | None = None,
-    X: np.ndarray | None = None,
-) -> GprState:
+def fit_matrix(K: np.ndarray, sigma, y) -> GprState:
     """Factorize K + diag(sigma) and cache alpha = Kt^-1 y.
 
     Kt is one Fortran-ordered copy of K with sigma added to its diagonal,
@@ -288,8 +286,6 @@ def fit_matrix(
         Kt.flat[:: n + 1] += sigma
         L, jitter = cholesky_with_jitter(Kt, diag_ref=float(np.add.reduce(K.diagonal()) / n))
     return GprState(
-        params=params,
-        X=None if X is None else np.asarray(X, dtype=float),
         sigma=sigma,
         y=y.copy(),
         chol=L,
@@ -299,25 +295,20 @@ def fit_matrix(
     )
 
 
-def fit(params: KernelParams, sigma, X, y) -> GprState:
-    """Fit the regularized GPR state for kernel ``params`` on (X, y)."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    K = build_kernel_matrix(params, X)
-    return fit_matrix(K, sigma, y, params=params, X=X)
+def predict_batch(params: KernelParams, X, state: GprState, X_star) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior means and (clamped) variances at many query points, for
+    ``state`` fitted on the training inputs ``X`` under kernel ``params``.
 
-
-def predict_batch(state: GprState, X_star) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior means and (clamped) variances at many query points."""
-    if state.params is None or state.X is None:
-        raise InvalidInputError("state carries no kernel/inputs; fit with fit() to predict")
-    Ks = cross_kernel(state.params, X_star, state.X)
+    Raises ``InvalidInputError`` unless X has one row per fitted label.
+    """
+    if np.shape(X)[:1] != (state.n,):
+        raise InvalidInputError(f"X must have {state.n} rows, one per fitted label, got shape {np.shape(X)}")
+    Ks = cross_kernel(params, X_star, X)
     means = Ks @ state.alpha
     # k' Kt^-1 k = |L^-1 k|^2: one triangular solve instead of two
     V = scipy.linalg.solve_triangular(state.chol, Ks.T, lower=True, check_finite=False)
     quad = np.einsum("ij,ij->j", V, V)
-    variances = state.params.signal_variance - quad
+    variances = params.signal_variance - quad
     low = variances < -1e-8
     if np.any(low):
         log.warning("posterior variance clamped to 0 at %d points", int(np.sum(low)))
@@ -334,12 +325,6 @@ def grad_sigma(state: GprState, y) -> np.ndarray:
     """Gradient of the NLL in sigma: diag(Kt^-1) - (Kt^-1 y) ** 2."""
     a = state.alpha_for(y)
     return state.kinv_diag - a * a
-
-
-def grad_sigma_full_matrix(state: GprState, y) -> np.ndarray:
-    """Full-matrix form Kt^-1 - (Kt^-1 y)(Kt^-1 y)'; its diagonal is grad_sigma."""
-    a = state.alpha_for(y)
-    return state.kinv - np.outer(a, a)
 
 
 def grad_theta(state: GprState, y, dK_dtheta) -> np.ndarray:

@@ -24,7 +24,6 @@ from .errors import EmptyDatasetError, InvalidInputError
 
 __all__ = [
     "KernelParams",
-    "eval_kernel",
     "build_kernel_matrix",
     "cross_kernel",
     "kernel_grad_theta",
@@ -66,17 +65,6 @@ def _as_points(X) -> np.ndarray:
     if X.ndim == 1:
         X = X[:, None]
     return X
-
-
-def eval_kernel(params: KernelParams, a, b) -> float:
-    """Covariance between two input points."""
-    a = np.asarray(a, dtype=float).ravel()
-    b = np.asarray(b, dtype=float).ravel()
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise InvalidInputError("kernel inputs must be finite")
-    d2 = float(np.sum((a - b) ** 2))
-    ell = params.length_scale
-    return params.signal_variance * float(np.exp(-d2 / (2.0 * ell * ell)))
 
 
 def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:

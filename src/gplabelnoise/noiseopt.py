@@ -35,7 +35,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError, InvalidInputError, NumericalError
-from .gpr import GprState, fit_matrix, grad_sigma, grad_theta, nll
+from .gpr import GprState, _finite_nonnegative, fit_matrix, grad_sigma, grad_theta, nll
 from .kernel import (
     KernelParams,
     build_kernel_matrix,
@@ -55,7 +55,6 @@ __all__ = [
     "optimize_sigma",
     "optimize_sigma_matrix",
     "optimize_sigma_uniform_matrix",
-    "diagonal_solution",
     "projected_gradient_baseline_matrix",
     "joint_optimize",
 ]
@@ -74,6 +73,13 @@ _THETA_MAX_STEPS = 20  # L-BFGS-B iterations per theta block
 # range first, then the shrinking boxes of the retries after failing trials
 _THETA_BOX_HALFWIDTHS = (math.inf,) + tuple(2.0**-k for k in range(11))
 _RESTART_SPREAD = 2.0  # log-space halfwidth of the box random restarts draw from
+
+
+def _check_sigma_init(sigma_init) -> None:
+    if sigma_init is not None and not (
+        _finite_nonnegative(sigma_init) and np.all(np.asarray(sigma_init) > 0.0)
+    ):
+        raise ConfigError("sigma_init entries must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -98,17 +104,16 @@ class MultUpdateConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
-        # each check is written so that NaN fails it
-        if not (self.tol_sigma >= 0.0 and self.tol_nll >= 0.0):
-            raise ConfigError("tolerances must be non-negative")
-        if not self.penalty_lambda >= 0.0:
-            raise ConfigError("penalty_lambda must be non-negative")
-        if not self.penalty_p >= 1.0:
-            raise ConfigError(f"penalty_p must be >= 1, got {self.penalty_p}")
-        if self.sigma_init is not None and not np.all(np.asarray(self.sigma_init) > 0.0):
-            raise ConfigError("sigma_init entries must be positive")
-        if self.zero_clip is not None and not self.zero_clip >= 0.0:
-            raise ConfigError("zero_clip must be non-negative")
+        # each check fails on NaN and on +-inf
+        if not (_finite_nonnegative(self.tol_sigma) and _finite_nonnegative(self.tol_nll)):
+            raise ConfigError("tolerances must be non-negative and finite")
+        if not _finite_nonnegative(self.penalty_lambda):
+            raise ConfigError("penalty_lambda must be non-negative and finite")
+        if not (self.penalty_p >= 1.0 and _finite_nonnegative(self.penalty_p)):
+            raise ConfigError(f"penalty_p must be >= 1 and finite, got {self.penalty_p}")
+        _check_sigma_init(self.sigma_init)
+        if self.zero_clip is not None and not _finite_nonnegative(self.zero_clip):
+            raise ConfigError("zero_clip must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -126,12 +131,11 @@ class PgdConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not all(tol >= 0.0 for tol in (self.tol_sigma, self.tol_nll, self.tol_grad)):
-            raise ConfigError("tolerances must be non-negative")
-        if not self.step_size > 0.0:
-            raise ConfigError("step_size must be positive")
-        if self.sigma_init is not None and not np.all(np.asarray(self.sigma_init) > 0.0):
-            raise ConfigError("sigma_init entries must be positive")
+        if not all(map(_finite_nonnegative, (self.tol_sigma, self.tol_nll, self.tol_grad))):
+            raise ConfigError("tolerances must be non-negative and finite")
+        if not (self.step_size > 0.0 and _finite_nonnegative(self.step_size)):
+            raise ConfigError("step_size must be positive and finite")
+        _check_sigma_init(self.sigma_init)
 
 
 @dataclass(frozen=True)
@@ -300,7 +304,8 @@ def _mult_loop(
     """The multiplicative scheme from ``sigma``: final sigma, trace, last state.
 
     A given ``state`` is the caller's fit of (K, sigma, y): the loop starts
-    from it, counts no fit for it, and carries its ``params`` and ``X``.
+    from it and counts no fit for it. Every fit is of K itself, so the
+    kernel that K came from stays with the caller.
     ``step`` replaces ``mult_update_step``, which is looked up per call so
     that a patched module attribute takes effect.
     """
@@ -321,7 +326,7 @@ def _mult_loop(
     for _ in range(config.max_iters):
         new_sigma = step(state, state.y, config)
         rel = _rel_change(new_sigma, sigma)
-        state = fit_matrix(K, new_sigma, y, params=state.params, X=state.X)
+        state = fit_matrix(K, new_sigma, y)
         value = nll(state, state.y)
         previous, objective = objective, value + _penalty(new_sigma, config)
         reason = _fixed_point_stop(rel, previous, objective, config)
@@ -364,21 +369,6 @@ def _tied_step(state: GprState, y: np.ndarray, config: MultUpdateConfig) -> np.n
     a = state.alpha_for(y)
     new = state.sigma[0] * float(a @ a) / float(np.sum(state.kinv_diag))
     return np.full(state.n, 0.0 if new < config.zero_clip else new)
-
-
-def diagonal_solution(K_diag: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Closed-form optimum for a diagonal kernel: max(y_i^2 - K_ii, 0).
-
-    This is the exact limit of the multiplicative scheme in that setting and
-    the reference the iterative path is checked against.
-    """
-    K_diag = np.asarray(K_diag, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if np.any(K_diag <= 0.0):
-        raise InvalidInputError("diagonal kernel entries must be positive")
-    if K_diag.shape != y.shape:
-        raise InvalidInputError("K_diag and y must have matching shapes")
-    return np.maximum(y * y - K_diag, 0.0)
 
 
 def projected_gradient_baseline_matrix(
@@ -472,7 +462,7 @@ def joint_optimize(
         offset = _RESTART_SPREAD * (2.0 * rng.random(2) - 1.0)
         log_theta = center if r == 0 else center + offset
         try:
-            result = _joint_single_start(X, d2, y, log_theta, config, mult_config)
+            result = _joint_single_start(d2, y, log_theta, config, mult_config)
         except NumericalError as e:
             log.warning("joint restart %d failed: %s", r, e)
             failures.append(e)
@@ -488,17 +478,15 @@ def joint_optimize(
 
 
 def _joint_single_start(
-    X: np.ndarray,
     d2: np.ndarray,
     y: np.ndarray,
     log_theta: np.ndarray,
     config: JointOptConfig,
     mult_config: MultUpdateConfig,
 ) -> tuple[KernelParams, np.ndarray, OptTrace]:
-    params = KernelParams.from_log(log_theta)
-    K = rbf_from_sq_dists(params, d2)
+    K = rbf_from_sq_dists(KernelParams.from_log(log_theta), d2)
     sigma = _resolve_sigma_init(mult_config.sigma_init, y, y.shape[0])
-    state = fit_matrix(K, sigma, y, params=params, X=X)
+    state = fit_matrix(K, sigma, y)
     nlls, evals = [nll(state, state.y)], [1]
     fits = 1  # every fit so far, theta trials after a block's last iteration included
 
@@ -517,7 +505,7 @@ def _joint_single_start(
         fits = evals[-1]
         stop = trace.stop_reason
 
-    return state.params, sigma, _make_trace(nlls, evals, stop)
+    return KernelParams.from_log(log_theta), sigma, _make_trace(nlls, evals, stop)
 
 
 def _theta_block(
@@ -538,21 +526,22 @@ def _theta_block(
     """
     import scipy.optimize  # loaded by the first theta block, not with the package
 
-    sigma, y, X = state.sigma, state.y, state.X
+    sigma, y = state.sigma, state.y
     start = nll(state, y)
+    start_params = KernelParams.from_log(log_theta)
     # (NLL, gradient) of each fitted trial by its parameters (log theta
     # values a rounding apart give the same kernel), but the kernel and fit
     # of the latest trial only. The start is the caller's fit and L-BFGS-B's
     # first evaluation, so that refits nothing.
-    evaluated = {state.params: (start, grad_theta(state, y, rbf_grad_from_sq_dists(state.params, K, d2)))}
-    latest = (state.params, K, state)
+    evaluated = {start_params: (start, grad_theta(state, y, rbf_grad_from_sq_dists(start_params, K, d2)))}
+    latest = (start_params, K, state)
     steps: list[tuple[float, int]] = []
 
     def fit_at(params: KernelParams) -> tuple[np.ndarray, GprState]:
         nonlocal latest
         if latest[0] != params:
             trial_K = rbf_from_sq_dists(params, d2)
-            latest = (params, trial_K, fit_matrix(trial_K, sigma, y, params=params, X=X))
+            latest = (params, trial_K, fit_matrix(trial_K, sigma, y))
         return latest[1:]
 
     def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
@@ -573,7 +562,7 @@ def _theta_block(
         # called once per iteration, at an iterate already evaluated; also
         # after a first line search that failed, at the start, which adds no row
         params = KernelParams.from_log(x)
-        if params != state.params:
+        if params != start_params:
             steps.append((evaluated[params][0], len(evaluated) - 1))
 
     for halfwidth in _THETA_BOX_HALFWIDTHS:

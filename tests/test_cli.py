@@ -273,6 +273,14 @@ class TestFit:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--lambda", "--tol-sigma", "--tol-nll", "--p", "--sigma-init"])
+    def test_infinite_setting_is_a_config_error(self, flag, example_csv, tmp_path, capsys):
+        # the report's config would hold Infinity, which is not JSON
+        out = tmp_path / "f.json"
+        assert run("fit", "--data", str(example_csv), flag, "inf", "--out", str(out)) == 1
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_data_flag(self, capsys):
         assert run("fit", "--out", "x.json") == 1
 
@@ -446,6 +454,16 @@ class TestDetect:
         assert "threshold must be non-negative" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["inf", "-inf"])
+    def test_infinite_threshold_is_a_config_error(self, value, example_csv, tmp_path, capsys):
+        # the library reads an infinite threshold as "flag nothing", but the
+        # report would hold it as Infinity, which is not JSON
+        path = self._fit(example_csv, tmp_path)
+        out = tmp_path / "x.json"
+        assert run("detect", "--report", str(path), f"--threshold={value}", "--out", str(out)) == 1
+        assert "threshold must be non-negative and finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_recall_levels_checked_without_truth(self, truthless_csv, tmp_path, capsys):
         fit_out = self._fit(truthless_csv, tmp_path)
         out = tmp_path / "det.json"
@@ -506,26 +524,49 @@ def _strict_json(path):
     return json.loads(path.read_text(), parse_constant=reject)
 
 
+_FIT_MODES = {"full": (), "basic": ("--mode", "basic"), "joint": ("--joint", "--restarts", "2")}
+
+# degenerate inputs, as (X, y): one point, constant labels, and duplicate
+# inputs, the last pair of which also has equal labels
+_DEGENERATE_INPUTS = {
+    "n1": ([[0.5]], [1.5]),
+    "constant-labels": (np.linspace(0.0, 1.0, 8)[:, None], np.full(8, 2.0)),
+    "duplicate-inputs": (np.repeat(np.linspace(0.0, 1.0, 4), 2)[:, None],
+                         [0.0, 0.1, 1.0, 0.9, -1.0, -1.2, 0.5, 0.5]),
+}
+
+
 class TestDocuments:
-    """Fit and detection reports of each fit mode and kind of truth are
-    strict JSON, and detect reads only the fitted sigma and the truth columns
-    of a fit report."""
+    """Fit and detection reports of each fit mode and kind of truth, and of
+    degenerate inputs, are strict JSON, and detect reads only the fitted
+    sigma and the truth columns of a fit report."""
 
     @pytest.mark.parametrize(
         "data, fit_argv",
         [("example", ()), ("example", ("--mode", "basic")), ("example", ("--joint", "--restarts", "2")),
-         ("truthless", ()), ("degenerate", ())],
-        ids=["full", "basic", "joint", "without-truth", "degenerate-truth"],
+         ("truthless", ()), ("degenerate", ())]
+        + [(data, argv) for data in _DEGENERATE_INPUTS for argv in _FIT_MODES.values()],
+        ids=["full", "basic", "joint", "without-truth", "degenerate-truth"]
+        + [f"{data}-{mode}" for data in _DEGENERATE_INPUTS for mode in _FIT_MODES],
     )
     def test_fit_and_detect_write_strict_json(self, data, fit_argv, example_csv, truthless_csv,
                                               tmp_path, capsys):
         if data == "degenerate":  # nothing corrupted: every detection metric is undefined
             path = tmp_path / "clean.csv"
             assert run("gen", "--grid", "--n", "16", "--rate", "0", "--out", str(path)) == 0
+        elif data in _DEGENERATE_INPUTS:
+            path = tmp_path / f"{data}.csv"
+            X, y = _DEGENERATE_INPUTS[data]
+            gplabelnoise.write_dataset(gplabelnoise.make_dataset(np.asarray(X), np.asarray(y)), path)
         else:
             path = example_csv if data == "example" else truthless_csv
         fit_out, det_out = tmp_path / "fit.json", tmp_path / "det.json"
-        assert run("fit", "--data", str(path), *fit_argv, "--out", str(fit_out)) == 0
+        # the per-label fit drives both variances of the equal-label duplicate
+        # to zero, where the likelihood is unbounded; the jittered refit there
+        # raises the NLL, so the fit stops on nll_increase (exit 4) and still
+        # writes its report
+        code = 4 if data == "duplicate-inputs" and not fit_argv else 0
+        assert run("fit", "--data", str(path), *fit_argv, "--out", str(fit_out)) == code
         assert run("detect", "--report", str(fit_out), "--out", str(det_out)) == 0
         _strict_json(fit_out)
         detection = _strict_json(det_out)

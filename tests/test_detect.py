@@ -14,7 +14,6 @@ from gplabelnoise import (
     UndefinedMetricError,
     cv_mae,
     default_threshold,
-    fit,
     flag_noisy,
     gen_gp,
     inject_noise,
@@ -26,6 +25,7 @@ from gplabelnoise import (
 from gplabelnoise import detect, noiseopt
 from gplabelnoise.detect import CV_MODES
 from gplabelnoise.rng import make_rng, normals
+from oracles import fit
 
 # ---------------------------------------------------------------------------
 # thresholding and flags

@@ -12,10 +12,8 @@ from gplabelnoise import (
     KernelParams,
     NumericalError,
     build_kernel_matrix,
-    fit,
     fit_matrix,
     grad_sigma,
-    grad_sigma_full_matrix,
     grad_theta,
     kernel_grad_theta,
     loocv,
@@ -25,6 +23,7 @@ from gplabelnoise import (
 from gplabelnoise import gpr
 from gplabelnoise.gpr import cholesky_with_jitter
 from gplabelnoise.rng import make_rng, normals
+from oracles import fit, grad_sigma_full_matrix
 
 # ---------------------------------------------------------------------------
 # fitting
@@ -506,31 +505,33 @@ class TestPredict:
         return fit(params, np.zeros(8), X, y), X, y, params
 
     def test_noise_free_fit_interpolates(self):
-        state, X, y, _ = self._interpolation_state()
-        mean, var = predict_batch(state, X)
+        state, X, y, params = self._interpolation_state()
+        mean, var = predict_batch(params, X, state, X)
         assert np.max(np.abs(mean - y)) < 1e-10
         assert np.all(var > -1e-10)
         assert np.max(var) < 1e-8
 
     def test_far_point_reverts_to_prior(self):
-        state, _, _, params = self._interpolation_state()
-        mean, var = predict_batch(state, np.array([[25.0]]))
+        state, X, _, params = self._interpolation_state()
+        mean, var = predict_batch(params, X, state, np.array([[25.0]]))
         assert mean[0] == pytest.approx(0.0, abs=1e-12)
         assert var[0] == pytest.approx(params.signal_variance, rel=1e-12)
 
     def test_single_matches_batch(self):
-        state, X, _, _ = self._interpolation_state()
+        state, X, _, params = self._interpolation_state()
         grid = np.linspace(-1.2, 1.2, 7).reshape(-1, 1)
-        mean, var = predict_batch(state, grid)
+        mean, var = predict_batch(params, X, state, grid)
         for i in range(7):
-            one_mean, one_var = predict_batch(state, grid[i : i + 1])
+            one_mean, one_var = predict_batch(params, X, state, grid[i : i + 1])
             assert one_mean[0] == pytest.approx(mean[i], rel=1e-12, abs=1e-12)
             assert one_var[0] == pytest.approx(var[i], rel=1e-12, abs=1e-12)
 
-    def test_matrix_only_state_cannot_predict(self):
-        state = fit_matrix(np.eye(2), np.zeros(2), np.ones(2))
-        with pytest.raises(InvalidInputError):
-            predict_batch(state, np.array([[0.0]]))
+    @pytest.mark.parametrize("rows", [7, 9])
+    def test_inputs_must_match_the_fitted_labels(self, rows):
+        state, _, _, params = self._interpolation_state()
+        X = np.linspace(-1.0, 1.0, rows).reshape(-1, 1)
+        with pytest.raises(InvalidInputError, match="X must have 8 rows"):
+            predict_batch(params, X, state, np.array([[0.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +560,7 @@ class TestLoocv:
         for i in range(n):
             mask = np.arange(n) != i
             sub = fit(params, sigma[mask], X[mask], y[mask])
-            mean, var = predict_batch(sub, X[i : i + 1])
+            mean, var = predict_batch(params, X[mask], sub, X[i : i + 1])
             err = y[i] - mean[0]
             std = np.sqrt(var[0] + sigma[i])
             assert res.errors[i] == pytest.approx(err, rel=1e-9, abs=1e-12)

@@ -1,8 +1,9 @@
 """What the package imports and what it exports.
 
-Every module imports only names it uses, and the package root exports each
-public name of its six library modules exactly once. The source is only
-read here, with ``ast``.
+Every module imports only names it uses, the package root exports each
+public name of its six library modules exactly once, and every module's
+public names are read outside the tests, by the package or the benchmark.
+The source is only read here, with ``ast``.
 """
 
 import ast
@@ -14,6 +15,7 @@ import gplabelnoise
 from gplabelnoise import data, detect, errors, gpr, kernel, noiseopt
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "gplabelnoise"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 LIBRARY_MODULES = (kernel, gpr, noiseopt, detect, data, errors)
 
 
@@ -60,3 +62,69 @@ def test_package_exports_each_public_name_once(module):
 def test_package_exports_nothing_else():
     names = ["__version__"] + [name for module in LIBRARY_MODULES for name in module.__all__]
     assert sorted(gplabelnoise.__all__) == sorted(names)
+
+
+# Public names that no library module or benchmark reads, kept on purpose:
+EXPORTS_READ_ONLY_BY_TESTS = {
+    # BENCHMARK.json declares its per-layer calls and self time, which the
+    # traced benchmark finds through kernel.__all__
+    "kernel_grad_theta",
+    # computes the paper's leave-one-out quantities (criterion 3); ROADMAP
+    # item 12's fit certificate is to read it
+    "loocv",
+}
+
+
+def _names_read(tree: ast.Module) -> set[str]:
+    """Names a module reads: bare names, attributes (``gpl.fit_matrix``) and
+    the names it imports."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def _unread_exports(sources: dict[str, str], exempt=frozenset()) -> list[str]:
+    """``module.name`` for each name in a module's literal ``__all__`` that no
+    module of ``sources`` (module name -> source text) reads. A definition
+    and an ``__all__`` entry are not reads, so a name read only by the module
+    that defines it, such as a function's result type, counts as read."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    read = set().union(*map(_names_read, trees.values()))
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if (
+                isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+                and isinstance(node.value, ast.List)
+            ):
+                unread += [f"{module}.{elt.value}" for elt in node.value.elts
+                           if elt.value not in read and elt.value not in exempt]
+    return unread
+
+
+def _library_and_bench_sources() -> dict[str, str]:
+    return {f"{path.parent.name}.{path.stem}": path.read_text()
+            for path in sorted([*SRC.glob("*.py"), *PERFBENCH.glob("*.py")])}
+
+
+def test_every_export_is_read_outside_the_tests():
+    unread = _unread_exports(_library_and_bench_sources(), EXPORTS_READ_ONLY_BY_TESTS)
+    assert not unread, f"public names only the tests read (move them to tests/): {unread}"
+
+
+def test_every_exempt_export_exists():
+    exported = {name for module in LIBRARY_MODULES for name in module.__all__}
+    assert EXPORTS_READ_ONLY_BY_TESTS <= exported
+
+
+def test_guard_sees_an_unread_export():
+    sources = _library_and_bench_sources()
+    sources["gplabelnoise.planted"] = "__all__ = ['planted']\ndef planted():\n    return 1\n"
+    assert _unread_exports(sources, EXPORTS_READ_ONLY_BY_TESTS) == ["gplabelnoise.planted.planted"]

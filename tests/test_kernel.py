@@ -11,12 +11,12 @@ from gplabelnoise import (
     KernelParams,
     build_kernel_matrix,
     cross_kernel,
-    eval_kernel,
     heuristic_params,
     kernel_grad_theta,
 )
 from gplabelnoise.kernel import rbf_from_sq_dists, rbf_grad_from_sq_dists, sq_dists
 from gplabelnoise.rng import make_rng, normals
+from oracles import eval_kernel
 
 # ---------------------------------------------------------------------------
 # parameter container

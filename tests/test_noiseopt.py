@@ -17,7 +17,6 @@ from gplabelnoise import (
     NumericalError,
     PgdConfig,
     build_kernel_matrix,
-    diagonal_solution,
     fit_matrix,
     gen_example1,
     gen_gp,
@@ -26,6 +25,7 @@ from gplabelnoise import (
     inject_noise,
     joint_optimize,
     kernel_grad_theta,
+    make_dataset,
     mult_update_step,
     optimize_sigma,
     optimize_sigma_matrix,
@@ -35,6 +35,7 @@ from gplabelnoise import (
 )
 from gplabelnoise import cli, kernel, noiseopt
 from gplabelnoise.rng import make_rng, normals
+from oracles import diagonal_solution
 
 # configurations tight enough to chase hand-checkable fixed points to high
 # precision; the defaults stop earlier, at practically useful accuracy
@@ -72,17 +73,32 @@ class TestMultUpdateStep:
         assert new[0] == pytest.approx(1.0, rel=1e-12)
 
 
-@pytest.mark.parametrize(
+RANGE_CHECKED_SETTINGS = pytest.mark.parametrize(
     "config, field",
     [(MultUpdateConfig, f) for f in
      ("tol_sigma", "tol_nll", "penalty_lambda", "penalty_p", "zero_clip", "sigma_init")]
     + [(PgdConfig, f) for f in ("tol_sigma", "tol_nll", "tol_grad", "step_size", "sigma_init")],
     ids=lambda v: v if isinstance(v, str) else v.__name__,
 )
+
+
+@RANGE_CHECKED_SETTINGS
 def test_nan_setting_rejected(config, field):
     # each range check fails on NaN, which passes no comparison
     with pytest.raises(ConfigError):
         config(**{field: float("nan")})
+
+
+@RANGE_CHECKED_SETTINGS
+@pytest.mark.parametrize("value", [np.inf, -np.inf], ids=["inf", "-inf"])
+def test_infinite_setting_rejected(config, field, value):
+    # a setting is finite wherever it is range-checked: an infinite one
+    # would land in a report as Infinity, which is not JSON
+    with pytest.raises(ConfigError):
+        config(**{field: value})
+    if field == "sigma_init":
+        with pytest.raises(ConfigError):
+            config(sigma_init=np.array([1.0, value]))
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +247,28 @@ class TestOptimizeSigma:
     def test_bad_configuration_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             MultUpdateConfig(**kwargs)
+
+    @pytest.mark.parametrize("exponent", [-20, -10, 10, 20])
+    def test_label_scale_scales_the_noise_exactly(self, exponent):
+        """Labels scaled by c = 2^k give exactly c^2 sigma under the
+        heuristic kernel, in as many iterations and for the same reason.
+
+        A power-of-two factor is exact in every step of the sigma map: the
+        heuristic signal variance, the start 0.1 var(y) and the zero clip
+        scale by c^2, K + diag(sigma) by c^2, its Cholesky factor by c,
+        alpha by 1/c and diag(Kt^-1) by 1/c^2, so each update scales by
+        c^2 and so does the relative-change test. The NLL moves by
+        2 N log c, which is not exact, so a stop on the NLL (nll_tol, a
+        rise) could in principle flip on a decrease within round-off of its
+        tolerance; on these 80 cases none does."""
+        c = 2.0**exponent
+        for seed in range(20):
+            data = gen_example1(seed)
+            sigma, trace = optimize_sigma(heuristic_params(data.X, data.y), data)
+            scaled = make_dataset(data.X, c * data.y)
+            sigma_c, trace_c = optimize_sigma(heuristic_params(scaled.X, scaled.y), scaled)
+            assert np.array_equal(sigma_c, c * c * sigma), f"seed {seed}"
+            assert (trace_c.iters, trace_c.stop_reason) == (trace.iters, trace.stop_reason), f"seed {seed}"
 
 
 # ---------------------------------------------------------------------------
@@ -549,13 +587,14 @@ class TestJointOptimize:
         sees bitwise the matrices kernel_grad_theta builds from X."""
         data = gen_example1(1)
         seen = []
-        grad_theta = noiseopt.grad_theta
+        rbf_grad = noiseopt.rbf_grad_from_sq_dists
 
-        def spy(state, y, dK_dtheta):
-            seen.append((state.params, [m.copy() for m in dK_dtheta]))
-            return grad_theta(state, y, dK_dtheta)
+        def spy(params, K, d2):
+            matrices = rbf_grad(params, K, d2)
+            seen.append((params, [m.copy() for m in matrices]))
+            return matrices
 
-        monkeypatch.setattr(noiseopt, "grad_theta", spy)
+        monkeypatch.setattr(noiseopt, "rbf_grad_from_sq_dists", spy)
         joint_optimize(data, JointOptConfig(outer_rounds=2, restarts=2))
         assert len(seen) > 2
         for params, matrices in seen:
@@ -568,15 +607,15 @@ class TestJointOptimize:
         failing region and the trace still never rises."""
         data = gen_example1(0)
         cut = 1.0
-        fit, failed = noiseopt.fit_matrix, []
+        rbf, failed = noiseopt.rbf_from_sq_dists, []
 
-        def failing_fit(K, sigma, y, params=None, X=None):
-            if params is not None and params.length_scale > cut:
+        def failing_kernel(params, d2):
+            if params.length_scale > cut:
                 failed.append(params.length_scale)
                 raise NumericalError("length scale above the cut-off")
-            return fit(K, sigma, y, params=params, X=X)
+            return rbf(params, d2)
 
-        monkeypatch.setattr(noiseopt, "fit_matrix", failing_fit)
+        monkeypatch.setattr(noiseopt, "rbf_from_sq_dists", failing_kernel)
         params, sigma, trace = joint_optimize(data)
         assert failed
         assert np.isfinite(params.signal_variance) and 0.0 < params.length_scale <= cut
@@ -590,14 +629,14 @@ class TestJointOptimize:
         retries in a box around its start instead of ending there, so the
         fit moves l off its start and lowers the NLL below -15.58, the value
         at the start's sigma optimum."""
-        cut, fit = 0.3, noiseopt.fit_matrix
+        cut, rbf = 0.3, noiseopt.rbf_from_sq_dists
 
-        def failing_fit(K, sigma, y, params=None, X=None):
-            if params is not None and params.length_scale > cut:
+        def failing_kernel(params, d2):
+            if params.length_scale > cut:
                 raise NumericalError("length scale above the cut-off")
-            return fit(K, sigma, y, params=params, X=X)
+            return rbf(params, d2)
 
-        monkeypatch.setattr(noiseopt, "fit_matrix", failing_fit)
+        monkeypatch.setattr(noiseopt, "rbf_from_sq_dists", failing_kernel)
         params, sigma, trace = joint_optimize(gen_example1(0))
         assert 0.2501 < params.length_scale <= cut
         assert trace.final_nll < -15.58
@@ -612,14 +651,14 @@ class TestJointOptimize:
         params = heuristic_params(data.X, data.y)
         d2 = kernel.sq_dists(data.X)
         K = kernel.rbf_from_sq_dists(params, d2)
-        state = fit_matrix(K, np.full(data.n, 0.1), data.y_centered, params=params, X=data.X)
+        state = fit_matrix(K, np.full(data.n, 0.1), data.y_centered)
         trials = []
 
-        def failing_fit(K, sigma, y, params=None, X=None):
+        def failing_kernel(params, d2):
             trials.append(params)
             raise NumericalError("every trial fails")
 
-        monkeypatch.setattr(noiseopt, "fit_matrix", failing_fit)
+        monkeypatch.setattr(noiseopt, "rbf_from_sq_dists", failing_kernel)
         log_theta = params.log_vector()
         kept, kept_K, kept_state, steps, fits = noiseopt._theta_block(log_theta, K, state, d2)
         assert np.array_equal(kept, log_theta) and kept_K is K and kept_state is state
@@ -634,11 +673,11 @@ class TestJointOptimize:
         and sigma as the fit just before it."""
         fit, last, repeats = noiseopt.fit_matrix, [None], [0]
 
-        def spy(K, sigma, y, params=None, X=None):
+        def spy(K, sigma, y):
             key = (K.tobytes(), np.asarray(sigma, dtype=float).tobytes())
             repeats[0] += key == last[0]
             last[0] = key
-            return fit(K, sigma, y, params=params, X=X)
+            return fit(K, sigma, y)
 
         monkeypatch.setattr(noiseopt, "fit_matrix", spy)
         for seed in range(5):
