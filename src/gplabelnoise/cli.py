@@ -41,6 +41,7 @@ from .data import (
     write_dataset,
 )
 from .detect import (
+    CV_MODES,
     _check_folds,
     _check_recall_levels,
     cv_mae,
@@ -326,11 +327,8 @@ def _run_fit(data: Dataset, cfg: dict, provided: set) -> tuple[KernelParams, np.
     if unused:
         raise ConfigError(f"--{max(unused).replace('_', '-')} needs --joint")
     params = _explicit_params(cfg, data)
-    if cfg["mode"] == "basic":
-        K = build_kernel_matrix(params, data.X)
-        shared, trace = optimize_sigma_uniform_matrix(K, data.y_centered, mult)
-        return params, np.full(data.n, shared), trace
-    sigma, trace = optimize_sigma(params, data, mult)
+    optimizer = optimize_sigma_uniform_matrix if cfg["mode"] == "basic" else optimize_sigma_matrix
+    sigma, trace = optimizer(build_kernel_matrix(params, data.X), data.y_centered, mult)
     return params, sigma, trace
 
 
@@ -522,7 +520,7 @@ def _cmd_benchmark(args) -> int:
     _check_folds(cfg["folds"], base.n)
 
     levels_cols = [f"precision_at_{level!r}" for level in cfg["recall_levels"]]
-    header = ["rate", "level", "r2", "auc", *levels_cols, "mae_plain", "mae_basic", "mae_full", "error"]
+    header = ["rate", "level", "r2", "auc", *levels_cols, *[f"mae_{mode}" for mode in CV_MODES], "error"]
     lines = [",".join(header)] + [",".join(_benchmark_cell(base, spec, cfg, mult)) for spec in specs]
     _write_text(cfg["out"], "\n".join(lines) + "\n")
     print(f"wrote {cfg['out']}: {len(specs)} cells")
@@ -543,8 +541,7 @@ def _benchmark_cell(base: Dataset, spec: NoiseInjectionSpec, cfg: dict, mult: Mu
             params = heuristic_params(noisy.X, noisy.y)
             sigma, _ = optimize_sigma(params, noisy, mult)
         metrics, _ = _metrics_section(sigma, noisy.truth, levels)
-        for mode in ("plain", "basic", "full"):
-            maes[mode] = cv_mae(noisy, params, mode, folds=cfg["folds"], seed=spec.seed, config=mult)
+        maes = cv_mae(noisy, params, folds=cfg["folds"], seed=spec.seed, config=mult)
     except NumericalError as e:
         # a cell whose fit fails reports its error and the sweep moves on;
         # the settings were checked before the first cell
@@ -554,7 +551,7 @@ def _benchmark_cell(base: Dataset, spec: NoiseInjectionSpec, cfg: dict, mult: Mu
         metrics.get("r2_noise"),
         metrics.get("auc"),
         *[precision.get(repr(lv)) for lv in levels],
-        *[maes.get(mode) for mode in ("plain", "basic", "full")],
+        *[maes.get(mode) for mode in CV_MODES],
     ]
     return [repr(float(spec.rate)), repr(float(spec.level))] + [_float_cell(c) for c in cells] + [error]
 

@@ -86,7 +86,18 @@ def make_dataset(X, y, truth: LabelTruth | None = None) -> Dataset:
         raise InvalidInputError("dataset entries must be finite")
     if truth is not None and not (np.shape(truth.epsilon) == np.shape(truth.corrupted) == y.shape):
         raise InvalidInputError("truth must have one entry per label")
+    _label_variance(y)  # a finite variance implies a finite mean
     return Dataset(X=X, y=y, y_center=float(np.mean(y)), truth=truth)
+
+
+def _label_variance(y: np.ndarray) -> float:
+    """var(y); InvalidInputError when it is not finite, which finite labels
+    reach from a magnitude of about 1e154."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = float(np.var(y))
+    if not math.isfinite(v):
+        raise InvalidInputError(f"labels must be finite with a finite variance, largest |y| {np.abs(y).max():.3g}")
+    return v
 
 
 @dataclass(frozen=True)

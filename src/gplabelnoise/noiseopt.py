@@ -29,11 +29,12 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _label_variance
 from .errors import ConfigError, InvalidInputError, NumericalError
 from .gpr import GprState, _finite_nonnegative, fit_matrix, grad_sigma, grad_theta, nll
 from .kernel import (
@@ -82,6 +83,11 @@ def _check_sigma_init(sigma_init) -> None:
         raise ConfigError("sigma_init entries must be positive and finite")
 
 
+def _check_count(name: str, value, least: int) -> None:
+    if not (isinstance(value, numbers.Integral) and value >= least):
+        raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class MultUpdateConfig:
     """Settings for the multiplicative scheme.
@@ -102,8 +108,7 @@ class MultUpdateConfig:
     zero_clip: float | None = None
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
+        _check_count("max_iters", self.max_iters, 1)
         # each check fails on NaN and on +-inf
         if not (_finite_nonnegative(self.tol_sigma) and _finite_nonnegative(self.tol_nll)):
             raise ConfigError("tolerances must be non-negative and finite")
@@ -129,8 +134,8 @@ class PgdConfig:
     max_halvings: int = 40
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
+        _check_count("max_iters", self.max_iters, 1)
+        _check_count("max_halvings", self.max_halvings, 0)
         if not all(map(_finite_nonnegative, (self.tol_sigma, self.tol_nll, self.tol_grad))):
             raise ConfigError("tolerances must be non-negative and finite")
         if not (self.step_size > 0.0 and _finite_nonnegative(self.step_size)):
@@ -149,10 +154,8 @@ class JointOptConfig:
     restart_seed: int = 0
 
     def __post_init__(self):
-        if self.outer_rounds < 0:
-            raise ConfigError("outer_rounds must be non-negative")
-        if self.restarts < 1:
-            raise ConfigError(f"restarts must be >= 1, got {self.restarts}")
+        _check_count("outer_rounds", self.outer_rounds, 0)
+        _check_count("restarts", self.restarts, 1)
 
 
 @dataclass(frozen=True)
@@ -172,15 +175,26 @@ class OptTrace:
     gradient), ``grad_tol`` (projected-gradient stationarity residual below
     tolerance), ``nll_increase`` (a step raised the objective, the NLL plus
     any penalty, beyond round-off) or ``max_iters``. ``converged`` is true
-    for the first three.
+    for the first three. Only the loop's record is stored; ``iters``,
+    ``converged``, ``monotone`` and the final values are read off it.
     """
 
     nll_per_iter: np.ndarray
     func_evals_per_iter: np.ndarray
-    iters: int
-    converged: bool
-    monotone: bool
     stop_reason: str
+
+    @property
+    def iters(self) -> int:
+        return len(self.nll_per_iter) - 1
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason in ("sigma_tol", "nll_tol", "grad_tol")
+
+    @property
+    def monotone(self) -> bool:
+        steps = self.nll_per_iter.tolist()
+        return not any(map(_is_rise, steps, steps[1:]))
 
     @property
     def final_nll(self) -> float:
@@ -189,9 +203,6 @@ class OptTrace:
     @property
     def func_evals(self) -> int:
         return int(self.func_evals_per_iter[-1])
-
-
-_CONVERGED_REASONS = ("sigma_tol", "nll_tol", "grad_tol")
 
 
 def _is_rise(previous: float, value: float) -> bool:
@@ -204,19 +215,6 @@ def _is_rise(previous: float, value: float) -> bool:
     1e-10 would call round-off a rise.
     """
     return value - previous > _MONOTONE_SLACK * max(1.0, abs(previous))
-
-
-def _make_trace(nlls, evals, stop_reason: str) -> OptTrace:
-    nlls = np.asarray(nlls, dtype=float)
-    steps = nlls.tolist()
-    return OptTrace(
-        nll_per_iter=nlls,
-        func_evals_per_iter=np.asarray(evals, dtype=int),
-        iters=len(nlls) - 1,
-        converged=stop_reason in _CONVERGED_REASONS,
-        monotone=not any(map(_is_rise, steps, steps[1:])),
-        stop_reason=stop_reason,
-    )
 
 
 def _fixed_point_stop(
@@ -239,7 +237,7 @@ def _fixed_point_stop(
 
 def _resolve_sigma_init(sigma_init, y: np.ndarray, n: int) -> np.ndarray:
     if sigma_init is None:
-        v = float(np.var(y))
+        v = _label_variance(y)
         return np.full(n, 0.1 * v if v > 0.0 else 1.0)
     arr = np.asarray(sigma_init, dtype=float)
     if arr.ndim == 0:
@@ -258,7 +256,7 @@ def _penalty(sigma: np.ndarray, config: MultUpdateConfig) -> float:
 
 def _resolve_zero_clip(zero_clip, y: np.ndarray) -> float:
     if zero_clip is None:
-        return 1e-12 * float(np.var(y))
+        return 1e-12 * _label_variance(y)
     return float(zero_clip)
 
 
@@ -336,7 +334,7 @@ def _mult_loop(
         if reason is not None:
             stop = reason
             break
-    return sigma, _make_trace(nlls, evals, stop), state
+    return sigma, OptTrace(np.array(nlls), np.array(evals), stop), state
 
 
 def optimize_sigma(
@@ -349,9 +347,10 @@ def optimize_sigma(
 
 def optimize_sigma_uniform_matrix(
     K: np.ndarray, y: np.ndarray, config: MultUpdateConfig | None = None
-) -> tuple[float, OptTrace]:
+) -> tuple[np.ndarray, OptTrace]:
     """One shared noise variance: the multiplicative loop with every entry
-    tied, sigma <- sigma * (a . a) / tr(Ktilde^-1)."""
+    tied, sigma <- sigma * (a . a) / tr(Ktilde^-1). Returns the per-label
+    vector, every entry the shared value."""
     config = config or MultUpdateConfig()
     if config.penalty_lambda > 0.0:
         raise ConfigError("the uniform model does not support a penalty")
@@ -360,7 +359,7 @@ def optimize_sigma_uniform_matrix(
     if np.ptp(sigma) != 0.0:
         raise ConfigError("sigma_init for the uniform model must be a scalar")
     sigma, trace, _ = _mult_loop(np.asarray(K, dtype=float), y, sigma, config, step=_tied_step)
-    return float(sigma[0]), trace
+    return sigma, trace
 
 
 def _tied_step(state: GprState, y: np.ndarray, config: MultUpdateConfig) -> np.ndarray:
@@ -426,7 +425,7 @@ def projected_gradient_baseline_matrix(
         if reason is not None:
             stop = reason
             break
-    return sigma, _make_trace(nlls, evals, stop)
+    return sigma, OptTrace(np.array(nlls), np.array(evals), stop)
 
 
 def joint_optimize(
@@ -505,7 +504,7 @@ def _joint_single_start(
         fits = evals[-1]
         stop = trace.stop_reason
 
-    return KernelParams.from_log(log_theta), sigma, _make_trace(nlls, evals, stop)
+    return KernelParams.from_log(log_theta), sigma, OptTrace(np.array(nlls), np.array(evals), stop)
 
 
 def _theta_block(

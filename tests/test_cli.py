@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import gplabelnoise
-from gplabelnoise import NumericalError, cli, noiseopt, read_dataset
+from gplabelnoise import NumericalError, cli, detect, noiseopt, read_dataset
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -280,6 +280,24 @@ class TestFit:
         assert run("fit", "--data", str(example_csv), flag, "inf", "--out", str(out)) == 1
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("scale, code", [(1e153, 0), (1e154, 1), (1e300, 1)],
+                             ids=["1e153", "1e154", "1e300"])
+    @pytest.mark.parametrize("argv", [("--mode", "full"), ("--mode", "basic"), ("--joint",)],
+                             ids=["full", "basic", "joint"])
+    def test_label_variance_overflow_exits_1(self, argv, scale, code, tmp_path, capsys):
+        # var(y) overflows from a label magnitude of about 1e154: the error
+        # names the labels, not a setting the user never gave
+        data = gplabelnoise.gen_example1(0)
+        path = tmp_path / "scaled.csv"
+        rows = [f"{x!r},{y * scale!r}" for x, y in zip(data.X[:, 0].tolist(), data.y.tolist())]
+        path.write_text("\n".join(["x0,y", *rows]) + "\n")
+        out = tmp_path / "f.json"
+        assert run("fit", "--data", str(path), *argv, "--out", str(out)) == code
+        if code:
+            message = "error: labels must be finite with a finite variance, largest |y| 3.52e+"
+            assert message in capsys.readouterr().err
+            assert not out.exists()
 
     def test_missing_data_flag(self, capsys):
         assert run("fit", "--out", "x.json") == 1
@@ -653,6 +671,30 @@ class TestBenchmark:
                        "--folds", "5", "--seed", "5", "--out", str(out)) == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
         assert outs[0].read_text().splitlines()[1].split(",")[-1] == ""
+
+    def test_failing_cell_records_its_error_and_the_sweep_moves_on(self, tmp_path, monkeypatch, capsys):
+        calls = []
+
+        def fails_once(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise NumericalError("factorization failed, smallest pivot -1", smallest_pivot=-1.0)
+            return noiseopt.optimize_sigma_matrix(*args, **kwargs)
+
+        # the cross-validation's per-label fit fails on cell 0's first fold
+        monkeypatch.setattr(detect, "optimize_sigma_matrix", fails_once)
+        base = self._base(tmp_path, "--grid", "--n", "24", "--rate", "0")
+        out = tmp_path / "b.csv"
+        assert run("benchmark", "--data", str(base), "--rates", "0.1,0.3", "--levels", "0.5",
+                   "--folds", "3", "--max-iters", "500", "--out", str(out)) == 0
+        header, *rows = (line.split(",") for line in out.read_text().splitlines())
+        failed, complete = (dict(zip(header, row)) for row in rows)
+        assert failed["error"] == "fold 0: factorization failed; smallest pivot -1"
+        assert [failed[f"mae_{mode}"] for mode in ("plain", "basic", "full")] == ["NA"] * 3
+        for name in ("r2", "auc", "precision_at_0.7", "precision_at_0.95"):
+            assert np.isfinite(float(failed[name]))
+        assert complete["error"] == ""
+        assert all(np.isfinite(float(complete[name])) for name in header[2:-1])
 
     def test_rejects_pregenerated_truth(self, example_csv, tmp_path, capsys):
         assert (

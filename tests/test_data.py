@@ -3,6 +3,8 @@ deterministic random-number helpers."""
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gplabelnoise import (
     ConfigError,
@@ -95,6 +97,23 @@ class TestMakeDataset:
     def test_truth_of_wrong_shape_rejected(self, epsilon, corrupted):
         with pytest.raises(InvalidInputError):
             make_dataset(np.arange(4.0), np.arange(4.0), LabelTruth(epsilon, corrupted))
+
+    @pytest.mark.parametrize(
+        "y",
+        [np.array([-1.0, 0.0, 1.0, 1.7]) * 1e154,  # var(y) overflows
+         np.array([-1.0, 0.0, 1.0, 1.7]) * 1e300,
+         np.array([1.7e308, 1.7e308, 1.0])],  # so does the mean
+        ids=["1e154", "1e300", "mean"],
+    )
+    def test_labels_without_a_finite_variance_rejected(self, y):
+        # the suite turns numpy's RuntimeWarning into an error
+        message = r"^labels must be finite with a finite variance, largest \|y\| 1.7e\+(154|300|308)$"
+        with pytest.raises(InvalidInputError, match=message):
+            make_dataset(np.zeros((y.shape[0], 1)), y)
+
+    def test_labels_just_below_the_overflow_accepted(self):
+        y = np.array([-1.0, 0.0, 1.0, 1.7]) * 1e153
+        assert np.isfinite(make_dataset(np.zeros((4, 1)), y).y_center)
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +355,50 @@ class TestCsvRoundTrip:
         assert back.truth is None
         assert np.array_equal(back.X, data.X)
         assert np.array_equal(back.y, data.y)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)  # -0.0 and subnormals included
+
+
+@st.composite
+def _dataset_arrays(draw):
+    n, d = draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    X = np.array(draw(st.lists(_FINITE, min_size=n * d, max_size=n * d))).reshape(n, d)
+    y = np.array(draw(st.lists(_FINITE, min_size=n, max_size=n)))
+    truth = None
+    if draw(st.booleans()):
+        epsilon = np.array(draw(st.lists(_FINITE, min_size=n, max_size=n)))
+        corrupted = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+        truth = LabelTruth(epsilon, corrupted)
+    return X, y, truth
+
+
+def _bits(a: np.ndarray) -> tuple:
+    return a.shape, a.dtype.str, a.tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(arrays=_dataset_arrays())
+def test_csv_round_trip_is_bitwise(tmp_path, arrays):
+    """Any finite dataset either is refused because its labels have no finite
+    variance or comes back from its CSV bit for bit."""
+    X, y, truth = arrays
+    try:
+        data = make_dataset(X, y, truth)
+    except InvalidInputError:
+        # var(y) overflows only from about |y| = 1e153 at N <= 12
+        assert float(np.max(np.abs(y))) > 1e153
+        return
+    path = tmp_path / "d.csv"
+    write_dataset(data, path)
+    back = read_dataset(path)
+    assert _bits(back.X) == _bits(data.X)
+    assert _bits(back.y) == _bits(data.y)
+    assert (back.truth is None) == (truth is None)
+    if truth is not None:
+        assert _bits(back.truth.epsilon) == _bits(data.truth.epsilon)
+        assert np.array_equal(back.truth.corrupted, data.truth.corrupted)
 
 
 class TestReadDatasetErrors:

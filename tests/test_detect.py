@@ -22,7 +22,7 @@ from gplabelnoise import (
     r2_noise,
     roc_auc,
 )
-from gplabelnoise import detect, noiseopt
+from gplabelnoise import detect
 from gplabelnoise.detect import CV_MODES
 from gplabelnoise.rng import make_rng, normals
 from oracles import fit
@@ -254,12 +254,17 @@ class TestCvMae:
     def test_mode_names_exported(self):
         assert CV_MODES == ("plain", "basic", "full")
 
+    def test_scores_every_mode_in_order(self):
+        data = gen_gp(KernelParams(1.0, 0.5), 12, d=1, seed=0)
+        maes = cv_mae(data, KernelParams(1.0, 0.5), folds=3)
+        assert tuple(maes) == CV_MODES
+        assert all(np.isfinite(v) for v in maes.values())
+
     @pytest.mark.parametrize(
         "kwargs",
         [
-            dict(mode="bogus"),
-            dict(mode="plain", folds=1),
-            dict(mode="plain", folds=50),  # more folds than points
+            dict(folds=1),
+            dict(folds=50),  # more folds than points
         ],
     )
     def test_bad_arguments_rejected(self, kwargs):
@@ -270,7 +275,7 @@ class TestCvMae:
     def test_leave_one_out_matches_closed_form(self):
         params = KernelParams(1.5, 0.15)
         data = gen_gp(params, 10, d=1, seed=5, base_noise_std=0.3)
-        via_cv = cv_mae(data, params, "plain", folds=10)
+        via_cv = cv_mae(data, params, folds=10)["plain"]
         state = fit(params, np.zeros(10), data.X, data.y_centered)
         via_loocv = float(np.mean(np.abs(loocv(state, data.y_centered).errors)))
         assert via_cv == pytest.approx(via_loocv, rel=1e-8)
@@ -278,35 +283,35 @@ class TestCvMae:
     def test_noise_aware_mode_beats_plain_on_corrupted_data(self):
         clean = gen_gp(KernelParams(1.0, 0.4), 60, d=2, seed=3)
         noisy = inject_noise(clean, NoiseInjectionSpec(rate=0.3, level=1.5, seed=2))
-        params = KernelParams(1.0, 0.4)
-        plain = cv_mae(noisy, params, "plain", folds=5, seed=0)
-        full = cv_mae(noisy, params, "full", folds=5, seed=0)
-        assert full < plain
-        assert plain > 5.0
-        assert full < 1.5
+        maes = cv_mae(noisy, KernelParams(1.0, 0.4), folds=5, seed=0)
+        assert maes["full"] < maes["plain"]
+        assert maes["plain"] > 5.0
+        assert maes["full"] < 1.5
 
     def test_clean_data_has_small_error(self):
         data = gen_gp(KernelParams(1.0, 0.5), 40, d=1, seed=9)
-        mae = cv_mae(data, KernelParams(1.0, 0.5), "plain", folds=5, seed=0)
+        mae = cv_mae(data, KernelParams(1.0, 0.5), folds=5, seed=0)["plain"]
         assert mae <= 0.05 * float(np.std(data.y))
 
     def test_deterministic_for_fixed_seed(self):
         data = gen_gp(KernelParams(1.0, 0.5), 20, d=1, seed=6, base_noise_std=0.2)
         params = KernelParams(1.0, 0.5)
-        a = cv_mae(data, params, "basic", folds=4, seed=11)
-        b = cv_mae(data, params, "basic", folds=4, seed=11)
+        a = cv_mae(data, params, folds=4, seed=11)["basic"]
+        b = cv_mae(data, params, folds=4, seed=11)["basic"]
         assert a == b
-        c = cv_mae(data, params, "basic", folds=4, seed=12)
+        c = cv_mae(data, params, folds=4, seed=12)["basic"]
         assert np.isfinite(c)
 
-    @pytest.mark.parametrize("mode", CV_MODES)
-    def test_failed_fit_names_its_fold(self, mode, monkeypatch):
+    @pytest.mark.parametrize(
+        "failing", ["fit_matrix", "optimize_sigma_uniform_matrix", "optimize_sigma_matrix"],
+        ids=["plain", "basic", "full"],
+    )
+    def test_failed_fit_names_its_fold(self, failing, monkeypatch):
         def failing_fit(*args, **kwargs):
             raise NumericalError("factorization failed", smallest_pivot=-1.0)
 
-        monkeypatch.setattr(noiseopt, "fit_matrix", failing_fit)
-        monkeypatch.setattr(detect, "fit_matrix", failing_fit)
+        monkeypatch.setattr(detect, failing, failing_fit)
         data = gen_gp(KernelParams(1.0, 0.5), 12, d=1, seed=0)
         with pytest.raises(NumericalError, match="^fold 0: factorization failed$") as info:
-            cv_mae(data, KernelParams(1.0, 0.5), mode)
+            cv_mae(data, KernelParams(1.0, 0.5))
         assert info.value.smallest_pivot == -1.0

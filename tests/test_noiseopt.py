@@ -15,6 +15,7 @@ from gplabelnoise import (
     MultUpdateConfig,
     NoiseInjectionSpec,
     NumericalError,
+    OptTrace,
     PgdConfig,
     build_kernel_matrix,
     fit_matrix,
@@ -99,6 +100,36 @@ def test_infinite_setting_rejected(config, field, value):
     if field == "sigma_init":
         with pytest.raises(ConfigError):
             config(sigma_init=np.array([1.0, value]))
+
+
+@pytest.mark.parametrize(
+    "config, field, least",
+    [(MultUpdateConfig, "max_iters", 1), (PgdConfig, "max_iters", 1), (PgdConfig, "max_halvings", 0),
+     (JointOptConfig, "outer_rounds", 0), (JointOptConfig, "restarts", 1)],
+    ids=lambda v: v if isinstance(v, str) else getattr(v, "__name__", None),
+)
+def test_integer_setting_rejected(config, field, least):
+    # a count must be an integer at or above its minimum: NaN, inf and 2.5
+    # used to pass the range check and fail later in range()
+    for value in (float("nan"), np.inf, 2.5, float(least), least - 1):
+        with pytest.raises(ConfigError, match=f"^{field} must be an integer >= {least}"):
+            config(**{field: value})
+    config(**{field: np.int64(least)})
+
+
+@pytest.mark.parametrize("scale", [1e154, 1e300])
+@pytest.mark.parametrize(
+    "optimizer",
+    [optimize_sigma_matrix, optimize_sigma_uniform_matrix, projected_gradient_baseline_matrix],
+    ids=lambda f: f.__name__,
+)
+def test_label_variance_overflow_is_invalid_input(optimizer, scale):
+    # the default start and zero clip read var(y), which overflows from
+    # about 1e154; the suite turns the RuntimeWarning into an error
+    y = gen_example1(0).y_centered * scale
+    message = r"^labels must be finite with a finite variance, largest \|y\| 3.7e\+(154|300)$"
+    with pytest.raises(InvalidInputError, match=message):
+        optimizer(np.eye(y.shape[0]), y)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +361,7 @@ class TestStopReason:
             ([10.0, 10.0 + 1e-8], False),
             ([0.01, 0.01 + 2e-10], False),
         ):
-            trace = noiseopt._make_trace(nlls, [1, 2], "nll_tol")
+            trace = OptTrace(np.array(nlls), np.array([1, 2]), "nll_tol")
             assert trace.monotone is monotone
 
     def test_tolerance_reasons(self):
@@ -375,7 +406,8 @@ class TestOptimizeSigmaUniform:
         sigma, _ = optimize_sigma_uniform_matrix(
             np.array([[1.0]]), np.array([2.0]), TIGHT_MULT
         )
-        assert abs(sigma - 3.0) < 1e-6
+        assert sigma.shape == (1,)
+        assert abs(sigma[0] - 3.0) < 1e-6
 
     def test_converged_value_is_a_fixed_point(self):
         X = np.linspace(0.0, 1.0, 6).reshape(-1, 1)
@@ -383,16 +415,17 @@ class TestOptimizeSigmaUniform:
         y = normals(make_rng(3), 6)
         sigma, trace = optimize_sigma_uniform_matrix(K, y, TIGHT_MULT)
         assert trace.converged
-        state = fit_matrix(K, np.full(6, sigma), y)
+        assert sigma.shape == (6,) and np.ptp(sigma) == 0.0
+        state = fit_matrix(K, sigma, y)
         ratio = float(state.alpha @ state.alpha) / float(np.sum(state.kinv_diag))
-        assert abs(sigma * ratio - sigma) < 1e-6
+        assert abs(sigma[0] * ratio - sigma[0]) < 1e-6
 
     def test_zero_labels_drive_sigma_to_zero(self):
         X = np.linspace(0.0, 1.0, 4).reshape(-1, 1)
         K = build_kernel_matrix(KernelParams(1.0, 0.5), X)
         config = MultUpdateConfig(sigma_init=0.5, zero_clip=0.0)
         sigma, trace = optimize_sigma_uniform_matrix(K, np.zeros(4), config)
-        assert sigma == 0.0
+        assert np.array_equal(sigma, np.zeros(4))
         assert trace.monotone
 
     def test_penalty_not_supported(self):
@@ -412,10 +445,11 @@ class TestOptimizeSigmaUniform:
         out = tmp_path / "fit.json"
         assert cli.main(["fit", "--data", str(tmp_path / "data.csv"), "--mode", "basic",
                          "--out", str(out)]) == 0
-        fitted = {row["sigma"] for row in json.loads(out.read_text())["per_label"]}
+        fitted = [row["sigma"] for row in json.loads(out.read_text())["per_label"]]
         K = build_kernel_matrix(heuristic_params(data.X, data.y), data.X)
         s2, _ = optimize_sigma_uniform_matrix(K, data.y_centered)
-        assert fitted == {s2}
+        assert np.ptp(s2) == 0.0
+        assert fitted == s2.tolist()
 
     @pytest.mark.parametrize("k", [0.5, 1.5, 5.0])
     def test_diagonal_kernel_closed_form(self, k):
@@ -425,7 +459,8 @@ class TestOptimizeSigmaUniform:
         config = MultUpdateConfig(tol_sigma=1e-14, tol_nll=0.0)
         sigma, trace = optimize_sigma_uniform_matrix(k * np.eye(4), y, config)
         assert trace.converged and trace.monotone
-        assert abs(sigma - max(float(np.mean(y * y)) - k, 0.0)) < 1e-8
+        assert np.ptp(sigma) == 0.0
+        assert abs(sigma[0] - max(float(np.mean(y * y)) - k, 0.0)) < 1e-8
 
     def test_mult_update_step_is_looked_up_per_call(self, monkeypatch):
         # the benchmark tracer counts steps by patching the module attribute
