@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, EmptyDatasetError, InvalidInputError, ParseError
 from .gpr import cholesky_with_jitter
-from .kernel import KernelParams, build_kernel_matrix
+from .kernel import KernelParams, _label_variance, build_kernel_matrix
 from .rng import choose_subset, make_rng, normals
 
 __all__ = [
@@ -88,16 +88,6 @@ def make_dataset(X, y, truth: LabelTruth | None = None) -> Dataset:
         raise InvalidInputError("truth must have one entry per label")
     _label_variance(y)  # a finite variance implies a finite mean
     return Dataset(X=X, y=y, y_center=float(np.mean(y)), truth=truth)
-
-
-def _label_variance(y: np.ndarray) -> float:
-    """var(y); InvalidInputError when it is not finite, which finite labels
-    reach from a magnitude of about 1e154."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        v = float(np.var(y))
-    if not math.isfinite(v):
-        raise InvalidInputError(f"labels must be finite with a finite variance, largest |y| {np.abs(y).max():.3g}")
-    return v
 
 
 @dataclass(frozen=True)

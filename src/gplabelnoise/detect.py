@@ -23,7 +23,7 @@ from .data import Dataset
 from .errors import ConfigError, InvalidInputError, NumericalError, UndefinedMetricError
 from .gpr import _check_sigma, fit_matrix, predict_batch
 from .kernel import KernelParams, build_kernel_matrix
-from .noiseopt import MultUpdateConfig, optimize_sigma_matrix, optimize_sigma_uniform_matrix
+from .noiseopt import MultUpdateConfig, _check_count, optimize_sigma_matrix, optimize_sigma_uniform_matrix
 from .rng import make_rng
 
 __all__ = [
@@ -159,8 +159,7 @@ def r2_noise(sigma, injected_sq) -> float:
 
 
 def _check_folds(folds: int, n: int) -> None:
-    if folds < 2:
-        raise ConfigError(f"folds must be >= 2, got {folds}")
+    _check_count("folds", folds, 2)
     if n < folds:
         raise ConfigError(f"need at least {folds} samples for {folds}-fold CV, got {n}")
 

@@ -128,12 +128,17 @@ class GprState:
 
     @cached_property
     def kinv_diag(self) -> np.ndarray:
-        """diag(Kt^-1), the column sums of squares of L^-1."""
+        """diag(Kt^-1), the column sums of squares of L^-1.
+
+        Above order 64 the sums are taken block by block, so L^-1 is never
+        assembled, and L11^-1 is reduced to its column sums before L22^-1 is
+        formed: the workspace peaks near 11/16 of an N x N array (L21 L11^-1
+        beside the assembled inverse of the half-size L22 and its blocks).
+        """
         if self.n <= _TRTRI_MAX_N:
             return _col_sumsq(_tri_inv(self.chol))
-        # summed block by block, so L^-1 is never assembled
-        A, B, C = _tri_inv_blocks(self.chol)
-        return np.concatenate([_col_sumsq(A) + _col_sumsq(B), _col_sumsq(C)])
+        top, B, C = _tri_inv_blocks(self.chol, top=_col_sumsq)
+        return np.concatenate([top + _col_sumsq(B), _col_sumsq(C)])
 
     @cached_property
     def kinv(self) -> np.ndarray:
@@ -173,14 +178,20 @@ def _tri_inv(L: np.ndarray) -> np.ndarray:
     return X
 
 
-def _tri_inv_blocks(L: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _tri_inv_blocks(L: np.ndarray, top=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The blocks L11^-1, -L22^-1 L21 L11^-1 and L22^-1 of L^-1, with L
-    halved at h = n // 2."""
+    halved at h = n // 2.
+
+    A given ``top`` maps L11^-1 to what is returned in its place, and runs
+    before L22^-1 is formed, so L11^-1 is released first.
+    """
     h = L.shape[0] // 2
     A = _tri_inv(L[:h, :h])
-    C = _tri_inv(L[h:, h:])
     # only this copy of L21 is overwritten
     B = _trmm(1.0, A, np.array(L[h:, :h], order="F"), side=1, lower=1, overwrite_b=1)
+    if top is not None:
+        A = top(A)
+    C = _tri_inv(L[h:, h:])
     B = _trmm(-1.0, C, B, lower=1, overwrite_b=1)
     return A, B, C
 

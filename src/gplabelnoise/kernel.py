@@ -68,10 +68,28 @@ def _as_points(X) -> np.ndarray:
 
 
 def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    # Explicit differences rather than the |a|^2 + |b|^2 - 2ab expansion:
-    # keeps A == B matrices bit-exactly symmetric with an exactly zero diagonal.
-    diff = A[:, None, :] - B[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    """Squared distances between the rows of A (m x d) and of B (n x d).
+
+    Explicit differences rather than the |a|^2 + |b|^2 - 2ab expansion:
+    keeps A == B matrices bit-exactly symmetric with an exactly zero
+    diagonal. The differences are formed for m // d rows of A at a time, so a
+    block is never larger than the m x n result, and the call holds two
+    arrays of that size, not d + 1. Each entry is still one ``einsum`` sum
+    over the coordinates, so the bits do not depend on the blocking.
+    """
+    m, d = A.shape
+    rows = max(1, m // max(d, 1))
+    if rows >= m:
+        # one block (d = 1 or a single row): the result is allocated after
+        # the differences, so it never sits on top of the subtraction's buffer
+        diff = A[:, None, :] - B[None, :, :]
+        return np.einsum("ijk,ijk->ij", diff, diff)
+    out = np.empty((m, B.shape[0]))
+    for start in range(0, m, rows):
+        diff = A[start : start + rows, None, :] - B[None, :, :]
+        np.einsum("ijk,ijk->ij", diff, diff, out=out[start : start + rows])
+        del diff  # before the next block is formed
+    return out
 
 
 def sq_dists(X) -> np.ndarray:
@@ -79,7 +97,10 @@ def sq_dists(X) -> np.ndarray:
 
     The part of ``build_kernel_matrix`` that does not depend on the
     hyperparameters: compute it once per input set and pass it to
-    ``rbf_from_sq_dists`` for every parameter value tried.
+    ``rbf_from_sq_dists`` for every parameter value tried. Its peak is two
+    N x N arrays, the result and one block of coordinate differences, for
+    any input dimension; ``build_kernel_matrix`` then holds the distances
+    and the kernel, two as well.
     """
     X = _as_points(X)
     if X.shape[0] == 0:
@@ -138,25 +159,42 @@ def kernel_grad_theta(params: KernelParams, X) -> tuple[np.ndarray, np.ndarray]:
     return rbf_grad_from_sq_dists(params, rbf_from_sq_dists(params, d2), d2)
 
 
+def _label_variance(y: np.ndarray) -> float:
+    """var(y); InvalidInputError when it is not finite, which finite labels
+    reach from a magnitude of about 1e154."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = float(np.var(y))
+    if not math.isfinite(v):
+        raise InvalidInputError(f"labels must be finite with a finite variance, largest |y| {np.abs(y).max():.3g}")
+    return v
+
+
 def heuristic_params(X, y) -> KernelParams:
     """Data-driven starting hyperparameters.
 
     Signal variance = var(y), length scale = median pairwise distance; both
     fall back to 1.0 when the data is degenerate (constant labels, a single
     point, or duplicate inputs only). X goes through ``sq_dists``, which
-    rejects an empty or non-finite X.
+    rejects an empty or non-finite X; y must hold one label per row of X,
+    with a finite variance. The peak is that of ``sq_dists``, two N x N
+    arrays: the upper triangle is selected through a boolean mask (N^2
+    bytes), and the distance matrix is released before the median copies
+    the N(N-1)/2 selected distances.
     """
     d2 = sq_dists(X)
-    y = np.asarray(y, dtype=float)
-    s2 = float(np.var(y))
-    if not np.isfinite(s2) or s2 <= 0.0:
-        s2 = 1.0
     n = d2.shape[0]
+    y = np.asarray(y, dtype=float)
+    if y.shape != (n,):
+        raise InvalidInputError(f"y must have shape ({n},), got {y.shape}")
+    s2 = _label_variance(y)
+    if s2 == 0.0:  # constant labels
+        s2 = 1.0
     if n < 2:
         ell = 1.0
     else:
-        d = np.sqrt(d2, out=d2)  # in place: no second N x N array
-        ell = float(np.median(d[np.triu_indices(n, k=1)]))
+        d = d2[np.less.outer(np.arange(n), np.arange(n))]  # row-major upper triangle
+        del d2
+        ell = float(np.median(np.sqrt(d, out=d)))
         if not np.isfinite(ell) or ell <= 0.0:
             ell = 1.0
     return KernelParams(signal_variance=s2, length_scale=ell)

@@ -34,11 +34,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, _label_variance
+from .data import Dataset
 from .errors import ConfigError, InvalidInputError, NumericalError
 from .gpr import GprState, _finite_nonnegative, fit_matrix, grad_sigma, grad_theta, nll
 from .kernel import (
     KernelParams,
+    _label_variance,
     build_kernel_matrix,
     heuristic_params,
     rbf_from_sq_dists,
@@ -303,7 +304,10 @@ def _mult_loop(
 
     A given ``state`` is the caller's fit of (K, sigma, y): the loop starts
     from it and counts no fit for it. Every fit is of K itself, so the
-    kernel that K came from stays with the caller.
+    kernel that K came from stays with the caller. A step's state is
+    dropped before the refit, so beside K the loop holds one factor and,
+    while a step reads diag(Kt^-1), at most 3/4 of an N x N array of
+    workspace (a given state stays alive while the caller holds it).
     ``step`` replaces ``mult_update_step``, which is looked up per call so
     that a patched module attribute takes effect.
     """
@@ -324,6 +328,7 @@ def _mult_loop(
     for _ in range(config.max_iters):
         new_sigma = step(state, state.y, config)
         rel = _rel_change(new_sigma, sigma)
+        del state  # one factor alive at a time: this step's goes before the refit
         state = fit_matrix(K, new_sigma, y)
         value = nll(state, state.y)
         previous, objective = objective, value + _penalty(new_sigma, config)

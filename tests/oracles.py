@@ -1,9 +1,10 @@
 """Reference implementations the tests check the library against.
 
 Each is the direct formula for something the library computes another way:
-one kernel entry, the full-matrix sigma gradient, the closed-form noise
-optimum for a diagonal kernel, and a fit from inputs instead of a kernel
-matrix. None is read by the library itself.
+one kernel entry, all squared distances in one expression, the full-matrix
+sigma gradient, the closed-form noise optimum for a diagonal kernel, and a
+fit from inputs instead of a kernel matrix. None is read by the library
+itself.
 """
 
 import numpy as np
@@ -26,6 +27,14 @@ def eval_kernel(params: KernelParams, a, b) -> float:
     d2 = float(np.sum((a - b) ** 2))
     ell = params.length_scale
     return params.signal_variance * float(np.exp(-d2 / (2.0 * ell * ell)))
+
+
+def sq_dists_one_einsum(A, B) -> np.ndarray:
+    """Squared distances between the rows of A and of B, from every
+    coordinate difference at once (an m x n x d array) and one sum over the
+    coordinates."""
+    diff = A[:, None, :] - B[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
 
 
 def grad_sigma_full_matrix(state: GprState, y) -> np.ndarray:

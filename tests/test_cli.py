@@ -730,7 +730,7 @@ class TestBenchmark:
 
     @pytest.mark.parametrize(
         "setting, message",
-        [(("--folds", "1"), "error: folds must be >= 2"),
+        [(("--folds", "1"), "error: folds must be an integer >= 2"),
          (("--folds", "100"), "error: need at least 100 samples for 100-fold CV"),
          (("--recall-levels", "0.5,2"), "error: recall levels must lie in (0, 1]"),
          (("--rates", "0.1,1.5"), "error: noise rate must be in [0, 1]"),

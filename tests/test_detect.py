@@ -265,12 +265,22 @@ class TestCvMae:
         [
             dict(folds=1),
             dict(folds=50),  # more folds than points
+            # a fold count must be an integer: NaN reached np.array_split,
+            # inf the sample-count message, and 2.5 ran 2 folds
+            dict(folds=float("nan")),
+            dict(folds=float("inf")),
+            dict(folds=2.5),
+            dict(folds=2.0),
         ],
     )
     def test_bad_arguments_rejected(self, kwargs):
         data = gen_gp(KernelParams(1.0, 0.5), 12, d=1, seed=0)
         with pytest.raises(ConfigError):
             cv_mae(data, KernelParams(1.0, 0.5), **kwargs)
+
+    def test_numpy_integer_fold_count_accepted(self):
+        data = gen_gp(KernelParams(1.0, 0.5), 12, d=1, seed=0)
+        assert cv_mae(data, KernelParams(1.0, 0.5), folds=np.int64(5)) == cv_mae(data, KernelParams(1.0, 0.5), folds=5)
 
     def test_leave_one_out_matches_closed_form(self):
         params = KernelParams(1.5, 0.15)

@@ -1,7 +1,5 @@
 """Tests for GP regression: fitting, prediction, likelihood, gradients, LOOCV."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -23,6 +21,7 @@ from gplabelnoise import (
 from gplabelnoise import gpr
 from gplabelnoise.gpr import cholesky_with_jitter
 from gplabelnoise.rng import make_rng, normals
+from memtrace import peak_nn
 from oracles import fit, grad_sigma_full_matrix
 
 # ---------------------------------------------------------------------------
@@ -225,17 +224,9 @@ class TestLapackContract:
         the ladder never holds more than one N x N array beyond its input."""
         n = 300
         M = build_kernel_matrix(KernelParams(1.0, 0.3), make_rng(56).random((n, 2)))
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            L, jitter = cholesky_with_jitter(M, diag_ref=1.0)
-            del L
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        (_, jitter), peak = peak_nn(lambda: cholesky_with_jitter(M, diag_ref=1.0), n)
         assert jitter > 0.0
-        assert peak <= 8 * n * n + 64 * 1024, f"peak {peak / (8 * n * n):.3f} N^2 doubles"
+        assert peak <= 1 + 64 * 1024 / (8 * n * n), f"peak {peak:.3f} N^2 doubles"
 
 
 class TestLazyReads:
@@ -294,16 +285,9 @@ class TestLazyReads:
         K = build_kernel_matrix(KernelParams(1.0, 0.3), rng.random((n, 2)))
         sigma = 0.1 + rng.random(n)
         y = normals(rng, n)
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            state = fit_matrix(K, sigma, y)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        state, peak = peak_nn(lambda: fit_matrix(K, sigma, y), n)
         assert state.jitter == 0.0
-        assert peak <= 2 * 8 * n * n + 64 * 1024, f"peak {peak / (8 * n * n):.3f} N^2 doubles"
+        assert peak <= 2 + 64 * 1024 / (8 * n * n), f"peak {peak:.3f} N^2 doubles"
 
 
 class TestTriangularInverse:

@@ -1,7 +1,5 @@
 """Tests for the RBF kernel: pointwise values, matrices, gradients, heuristics."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -11,12 +9,14 @@ from gplabelnoise import (
     KernelParams,
     build_kernel_matrix,
     cross_kernel,
+    gen_example1,
     heuristic_params,
     kernel_grad_theta,
 )
-from gplabelnoise.kernel import rbf_from_sq_dists, rbf_grad_from_sq_dists, sq_dists
+from gplabelnoise.kernel import _sq_dists, rbf_from_sq_dists, rbf_grad_from_sq_dists, sq_dists
 from gplabelnoise.rng import make_rng, normals
-from oracles import eval_kernel
+from memtrace import peak_nn
+from oracles import eval_kernel, sq_dists_one_einsum
 
 # ---------------------------------------------------------------------------
 # parameter container
@@ -205,24 +205,36 @@ class TestSquaredDistanceCache:
         with pytest.raises(InvalidInputError):
             sq_dists(np.array([[0.0, np.nan]]))
 
-    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_blocked_differences_equal_one_einsum_bitwise(self, d):
+        """The differences are formed in blocks of rows, but every entry is
+        still one sum over the coordinates: the bits match the single
+        expression, on square inputs and on ragged ones (one row, fewer rows
+        than coordinates, m != n)."""
+        rng = make_rng(40 + d)
+        X = rng.random((50, d))
+        assert np.array_equal(sq_dists(X), sq_dists_one_einsum(X, X))
+        B = rng.random((23, d))
+        for m in (1, max(1, d - 1), d, d + 1, 37):
+            A = rng.random((m, d))
+            assert np.array_equal(_sq_dists(A, B), sq_dists_one_einsum(A, B)), m
+            assert np.array_equal(_sq_dists(B, A), sq_dists_one_einsum(B, A)), m
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8])
     def test_build_kernel_matrix_peak_memory(self, d):
-        """(d+1) N^2 doubles: the coordinate differences and the squared
-        distances while those are formed, then the distances and the kernel.
-        Evaluating the kernel must not add a temporary on top (at d=1 an
-        extra N x N array would push the peak to 3 N^2)."""
+        """Two N x N arrays for any d: the squared distances and one block of
+        coordinate differences (m // d rows) while those are formed, then
+        the distances and the kernel. Evaluating the kernel must not add a
+        temporary on top (at d=1 an extra N x N array would push the peak to
+        3 N^2). From d=2 the result exists while the later blocks are
+        formed, so the 128 KiB buffer of the subtraction that forms a block
+        adds to it; at d=1 the one block is formed before the result."""
         n = 500
         X = make_rng(26).random((n, d))
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            K = build_kernel_matrix(KernelParams(1.3, 0.4), X)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        K, peak = peak_nn(lambda: build_kernel_matrix(KernelParams(1.3, 0.4), X), n)
         assert K.shape == (n, n)
-        assert peak <= 8 * (d + 1) * n * n + 64 * 1024, f"peak {peak / (8 * n * n):.3f} N^2 doubles"
+        slack = (64 if d == 1 else 256) * 1024
+        assert peak <= 2 + slack / (8 * n * n), f"peak {peak:.3f} N^2 doubles"
 
 
 # ---------------------------------------------------------------------------
@@ -262,3 +274,40 @@ class TestHeuristicParams:
         X = np.array([[0.0], [1.0], [bad]])
         with pytest.raises(InvalidInputError):
             heuristic_params(X, np.array([0.0, 1.0, 2.0]))
+
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda y: y * 1e154, lambda y: y * 1e300, lambda y: np.r_[y[:-1], np.nan]],
+        ids=["1e154", "1e300", "nan-label"],
+    )
+    def test_labels_without_finite_variance_rejected(self, edit):
+        """var(y) overflows from label magnitudes of about 1e154, and NaN has
+        none: both raise, as make_dataset does, instead of falling back to a
+        unit signal variance (the suite turns a RuntimeWarning into an
+        error, so none is emitted on the way)."""
+        data = gen_example1(0)
+        with pytest.raises(InvalidInputError, match="^labels must be finite with a finite variance"):
+            heuristic_params(data.X, edit(data.y))
+
+    def test_large_labels_with_finite_variance_accepted(self):
+        data = gen_example1(0)
+        y = data.y * 1e153
+        params = heuristic_params(data.X, y)
+        assert params.signal_variance == float(np.var(y))
+        assert params.length_scale == heuristic_params(data.X, data.y).length_scale
+
+    def test_label_count_must_match_inputs(self):
+        with pytest.raises(InvalidInputError, match=r"^y must have shape \(3,\)"):
+            heuristic_params(np.arange(3.0), np.arange(2.0))
+
+    def test_peak_memory(self):
+        """The peak is that of the squared distances, two N x N arrays plus
+        the subtraction's buffer: the upper triangle is picked by a boolean
+        mask (N^2 / 8 doubles), not by two N^2 / 2 index arrays, and the
+        distance matrix is released before the median copies the picked
+        half."""
+        n = 400
+        rng = make_rng(27)
+        X, y = rng.random((n, 2)), normals(rng, n)
+        _, peak = peak_nn(lambda: heuristic_params(X, y), n)
+        assert peak <= 2 + 256 * 1024 / (8 * n * n), f"peak {peak:.3f} N^2 doubles"

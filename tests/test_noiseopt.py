@@ -2,7 +2,6 @@
 variant, the projected-gradient baseline, and joint hyperparameter search."""
 
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +35,7 @@ from gplabelnoise import (
 )
 from gplabelnoise import cli, kernel, noiseopt
 from gplabelnoise.rng import make_rng, normals
+from memtrace import peak_nn
 from oracles import diagonal_solution
 
 # configurations tight enough to chase hand-checkable fixed points to high
@@ -235,6 +235,19 @@ class TestOptimizeSigma:
         s2, t2 = optimize_sigma_matrix(K, data.y_centered)
         assert np.array_equal(s1, s2)
         assert t1.final_nll == t2.final_nll
+
+    def test_holds_one_factor_per_step(self):
+        """Beside the caller's K the loop holds one factor: a step's state is
+        dropped before the refit, and diag(Kt^-1) adds at most 3/4 of an
+        N x N array of triangular-inverse workspace (holding the old factor
+        through the refit peaked at 2.15 N^2 at this size)."""
+        n = 400
+        data = inject_noise(gen_gp(KernelParams(1.0, 0.3), n, d=2, seed=0),
+                            NoiseInjectionSpec(rate=0.1, level=1.0))
+        K = build_kernel_matrix(KernelParams(1.0, 0.3), data.X)
+        (_, trace), peak = peak_nn(lambda: optimize_sigma_matrix(K, data.y_centered), n)
+        assert trace.iters > 1
+        assert peak <= 1.75 + 64 * 1024 / (8 * n * n), f"peak {peak:.3f} N^2 doubles"
 
     def test_synthetic_fixture_trace(self):
         data = gen_example1(0)
@@ -747,14 +760,8 @@ class TestJointOptimize:
                             NoiseInjectionSpec(rate=0.1, level=1.0))
         # warm-up, so that loading scipy.optimize is not counted
         joint_optimize(gen_example1(0), JointOptConfig(outer_rounds=1, restarts=1))
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            joint_optimize(data, JointOptConfig(outer_rounds=3, restarts=1))
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak <= 16 * 8 * n * n, f"peak {peak / (8 * n * n):.1f} N^2 doubles"
+        _, peak = peak_nn(lambda: joint_optimize(data, JointOptConfig(outer_rounds=3, restarts=1)), n)
+        assert peak <= 16, f"peak {peak:.1f} N^2 doubles"
 
     def test_squared_distances_built_once_per_call(self, monkeypatch):
         """Theta trials reuse one squared-distance matrix: the count does not
