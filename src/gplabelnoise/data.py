@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, EmptyDatasetError, InvalidInputError, ParseError
-from .gpr import cholesky_with_jitter
+from .gpr import fit_matrix
 from .kernel import KernelParams, _label_variance, build_kernel_matrix
 from .rng import choose_subset, make_rng, normals
 
@@ -165,6 +165,9 @@ def gen_gp(
 
     No truth record: the result plays the role of clean data that
     ``inject_noise`` corrupts. ``base_noise_std`` adds iid observation noise.
+    The prior is factored by a noise-free ``fit_matrix``, so a covariance
+    that does not factor as it is (e.g. a long length scale) takes the
+    smallest rung of the jitter ladder that does.
     """
     if n < 1:
         raise ConfigError(f"n must be at least 1, got {n}")
@@ -175,8 +178,7 @@ def gen_gp(
     rng = make_rng(seed)
     X = -1.0 + 2.0 * rng.random((n, d))
     K = build_kernel_matrix(params, X)
-    L, _ = cholesky_with_jitter(K, diag_ref=float(np.mean(np.diag(K))))
-    y = L @ normals(rng, n)
+    y = fit_matrix(K, np.zeros(n), np.zeros(n)).chol @ normals(rng, n)
     if base_noise_std > 0.0:
         y = y + normals(rng, n, std=base_noise_std)
     return make_dataset(X, y)

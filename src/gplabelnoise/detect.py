@@ -120,10 +120,13 @@ def precision_at_recall(scores, truth, levels) -> dict[float, float]:
     The threshold sweeps the distinct score values downward; for each
     requested level the first operating point with recall >= level wins.
     Flagging everything always reaches recall 1, so every level in (0, 1]
-    gets an answer.
+    gets an answer. Raises ``InvalidInputError`` for a NaN score, which no
+    threshold flags; infinite scores are valid.
     """
     scores = np.asarray(scores, dtype=float)
     truth = _check_binary_truth(scores, truth)
+    if np.isnan(scores).any():
+        raise InvalidInputError("scores must not be NaN")
     levels = [float(v) for v in np.atleast_1d(levels)]
     _check_recall_levels(levels)
     n_pos = int(np.sum(truth))

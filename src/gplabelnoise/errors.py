@@ -42,7 +42,8 @@ class ParseError(GplnError):
 class NumericalError(GplnError):
     """Factorization failure that survived the jitter escalation policy.
 
-    ``smallest_pivot`` is the most negative/smallest Cholesky pivot seen.
+    ``smallest_pivot`` is the smallest eigenvalue of K + diag(sigma), the
+    matrix the jitter ladder failed to factor.
     Optimizers let it propagate unchanged; wrappers that add context to the
     message (``joint_optimize``, ``cv_mae``) keep the pivot.
     """

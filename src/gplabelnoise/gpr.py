@@ -3,17 +3,21 @@
 Everything here operates on the regularized covariance Kt = K + diag(sigma),
 where sigma holds one non-negative noise variance per label. A fit computes
 only what every reader needs: the Cholesky factor L of Kt, factored in
-place in one Fortran-ordered copy of K, and alpha = Kt^-1 y. Everything
-else is read off the factor on first access and cached on the state:
-``logdet`` (log det Kt, for the negative log-likelihood), ``kinv_diag``
-(diag(Kt^-1), as column sums of squares of the triangular inverse L^-1,
-for the noise update, the sigma gradient and the closed-form leave-one-out
-quantities) and ``kinv`` (the full inverse, for the kernel-hyperparameter
-gradient). A state whose only reader is the NLL, such as a rejected
-line-search trial, never inverts its factor. A state is the factorization
-and nothing else: the kernel and the training inputs stay with the caller,
-who passes them to ``predict_batch`` (Rasmussen and Williams, GPML,
-Algorithm 2.1).
+place in one Fortran-ordered copy of K, and alpha = Kt^-1 y. A fit state
+holds one N x N array, that factor. Only when the factorization fails does
+the fit fall back on the jitter ladder (``cholesky_with_jitter``), which
+factors K + diag(sigma) + jitter*I rung by rung, one copy of K at a time;
+each matrix is factored once. The rest is read off the factor on first
+access and cached on the state: ``logdet`` (log det Kt, for the negative
+log-likelihood) and ``kinv_diag`` (diag(Kt^-1), as column sums of squares
+of the triangular inverse L^-1, for the noise update, the sigma gradient
+and the closed-form leave-one-out quantities). The full inverse, which
+only the kernel-hyperparameter gradient reads, is formed by ``grad_theta``
+and dropped when it returns. A state whose only reader is the NLL, such as
+a rejected line-search trial, never inverts its factor. A state is the
+factorization and nothing else: the kernel and the training inputs stay
+with the caller, who passes them to ``predict_batch`` (Rasmussen and
+Williams, GPML, Algorithm 2.1).
 
 The factor path calls LAPACK directly: ``dpotrf`` for the Cholesky factor,
 ``dpotrs`` for solves against it, ``dtrtri`` for the triangular inverse and
@@ -21,9 +25,10 @@ The factor path calls LAPACK directly: ``dpotrf`` for the Cholesky factor,
 routines, with the same arguments, that ``scipy.linalg.cholesky``/
 ``cho_solve`` call, so factors and solves are bitwise the same, without
 SciPy's per-call wrapper cost (which dominates at N of a few dozen). The
-input checks those wrappers would make live in ``cholesky_with_jitter``
-(square, finite matrix), ``fit_matrix`` (square K, finite labels of matching
-length, finite Kt) and ``_check_sigma`` (shape, finite, non-negative).
+input checks those wrappers would make live in ``fit_matrix`` (square K,
+finite labels of matching length, finite Kt), ``cholesky_with_jitter``
+(square, finite K, finite diagonal of Kt) and ``_check_sigma`` (shape,
+finite, non-negative).
 
 Above order 64 the triangular inverse is recursive blocked inversion
 (Elmroth, Gustavson, Jonsson and Kagstrom, SIAM Review 2004): L is halved,
@@ -71,7 +76,7 @@ _potrf, _potrs, _trtri, _potri = scipy.linalg.get_lapack_funcs(
 )
 (_trmm,) = scipy.linalg.get_blas_funcs(("trmm",), dtype=np.float64)
 
-# Jitter ladder: first retry at 1e-10 * mean(diag K), then three escalations
+# Jitter ladder: first rung at 1e-10 * mean(diag K), then three escalations
 # of 10x each. sigma >= 0 keeps Kt positive definite in exact arithmetic, so
 # jitter only absorbs round-off (e.g. duplicate input points).
 _JITTER_STEPS = (1e-10, 1e-9, 1e-8, 1e-7)
@@ -89,8 +94,9 @@ class GprState:
     """Factorized regularized covariance plus the reads of it that are used.
 
     ``y`` is a copy of the fitted labels, so readers can tell when ``alpha``
-    answers for the labels they are given. ``logdet``, ``kinv_diag`` and
-    ``kinv`` are computed from the factor on first access and cached.
+    answers for the labels they are given. ``chol`` is the one N x N array
+    a state holds; ``logdet`` and ``kinv_diag`` are computed from it on
+    first access and cached.
     """
 
     sigma: np.ndarray
@@ -140,23 +146,6 @@ class GprState:
         top, B, C = _tri_inv_blocks(self.chol, top=_col_sumsq)
         return np.concatenate([top + _col_sumsq(B), _col_sumsq(C)])
 
-    @cached_property
-    def kinv(self) -> np.ndarray:
-        """Kt^-1, built from the factor on first access and cached.
-
-        Symmetric by construction, with the diagonal taken from ``kinv_diag``
-        so that the full-matrix and diagonal sigma-gradient forms agree
-        bitwise.
-        """
-        # info is 0: a successful Cholesky leaves a positive diagonal.
-        # dpotri overwrites only the lower triangle of (a copy of) the
-        # factor, whose upper triangle is exactly zero, so adding the
-        # transpose mirrors the lower triangle exactly
-        lower = _potri(self.chol, lower=1)[0]
-        kinv = lower + lower.T
-        np.fill_diagonal(kinv, self.kinv_diag)
-        return kinv
-
 
 def _col_sumsq(M: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", M, M)
@@ -196,42 +185,70 @@ def _tri_inv_blocks(L: np.ndarray, top=None) -> tuple[np.ndarray, np.ndarray, np
     return A, B, C
 
 
+def _kinv(state: GprState) -> np.ndarray:
+    """Kt^-1 from the factor of ``state``, as a new array that is not cached.
+
+    Symmetric by construction, with the diagonal taken from ``kinv_diag``
+    so that the full-matrix and diagonal sigma-gradient forms agree
+    bitwise.
+    """
+    # info is 0: a successful Cholesky leaves a positive diagonal.
+    # dpotri overwrites only the lower triangle of (a copy of) the
+    # factor, whose upper triangle is exactly zero, so adding the
+    # transpose mirrors the lower triangle exactly
+    lower = _potri(state.chol, lower=1)[0]
+    kinv = lower + lower.T
+    np.fill_diagonal(kinv, state.kinv_diag)
+    return kinv
+
+
 @dataclass(frozen=True)
 class LoocvResult:
     errors: np.ndarray  # y_i - mu_{-i}, label units
     stds: np.ndarray  # leave-one-out posterior standard deviations
 
 
-def cholesky_with_jitter(M: np.ndarray, diag_ref: float) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor of M, retrying with escalating diagonal jitter.
+def cholesky_with_jitter(K: np.ndarray, sigma) -> tuple[np.ndarray, float]:
+    """Lower Cholesky factor of K + diag(sigma) + jitter*I, and the jitter,
+    for the smallest rung of the jitter ladder that factors.
 
-    ``diag_ref`` scales the ladder (mean of the prior covariance diagonal).
-    Raises ``InvalidInputError`` unless M is a finite square matrix, and
-    ``NumericalError`` carrying the smallest eigenvalue of the final attempt
-    once the ladder is exhausted.
+    The fallback of ``fit_matrix`` once K + diag(sigma) itself fails to
+    factor, so it never factors without jitter: the first rung is
+    1e-10 * mean(diag K), and each further rung is 10x the one before.
+    Each rung is one Fortran-ordered copy of K with the jittered diagonal,
+    factored in place, and a failed rung is released before the next: the
+    ladder holds one N x N array beyond its input.
+
+    Raises ``InvalidInputError`` unless K is a finite square matrix, sigma a
+    finite non-negative vector of matching length and K + diag(sigma)
+    finite, and ``NumericalError`` carrying the smallest eigenvalue of
+    K + diag(sigma) once the ladder is exhausted.
     """
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise InvalidInputError(f"matrix to factor must be square, got shape {M.shape}")
-    if not np.isfinite(M).all():
+    K = np.asarray(K, dtype=float)
+    if K.ndim != 2 or K.shape[0] != K.shape[1]:
+        raise InvalidInputError(f"matrix to factor must be square, got shape {K.shape}")
+    n = K.shape[0]
+    sigma = _check_sigma(sigma, n)
+    with np.errstate(over="ignore"):
+        diag = K.diagonal() + sigma
+    # checked before any copy: the check's mask and a rung are never held
+    # together
+    if not (np.isfinite(K).all() and np.isfinite(diag).all()):
         raise InvalidInputError("matrix to factor must be finite")
-    L, info = _potrf(M, lower=1, clean=1)
-    if info == 0:
-        return L, 0.0
-    del L  # release each failed attempt's factor before the next rung
+    scale = float(np.add.reduce(K.diagonal()) / n)
     for step in _JITTER_STEPS:
-        jitter = step * diag_ref
-        # the jitter goes on the diagonal of a Fortran-ordered copy, which is
-        # factored in place: one N x N array per rung, holding M + jitter*I
-        A = np.array(M, order="F")
-        np.fill_diagonal(A, M.diagonal() + jitter)
+        jitter = step * scale
+        A = np.array(K, order="F")
+        np.fill_diagonal(A, diag + jitter)
         L, info = _potrf(A, lower=1, clean=1, overwrite_a=1)
         del A
         if info == 0:
             log.debug("cholesky needed jitter %.3e", jitter)
             return L, jitter
         del L
-    pivot = float(np.min(scipy.linalg.eigvalsh(M)))
+    Kt = K.copy()
+    np.fill_diagonal(Kt, diag)
+    pivot = float(np.min(scipy.linalg.eigvalsh(Kt)))
     raise NumericalError(
         f"covariance matrix not positive definite after jitter escalation "
         f"(smallest eigenvalue {pivot:.3e})",
@@ -261,11 +278,13 @@ def fit_matrix(K: np.ndarray, sigma, y) -> GprState:
 
     Kt is one Fortran-ordered copy of K with sigma added to its diagonal,
     and LAPACK factors it in place, so a fit holds one N x N array: the
-    factor. Only when that factorization fails is Kt rebuilt from K for the
-    jitter ladder. Nothing is inverted here; ``GprState.logdet``,
-    ``kinv_diag`` and ``kinv`` are computed from the factor by their first
-    reader, so a state read only by ``nll`` costs a factorization and one
-    solve. O(N^3), fine at the targeted scale.
+    factor. Only when that factorization fails is the failed attempt
+    released and the jitter ladder (``cholesky_with_jitter``) run on K and
+    sigma, which starts at its first jittered rung and holds one rung at a
+    time. Nothing is inverted here; ``GprState.logdet`` and ``kinv_diag``
+    are computed from the factor by their first reader, so a state read
+    only by ``nll`` costs a factorization and one solve. O(N^3), fine at
+    the targeted scale.
 
     Raises ``EmptyDatasetError`` for a 0 x 0 K, ``InvalidInputError`` unless K
     is a square matrix, y a finite vector of matching length, sigma a finite
@@ -291,11 +310,8 @@ def fit_matrix(K: np.ndarray, sigma, y) -> GprState:
     L, info = _potrf(Kt, lower=1, clean=1, overwrite_a=1)
     jitter = 0.0
     if info != 0:
-        # the failed attempt overwrote Kt: rebuild it for the jitter ladder
-        del L, Kt
-        Kt = K.copy()
-        Kt.flat[:: n + 1] += sigma
-        L, jitter = cholesky_with_jitter(Kt, diag_ref=float(np.add.reduce(K.diagonal()) / n))
+        del L, Kt  # the failed attempt, released before the ladder's first rung
+        L, jitter = cholesky_with_jitter(K, sigma)
     return GprState(
         sigma=sigma,
         y=y.copy(),
@@ -310,7 +326,9 @@ def predict_batch(params: KernelParams, X, state: GprState, X_star) -> tuple[np.
     """Posterior means and (clamped) variances at many query points, for
     ``state`` fitted on the training inputs ``X`` under kernel ``params``.
 
-    Raises ``InvalidInputError`` unless X has one row per fitted label.
+    Raises ``InvalidInputError`` unless X has one row per fitted label and
+    X_star finite points with X's number of coordinates; a 1-D X_star holds
+    points of one coordinate, so it fits only one-coordinate inputs.
     """
     if np.shape(X)[:1] != (state.n,):
         raise InvalidInputError(f"X must have {state.n} rows, one per fitted label, got shape {np.shape(X)}")
@@ -343,10 +361,11 @@ def grad_theta(state: GprState, y, dK_dtheta) -> np.ndarray:
 
     One entry tr(Kt^-1 dK) - (Kt^-1 y)' dK (Kt^-1 y) per matrix in
     ``dK_dtheta``, without N x N temporaries: the trace sums products with
-    the (symmetric) full inverse, which the first call on a state builds.
+    the (symmetric) full inverse, which each call forms from the factor and
+    drops on return, so the state keeps holding only its factor.
     """
     a = state.alpha_for(y)
-    kinv = state.kinv
+    kinv = _kinv(state)
     out = np.empty(len(dK_dtheta))
     for j, dK in enumerate(dK_dtheta):
         out[j] = float(np.einsum("ij,ij->", kinv, dK)) - float(a @ (dK @ a))

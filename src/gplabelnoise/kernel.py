@@ -74,19 +74,22 @@ def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     keeps A == B matrices bit-exactly symmetric with an exactly zero
     diagonal. The differences are formed for m // d rows of A at a time, so a
     block is never larger than the m x n result, and the call holds two
-    arrays of that size, not d + 1. Each entry is still one ``einsum`` sum
-    over the coordinates, so the bits do not depend on the blocking.
+    arrays of that size, not d + 1. With one block (d = 1) the result is
+    allocated after the block's differences, so it never sits on top of the
+    subtraction's buffer; with more it is allocated first, because
+    allocating it after the first block leaves the traced peak as it is but
+    raises the resident peak of a CLI benchmark sweep by about 0.3 MiB
+    (the allocator's heap layout). Each entry is still one ``einsum`` sum
+    over the coordinates, so the bits do not depend on the blocking. An A
+    with no rows gives a 0 x n result.
     """
     m, d = A.shape
     rows = max(1, m // max(d, 1))
-    if rows >= m:
-        # one block (d = 1 or a single row): the result is allocated after
-        # the differences, so it never sits on top of the subtraction's buffer
-        diff = A[:, None, :] - B[None, :, :]
-        return np.einsum("ijk,ijk->ij", diff, diff)
-    out = np.empty((m, B.shape[0]))
-    for start in range(0, m, rows):
+    out = np.empty((m, B.shape[0])) if rows < m else None
+    for start in range(0, max(m, 1), rows):
         diff = A[start : start + rows, None, :] - B[None, :, :]
+        if out is None:
+            out = np.empty((m, B.shape[0]))
         np.einsum("ijk,ijk->ij", diff, diff, out=out[start : start + rows])
         del diff  # before the next block is formed
     return out
@@ -142,8 +145,14 @@ def build_kernel_matrix(params: KernelParams, X) -> np.ndarray:
 
 
 def cross_kernel(params: KernelParams, A, B) -> np.ndarray:
-    """M x N covariance between query points A and training points B."""
+    """M x N covariance between query points A and training points B.
+
+    A 1-D array holds points of one coordinate. Raises ``InvalidInputError``
+    unless A and B are finite with the same number of coordinates.
+    """
     A, B = _as_points(A), _as_points(B)
+    if A.shape[1] != B.shape[1]:
+        raise InvalidInputError(f"query points have {A.shape[1]} coordinates, training points {B.shape[1]}")
     if not (np.isfinite(A).all() and np.isfinite(B).all()):
         raise InvalidInputError("kernel inputs must be finite")
     return rbf_from_sq_dists(params, _sq_dists(A, B))

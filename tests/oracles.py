@@ -16,6 +16,7 @@ from gplabelnoise import (
     build_kernel_matrix,
     fit_matrix,
 )
+from gplabelnoise import gpr
 
 
 def eval_kernel(params: KernelParams, a, b) -> float:
@@ -40,7 +41,7 @@ def sq_dists_one_einsum(A, B) -> np.ndarray:
 def grad_sigma_full_matrix(state: GprState, y) -> np.ndarray:
     """Full-matrix form Kt^-1 - (Kt^-1 y)(Kt^-1 y)'; its diagonal is grad_sigma."""
     a = state.alpha_for(y)
-    return state.kinv - np.outer(a, a)
+    return gpr._kinv(state) - np.outer(a, a)
 
 
 def diagonal_solution(K_diag: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -333,6 +333,18 @@ class TestFit:
         )
         assert "--restarts needs --joint" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(("--length-scale", "0.5"), "--joint optimizes the kernel; drop the explicit kernel flags"),
+         (("--mode", "basic"), "--joint requires --mode full")],
+        ids=["length-scale", "basic"],
+    )
+    def test_joint_conflicts_are_config_errors(self, argv, message, example_csv, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert run("fit", "--data", str(example_csv), "--joint", *argv, "--out", str(out)) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_mode_rejected(self, example_csv, tmp_path, capsys):
         assert (
             run("fit", "--data", str(example_csv), "--mode", "bogus",
@@ -463,6 +475,19 @@ class TestDetect:
         out = tmp_path / "x.json"
         assert run("detect", "--report", str(report), "--out", str(out)) == 2
         assert "finite, non-negative sigma" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("{not json", "not valid JSON"), ("{}", "missing per_label sigma entries")],
+        ids=["invalid-json", "empty-object"],
+    )
+    def test_unreadable_report_is_a_parse_error(self, text, message, tmp_path, capsys):
+        report = tmp_path / "r.json"
+        report.write_text(text)
+        out = tmp_path / "d.json"
+        assert run("detect", "--report", str(report), "--out", str(out)) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_nan_threshold_is_a_config_error(self, example_csv, tmp_path, capsys):
@@ -696,6 +721,29 @@ class TestBenchmark:
         assert complete["error"] == ""
         assert all(np.isfinite(float(complete[name])) for name in header[2:-1])
 
+    def test_joint_sweep_is_byte_identical_across_runs(self, tmp_path, capsys):
+        base = self._base(tmp_path, "--grid", "--n", "30", "--rate", "0", seed="2")
+        outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for out in outs:
+            assert run("benchmark", "--data", str(base), "--joint", "--folds", "3", "--out", str(out)) == 0
+        header, *rows = (line.split(",") for line in outs[0].read_text().splitlines())
+        assert ",".join(header) == self.HEADER
+        assert len(rows) == 4 and all(row[-1] == "" for row in rows)
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    @pytest.mark.parametrize(
+        "rates, message",
+        [(",", "expected at least one value in the list"),
+         ("a", "expected a comma-separated list of numbers, got 'a'")],
+        ids=["empty", "non-numeric"],
+    )
+    def test_unconvertible_rates_exit_1(self, rates, message, tmp_path, capsys):
+        base = self._base(tmp_path, "--grid", "--n", "24", "--rate", "0")
+        out = tmp_path / "b.csv"
+        assert run("benchmark", "--data", str(base), "--rates", rates, "--out", str(out)) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rejects_pregenerated_truth(self, example_csv, tmp_path, capsys):
         assert (
             run("benchmark", "--data", str(example_csv), "--rates", "0.1",
@@ -778,6 +826,12 @@ class TestCompareOptimizers:
             int(evals)
             assert np.isfinite(float(value))
 
+    def test_requires_data(self, tmp_path, capsys):
+        out = tmp_path / "cmp.csv"
+        assert run("compare-optimizers", "--out", str(out)) == 1
+        assert "--data is required" in capsys.readouterr().err
+        assert not out.exists()
+
 
 # ---------------------------------------------------------------------------
 # configuration sources
@@ -843,6 +897,45 @@ class TestConfigPrecedence:
             run("gen", "--example1", "--config", str(cfg),
                 "--out", str(tmp_path / "x.csv")) == 1
         )
+
+    def test_comments_and_blank_lines_are_skipped(self, tmp_path, capsys):
+        cfg = tmp_path / "settings.cfg"
+        cfg.write_text("# the seed of the draw\n\n  seed=7\n")
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run("gen", "--example1", "--config", str(cfg), "--out", str(a)) == 0
+        assert run("gen", "--example1", "--seed", "7", "--out", str(b)) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_config_file_boolean_sets_a_flag(self, example_csv, tmp_path, capsys):
+        cfg = tmp_path / "settings.cfg"
+        cfg.write_text("joint=true\n")
+        out = tmp_path / "x.json"
+        assert run("fit", "--data", str(example_csv), "--config", str(cfg), "--out", str(out)) == 0
+        from_file = out.read_bytes()
+        assert json.loads(from_file)["config"]["joint"] is True
+        assert run("fit", "--data", str(example_csv), "--joint", "--out", str(out)) == 0
+        assert out.read_bytes() == from_file
+
+    def test_config_file_boolean_must_be_a_boolean(self, example_csv, tmp_path, capsys):
+        cfg = tmp_path / "settings.cfg"
+        cfg.write_text("joint=maybe\n")
+        out = tmp_path / "x.json"
+        assert run("fit", "--data", str(example_csv), "--config", str(cfg), "--out", str(out)) == 1
+        assert "expected true/false/1/0, got 'maybe'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unconvertible_flag_value_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run("gen", "--grid", "--n", "abc", "--out", str(out)) == 1
+        assert "invalid value 'abc' for --n" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unconvertible_environment_seed_exits_1(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("GPLABELNOISE_SEED", "abc")
+        out = tmp_path / "x.csv"
+        assert run("gen", "--example1", "--out", str(out)) == 1
+        assert "$GPLABELNOISE_SEED must be an integer, got 'abc'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert (

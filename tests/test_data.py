@@ -3,6 +3,7 @@ deterministic random-number helpers."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +15,7 @@ from gplabelnoise import (
     LabelTruth,
     NoiseInjectionSpec,
     ParseError,
+    build_kernel_matrix,
     gen_example1,
     gen_gp,
     gen_heteroscedastic,
@@ -111,6 +113,22 @@ class TestMakeDataset:
         with pytest.raises(InvalidInputError, match=message):
             make_dataset(np.zeros((y.shape[0], 1)), y)
 
+    def test_empty_inputs_rejected(self):
+        with pytest.raises(EmptyDatasetError):
+            make_dataset(np.zeros((0, 2)), np.zeros(0))
+
+    @pytest.mark.parametrize("y", [np.zeros(2), np.zeros(4), np.zeros((3, 1))], ids=["short", "long", "column"])
+    def test_labels_must_match_the_inputs(self, y):
+        with pytest.raises(InvalidInputError, match=r"y must have shape \(3,\)"):
+            make_dataset(np.zeros((3, 2)), y)
+
+    @pytest.mark.parametrize("where", ["X", "y"])
+    def test_nan_entry_rejected(self, where):
+        X, y = np.zeros((3, 2)), np.zeros(3)
+        (X if where == "X" else y)[1] = np.nan
+        with pytest.raises(InvalidInputError, match="finite"):
+            make_dataset(X, y)
+
     def test_labels_just_below_the_overflow_accepted(self):
         y = np.array([-1.0, 0.0, 1.0, 1.7]) * 1e153
         assert np.isfinite(make_dataset(np.zeros((4, 1)), y).y_center)
@@ -199,6 +217,19 @@ class TestGenGp:
         a = gen_gp(KernelParams(2.0, 0.3), 12, d=2, seed=7)
         b = gen_gp(KernelParams(2.0, 0.3), 12, d=2, seed=7)
         assert np.array_equal(a.y, b.y)
+
+    def test_singular_prior_takes_the_first_jitter_rung(self):
+        """At length scale 2 the 40 x 40 prior covariance does not factor as
+        it is; the draw uses the factor of K + 1e-10 * mean(diag K) * I."""
+        params = KernelParams(1.0, 2.0)
+        data = gen_gp(params, 40, seed=3)
+        K = build_kernel_matrix(params, data.X)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(K)
+        rng = make_rng(3)
+        rng.random((40, 1))  # the inputs
+        L = scipy.linalg.cholesky(K + 1e-10 * np.eye(40), lower=True)
+        assert np.array_equal(data.y, L @ normals(rng, 40))
 
     def test_no_points_is_a_config_error(self):
         with pytest.raises(ConfigError):
@@ -419,6 +450,29 @@ class TestReadDatasetErrors:
         bad.write_text("\n".join(["totally,wrong,header"] + lines[1:]) + "\n")
         with pytest.raises(ParseError):
             read_dataset(bad)
+
+    def test_header_with_an_unknown_column_rejected(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("x0,y,foo\n1.0,2.0,3.0\n")
+        with pytest.raises(ParseError, match="malformed header"):
+            read_dataset(bad)
+
+    def test_empty_file_rejected(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("")
+        with pytest.raises(ParseError, match="empty file"):
+            read_dataset(bad)
+
+    def test_non_numeric_value_reports_line(self, tmp_path):
+        lines = self._valid_lines(tmp_path)
+        fields = lines[3].split(",")
+        fields[0] = "abc"
+        lines[3] = ",".join(fields)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="non-numeric x0 'abc'") as info:
+            read_dataset(bad)
+        assert "line 4" in str(info.value)
 
     def test_header_without_inputs_rejected(self, tmp_path):
         bad = tmp_path / "bad.csv"

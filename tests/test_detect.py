@@ -148,6 +148,11 @@ class TestRocAuc:
         with pytest.raises(UndefinedMetricError):
             roc_auc([1.0, 2.0, 3.0], truth)
 
+    @pytest.mark.parametrize("truth", [[1, 0], [[1, 0, 1]], [1, 0, 1, 0]])
+    def test_truth_of_another_shape_rejected(self, truth):
+        with pytest.raises(InvalidInputError, match="matching shapes"):
+            roc_auc([1.0, 2.0, 3.0], truth)
+
 
 def _tied_scores(rng, n):
     """Scores on a coarse grid (ties) with infinities and signed zeros."""
@@ -219,6 +224,17 @@ class TestPrecisionAtRecall:
     def test_no_positives_rejected(self):
         with pytest.raises(UndefinedMetricError):
             precision_at_recall([1.0, 0.5], [0, 0], [0.5])
+
+    @pytest.mark.parametrize("scores", [[np.nan, 0.5, 0.2], [0.9, np.nan, 0.2], [np.nan] * 3])
+    def test_nan_score_rejected(self, scores):
+        # no threshold flags a NaN score, so the sweep would end on an empty
+        # flagged set
+        with pytest.raises(InvalidInputError, match="NaN"):
+            precision_at_recall(scores, [1, 0, 1], [0.5, 1.0])
+
+    def test_infinite_scores_are_valid(self):
+        out = precision_at_recall([np.inf, 0.5, -np.inf, 0.2], [1, 0, 1, 0], [0.5, 1.0])
+        assert out == {0.5: 1.0, 1.0: 0.5}
 
 
 class TestR2Noise:

@@ -50,7 +50,7 @@ class TestFit:
         state = fit_matrix(K, sigma, normals(rng, 10))
         direct = np.diag(np.linalg.inv(K + np.diag(sigma)))
         assert np.allclose(state.kinv_diag, direct, rtol=1e-9)
-        assert np.allclose(np.diag(state.kinv), direct, rtol=1e-9)
+        assert np.allclose(np.diag(gpr._kinv(state)), direct, rtol=1e-9)
 
     def test_kinv_diag_matches_full_inverse_at_n200(self):
         rng = make_rng(45)
@@ -95,8 +95,7 @@ class TestFit:
         K = build_kernel_matrix(KernelParams(1.3, 0.4), rng.random((n, 2)))
         sigma = 0.1 + rng.random(n)
         state = fit_matrix(K, sigma, normals(rng, n))
-        kinv = state.kinv
-        assert kinv is state.kinv
+        kinv = gpr._kinv(state)
         assert np.array_equal(kinv, kinv.T)
         assert np.array_equal(np.diag(kinv), state.kinv_diag)
         assert np.allclose(kinv, np.linalg.inv(K + np.diag(sigma)), rtol=1e-9, atol=1e-12)
@@ -154,7 +153,20 @@ class TestFit:
     )
     def test_cholesky_with_jitter_rejects_malformed_inputs(self, M):
         with pytest.raises(InvalidInputError):
-            cholesky_with_jitter(M, diag_ref=1.0)
+            cholesky_with_jitter(M, np.zeros(M.shape[0]))
+
+    @pytest.mark.parametrize(
+        "K,sigma",
+        [
+            (np.eye(2), np.zeros(3)),                  # sigma length mismatch
+            (np.eye(2), np.array([0.0, -1.0])),        # negative noise
+            (np.eye(2), np.array([np.nan, 0.0])),      # NaN noise
+            (np.array([[1e308, 0.0], [0.0, 1.0]]), np.array([1e308, 0.0])),  # K + diag(sigma) overflows
+        ],
+    )
+    def test_cholesky_with_jitter_rejects_bad_sigma(self, K, sigma):
+        with pytest.raises(InvalidInputError):
+            cholesky_with_jitter(K, sigma)
 
 
 class TestLapackContract:
@@ -167,27 +179,64 @@ class TestLapackContract:
             X[1] = X[0]
         return build_kernel_matrix(KernelParams(1.3, 0.4), X)
 
+    @staticmethod
+    def _first_rung(M):
+        """1e-10 * mean(diag M), computed as the ladder computes it."""
+        return 1e-10 * float(np.add.reduce(np.diag(M)) / M.shape[0])
+
     def test_factor_of_pd_matrix_equals_scipy_cholesky(self):
+        """The ladder is the fallback of a fit whose matrix failed to factor,
+        so it never factors without jitter: a positive definite matrix gets
+        the first rung too. ``test_fit_matches_scipy_wrappers`` pins the
+        unjittered factor of a fit."""
         M = self._gram(40, 50) + 0.1 * np.eye(40)
-        L, jitter = cholesky_with_jitter(M, diag_ref=1.3)
-        assert jitter == 0.0
-        assert np.array_equal(L, scipy.linalg.cholesky(M, lower=True))
+        L, jitter = cholesky_with_jitter(M, np.zeros(40))
+        assert jitter == self._first_rung(M) > 0.0
+        assert np.array_equal(L, scipy.linalg.cholesky(M + jitter * np.eye(40), lower=True))
         assert np.all(np.triu(L, 1) == 0.0)
 
     def test_duplicate_inputs_get_first_ladder_rung(self):
         M = self._gram(30, 51, duplicate=True)
-        L, jitter = cholesky_with_jitter(M, diag_ref=1.3)
-        assert jitter == 1e-10 * 1.3
+        L, jitter = cholesky_with_jitter(M, np.zeros(30))
+        assert jitter == self._first_rung(M) == 1.2999999999999996e-10
         # the rung factors exactly M + jitter * I
         assert np.array_equal(L, scipy.linalg.cholesky(M + jitter * np.eye(30), lower=True))
         assert np.all(np.triu(L, 1) == 0.0)
 
+    def test_rung_adds_sigma_and_jitter_to_the_diagonal(self):
+        rng = make_rng(59)
+        M = self._gram(30, 51, duplicate=True)
+        sigma = 0.1 + rng.random(30)
+        sigma[:2] = 0.0
+        L, jitter = cholesky_with_jitter(M, sigma)
+        assert jitter == self._first_rung(M)
+        Kt = M.copy()
+        np.fill_diagonal(Kt, (np.diag(M) + sigma) + jitter)
+        assert np.array_equal(L, scipy.linalg.cholesky(Kt, lower=True))
+
     def test_indefinite_matrix_reports_smallest_eigenvalue(self):
         M = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.5], [0.0, 0.5, 3.0]])
         with pytest.raises(NumericalError) as info:
-            cholesky_with_jitter(M, diag_ref=1.0)
+            cholesky_with_jitter(M, np.zeros(3))
         assert info.value.smallest_pivot == float(np.min(scipy.linalg.eigvalsh(M)))
         assert info.value.smallest_pivot < 0.0
+
+    def test_failed_fit_factors_its_matrix_once(self, monkeypatch):
+        """A fit whose matrix fails to factor goes straight to the ladder's
+        first jittered rung: LAPACK sees the unjittered matrix once."""
+        infos = []
+        potrf = gpr._potrf
+
+        def spy(*args, **kwargs):
+            L, info = potrf(*args, **kwargs)
+            infos.append(info)
+            return L, info
+
+        monkeypatch.setattr(gpr, "_potrf", spy)
+        M = self._gram(30, 51, duplicate=True)
+        state = fit_matrix(M, np.zeros(30), normals(make_rng(60), 30))
+        assert infos == [2, 0]
+        assert state.jitter == self._first_rung(M)
 
     @pytest.mark.parametrize("shape", [(25,), (25, 1), (25, 4)])
     def test_solve_equals_scipy_cho_solve(self, shape):
@@ -224,14 +273,15 @@ class TestLapackContract:
         the ladder never holds more than one N x N array beyond its input."""
         n = 300
         M = build_kernel_matrix(KernelParams(1.0, 0.3), make_rng(56).random((n, 2)))
-        (_, jitter), peak = peak_nn(lambda: cholesky_with_jitter(M, diag_ref=1.0), n)
+        (_, jitter), peak = peak_nn(lambda: cholesky_with_jitter(M, np.zeros(n)), n)
         assert jitter > 0.0
         assert peak <= 1 + 64 * 1024 / (8 * n * n), f"peak {peak:.3f} N^2 doubles"
 
 
 class TestLazyReads:
-    """A fit factors Kt and solves for alpha; log det Kt, diag(Kt^-1) and
-    Kt^-1 are computed from the factor by their first reader."""
+    """A fit factors Kt and solves for alpha; log det Kt and diag(Kt^-1) are
+    computed from the factor by their first reader, and Kt^-1 by each
+    ``grad_theta`` call, which drops it."""
 
     def _state(self, n=40, seed=57, duplicate=False):
         rng = make_rng(seed)
@@ -270,7 +320,7 @@ class TestLazyReads:
     def test_kinv_is_exactly_symmetric_with_kinv_diag_on_its_diagonal(self, duplicate):
         state = self._state(duplicate=duplicate)
         assert np.all(np.triu(state.chol, 1) == 0.0)
-        kinv = state.kinv
+        kinv = gpr._kinv(state)
         assert np.array_equal(kinv, kinv.T)
         assert np.array_equal(np.diag(kinv), state.kinv_diag)
         lower = scipy.linalg.lapack.dpotri(state.chol, lower=1)[0]
@@ -288,6 +338,34 @@ class TestLazyReads:
         state, peak = peak_nn(lambda: fit_matrix(K, sigma, y), n)
         assert state.jitter == 0.0
         assert peak <= 2 + 64 * 1024 / (8 * n * n), f"peak {peak:.3f} N^2 doubles"
+
+    def test_jittered_fit_holds_one_rung(self):
+        """A fit whose matrix fails to factor releases that attempt before the
+        ladder copies K for its first rung, and the ladder checks K before it
+        copies: the peak is the fit's own copy of Kt and its N^2-byte
+        finiteness mask, as for a fit that needs no jitter."""
+        n = 300
+        X = make_rng(58).random((n, 2))
+        X[1] = X[0]
+        K = build_kernel_matrix(KernelParams(1.0, 0.3), X)
+        y = normals(make_rng(59), n)
+        state, peak = peak_nn(lambda: fit_matrix(K, np.zeros(n), y), n)
+        assert state.jitter > 0.0
+        assert peak <= 1 + 1 / 8 + 64 * 1024 / (8 * n * n), f"peak {peak:.3f} N^2 doubles"
+
+    def test_state_holds_only_its_factor_after_every_reader(self):
+        """The full inverse ``grad_theta`` reads is dropped on return: after
+        every reader has run, the factor is the state's only N x N array."""
+        rng = make_rng(57)
+        n = 40
+        X = rng.random((n, 2))
+        params = KernelParams(1.3, 0.4)
+        state = fit(params, 0.1 + rng.random(n), X, normals(rng, n))
+        nll(state, state.y)
+        grad_sigma(state, state.y)
+        grad_theta(state, state.y, kernel_grad_theta(params, X))
+        loocv(state, state.y)
+        assert [name for name, value in vars(state).items() if np.ndim(value) == 2] == ["chol"]
 
 
 class TestTriangularInverse:
@@ -516,6 +594,34 @@ class TestPredict:
         X = np.linspace(-1.0, 1.0, rows).reshape(-1, 1)
         with pytest.raises(InvalidInputError, match="X must have 8 rows"):
             predict_batch(params, X, state, np.array([[0.0]]))
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            np.zeros((3, 1)),           # broadcast against 2-D inputs
+            np.array([0.1, -0.2]),      # read as two 1-D points
+            np.zeros((3, 3)),
+        ],
+        ids=["3x1", "flat-2", "3x3"],
+    )
+    def test_query_must_have_the_inputs_dimension(self, query):
+        rng = make_rng(49)
+        params = KernelParams(1.0, 0.5)
+        X = rng.random((6, 2))
+        state = fit(params, np.full(6, 0.1), X, normals(rng, 6))
+        with pytest.raises(InvalidInputError, match="coordinates"):
+            predict_batch(params, X, state, query)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_query_rejected(self, bad):
+        state, X, _, params = self._interpolation_state()
+        with pytest.raises(InvalidInputError, match="finite"):
+            predict_batch(params, X, state, np.array([[0.0], [bad]]))
+
+    def test_zero_query_points(self):
+        state, X, _, params = self._interpolation_state()
+        mean, var = predict_batch(params, X, state, np.zeros((0, 1)))
+        assert mean.shape == var.shape == (0,)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
-"""What the package imports and what it exports.
+"""What the package and its tests import, and what the package exports.
 
 Every module imports only names it uses, the package root exports each
-public name of its six library modules exactly once, and every module's
-public names are read outside the tests, by the package or the benchmark.
+public name of its six library modules exactly once, every module's
+public names are read outside the tests, by the package or the benchmark,
+and every third-party module the tests import is a declared dependency.
 The source is only read here, with ``ast``.
 """
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,8 +17,10 @@ import pytest
 import gplabelnoise
 from gplabelnoise import data, detect, errors, gpr, kernel, noiseopt
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "gplabelnoise"
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "gplabelnoise"
+PERFBENCH = ROOT / "perfbench"
+TESTS = ROOT / "tests"
 LIBRARY_MODULES = (kernel, gpr, noiseopt, detect, data, errors)
 
 
@@ -128,3 +133,43 @@ def test_guard_sees_an_unread_export():
     sources = _library_and_bench_sources()
     sources["gplabelnoise.planted"] = "__all__ = ['planted']\ndef planted():\n    return 1\n"
     assert _unread_exports(sources, EXPORTS_READ_ONLY_BY_TESTS) == ["gplabelnoise.planted.planted"]
+
+
+# Top-level modules the tests import that are neither the standard library
+# nor a distribution: the package under test and the tests' own helpers.
+LOCAL_MODULES = {"gplabelnoise", "oracles", "memtrace"}
+
+
+def _top_level_imports(tree: ast.Module) -> set[str]:
+    """The top-level module of every absolute import in ``tree``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def _undeclared(modules: set[str], requirements: list[str]) -> list[str]:
+    """The third-party ``modules`` no requirement string names."""
+    declared = {re.match(r"[A-Za-z0-9_.-]+", req).group().lower() for req in requirements}
+    third_party = modules - set(sys.stdlib_module_names) - LOCAL_MODULES
+    return sorted(name for name in third_party if name.lower() not in declared)
+
+
+def _declared_requirements() -> list[str]:
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    return project["dependencies"] + project["optional-dependencies"]["test"]
+
+
+def test_every_third_party_test_import_is_declared():
+    imported = set().union(*(_top_level_imports(ast.parse(path.read_text())) for path in TESTS.glob("*.py")))
+    undeclared = _undeclared(imported, _declared_requirements())
+    assert not undeclared, f"tests import modules pyproject.toml does not declare: {undeclared}"
+
+
+def test_guard_sees_an_undeclared_test_import():
+    source = "import json\nimport numpy as np\nfrom hypothesis import given\nfrom oracles import fit\nimport yaml\n"
+    assert _undeclared(_top_level_imports(ast.parse(source)), ["numpy>=1.24", "pytest"]) == ["hypothesis", "yaml"]

@@ -132,6 +132,19 @@ def test_label_variance_overflow_is_invalid_input(optimizer, scale):
         optimizer(np.eye(y.shape[0]), y)
 
 
+@pytest.mark.parametrize("length", [3, 5])
+@pytest.mark.parametrize(
+    "optimizer, config",
+    [(optimize_sigma_matrix, MultUpdateConfig), (optimize_sigma_uniform_matrix, MultUpdateConfig),
+     (projected_gradient_baseline_matrix, PgdConfig)],
+    ids=lambda v: v.__name__,
+)
+def test_sigma_init_of_another_length_rejected(optimizer, config, length):
+    y = np.array([0.5, -1.0, 0.2, 0.8])
+    with pytest.raises(ConfigError, match=r"^sigma_init must be scalar or shape \(4,\)"):
+        optimizer(np.eye(4), y, config(sigma_init=np.ones(length)))
+
+
 # ---------------------------------------------------------------------------
 # diagonal-kernel closed form
 # ---------------------------------------------------------------------------
