@@ -219,15 +219,18 @@ def cholesky_with_jitter(K: np.ndarray, sigma) -> tuple[np.ndarray, float]:
     factored in place, and a failed rung is released before the next: the
     ladder holds one N x N array beyond its input.
 
-    Raises ``InvalidInputError`` unless K is a finite square matrix, sigma a
-    finite non-negative vector of matching length and K + diag(sigma)
-    finite, and ``NumericalError`` carrying the smallest eigenvalue of
-    K + diag(sigma) once the ladder is exhausted.
+    Raises ``EmptyDatasetError`` for a 0 x 0 K, which has no diagonal to
+    scale the ladder, ``InvalidInputError`` unless K is a finite square
+    matrix, sigma a finite non-negative vector of matching length and
+    K + diag(sigma) finite, and ``NumericalError`` carrying the smallest
+    eigenvalue of K + diag(sigma) once the ladder is exhausted.
     """
     K = np.asarray(K, dtype=float)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise InvalidInputError(f"matrix to factor must be square, got shape {K.shape}")
     n = K.shape[0]
+    if n == 0:
+        raise EmptyDatasetError("cannot factor a 0 x 0 matrix")
     sigma = _check_sigma(sigma, n)
     with np.errstate(over="ignore"):
         diag = K.diagonal() + sigma

@@ -168,6 +168,10 @@ class TestFit:
         with pytest.raises(InvalidInputError):
             cholesky_with_jitter(K, sigma)
 
+    def test_cholesky_with_jitter_rejects_an_empty_matrix(self):
+        with pytest.raises(EmptyDatasetError):
+            cholesky_with_jitter(np.zeros((0, 0)), np.zeros(0))
+
 
 class TestLapackContract:
     """The factor path calls LAPACK directly; it must return what the SciPy
