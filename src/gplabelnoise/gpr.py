@@ -330,8 +330,9 @@ def predict_batch(params: KernelParams, X, state: GprState, X_star) -> tuple[np.
     ``state`` fitted on the training inputs ``X`` under kernel ``params``.
 
     Raises ``InvalidInputError`` unless X has one row per fitted label and
-    X_star finite points with X's number of coordinates; a 1-D X_star holds
-    points of one coordinate, so it fits only one-coordinate inputs.
+    X_star is a 1-D or 2-D array of finite points with X's number of
+    coordinates; a 1-D X_star holds points of one coordinate, so it fits
+    only one-coordinate inputs.
     """
     if np.shape(X)[:1] != (state.n,):
         raise InvalidInputError(f"X must have {state.n} rows, one per fitted label, got shape {np.shape(X)}")

@@ -61,9 +61,12 @@ class KernelParams:
 
 
 def _as_points(X) -> np.ndarray:
+    """X as rows of coordinates; a 1-D X holds points of one coordinate."""
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
+    if X.ndim != 2:
+        raise InvalidInputError(f"points must be rows of coordinates (1-D or 2-D), got shape {X.shape}")
     return X
 
 
@@ -74,19 +77,16 @@ def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     keeps A == B matrices bit-exactly symmetric with an exactly zero
     diagonal. The differences are formed for m // d rows of A at a time, so a
     block is never larger than the m x n result, and the call holds two
-    arrays of that size, not d + 1. With one block (d = 1) the result is
-    allocated after the block's differences, so it never sits on top of the
-    subtraction's buffer; with more it is allocated first, because
-    allocating it after the first block leaves the traced peak as it is but
-    raises the resident peak of a CLI benchmark sweep by about 0.3 MiB
-    (the allocator's heap layout). Each entry is still one ``einsum`` sum
-    over the coordinates, so the bits do not depend on the blocking. An A
-    with no rows gives a 0 x n result.
+    arrays of that size, not d + 1. The result is allocated after the first
+    block's differences, so at d = 1 it never sits on top of the
+    subtraction's buffer. Each entry is still one ``einsum`` sum over the
+    coordinates, so the bits do not depend on the blocking. An A with no rows
+    gives a 0 x n result.
     """
     m, d = A.shape
     rows = max(1, m // max(d, 1))
-    out = np.empty((m, B.shape[0])) if rows < m else None
-    for start in range(0, max(m, 1), rows):
+    out = None
+    for start in range(0, max(m, 1), rows):  # one block even when m = 0
         diff = A[start : start + rows, None, :] - B[None, :, :]
         if out is None:
             out = np.empty((m, B.shape[0]))
@@ -148,7 +148,8 @@ def cross_kernel(params: KernelParams, A, B) -> np.ndarray:
     """M x N covariance between query points A and training points B.
 
     A 1-D array holds points of one coordinate. Raises ``InvalidInputError``
-    unless A and B are finite with the same number of coordinates.
+    unless A and B are 1-D or 2-D and finite, with the same number of
+    coordinates.
     """
     A, B = _as_points(A), _as_points(B)
     if A.shape[1] != B.shape[1]:

@@ -605,8 +605,10 @@ class TestPredict:
             np.zeros((3, 1)),           # broadcast against 2-D inputs
             np.array([0.1, -0.2]),      # read as two 1-D points
             np.zeros((3, 3)),
+            np.float64(0.5),            # a scalar is not a point
+            np.zeros((3, 2, 1)),        # axis 1 matches, but 3-D
         ],
-        ids=["3x1", "flat-2", "3x3"],
+        ids=["3x1", "flat-2", "3x3", "0-d", "3-d"],
     )
     def test_query_must_have_the_inputs_dimension(self, query):
         rng = make_rng(49)
