@@ -103,8 +103,8 @@ class NoiseInjectionSpec:
     def __post_init__(self):
         if not (0.0 <= self.rate <= 1.0):
             raise ConfigError(f"noise rate must be in [0, 1], got {self.rate}")
-        if not self.level >= 0.0:
-            raise ConfigError(f"noise level must be non-negative, got {self.level}")
+        if not 0.0 <= self.level < math.inf:
+            raise ConfigError(f"noise level must be non-negative and finite, got {self.level}")
 
     def corrupted_count(self, n: int) -> int:
         # round-half-up, so the count is exact for every rate/N combination

@@ -206,6 +206,7 @@ def _kinv(state: GprState) -> np.ndarray:
 class LoocvResult:
     errors: np.ndarray  # y_i - mu_{-i}, label units
     stds: np.ndarray  # leave-one-out posterior standard deviations
+    kkt_residual: float  # largest scaled violation of the KKT conditions of sigma >= 0
 
 
 def cholesky_with_jitter(K: np.ndarray, sigma) -> tuple[np.ndarray, float]:
@@ -377,10 +378,16 @@ def grad_theta(state: GprState, y, dK_dtheta) -> np.ndarray:
 
 
 def loocv(state: GprState, y) -> LoocvResult:
-    """Closed-form leave-one-out errors and standard deviations.
+    """Closed-form leave-one-out errors and standard deviations (GPML eq.
+    5.12), and the KKT residual of sigma >= 0 that they certify.
 
-    errors_i = (Kt^-1 y)_i / (Kt^-1)_ii and stds_i = (Kt^-1)_ii ^ -1/2,
-    evaluated on the regularized matrix Kt.
+    With a = Kt^-1 y and p = diag(Kt^-1): errors = a / p, stds = p^-1/2,
+    and the sigma gradient is g = p - a^2 = p (1 - q) with
+    q = (errors / stds)^2. ``kkt_residual`` is the largest of |g_i| / p_i
+    where sigma_i > 0 and max(-g_i, 0) / p_i where sigma_i = 0, so it is 0
+    exactly when q_i = 1 on sigma_i > 0 and q_i <= 1 at sigma_i = 0.
     """
-    a = state.alpha_for(y)
-    return LoocvResult(errors=a / state.kinv_diag, stds=1.0 / np.sqrt(state.kinv_diag))
+    a, p = state.alpha_for(y), state.kinv_diag
+    g = grad_sigma(state, y)
+    residual = np.where(state.sigma > 0.0, np.abs(g), np.maximum(-g, 0.0))
+    return LoocvResult(errors=a / p, stds=1.0 / np.sqrt(p), kkt_residual=float(np.max(residual / p)))

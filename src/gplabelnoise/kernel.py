@@ -10,7 +10,8 @@ by construction. Matrices are assembled from explicit coordinate differences,
 which makes them bit-exactly symmetric with diagonal exactly ``s2``. Callers
 that try many hyperparameter values on one input set (the joint optimizer)
 compute the squared distances once with ``sq_dists`` and evaluate each trial
-with ``rbf_from_sq_dists``, the helper every kernel matrix here goes through.
+with ``rbf_from_sq_dists``, the helper every kernel matrix here goes through,
+and its derivatives with ``kernel_grad_theta``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ __all__ = [
     "kernel_grad_theta",
     "sq_dists",
     "rbf_from_sq_dists",
-    "rbf_grad_from_sq_dists",
     "heuristic_params",
 ]
 
@@ -127,18 +127,6 @@ def rbf_from_sq_dists(params: KernelParams, d2: np.ndarray) -> np.ndarray:
     return K
 
 
-def rbf_grad_from_sq_dists(
-    params: KernelParams, K: np.ndarray, d2: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Derivatives (dK/dlog s2, dK/dlog ell) of ``K = rbf_from_sq_dists(params, d2)``.
-
-    dK/dlog s2 = K (the matrix is linear in s2) and
-    dK/dlog ell = K * d2 / ell^2 elementwise, which vanishes on the diagonal.
-    """
-    ell = params.length_scale
-    return K, K * d2 / (ell * ell)
-
-
 def build_kernel_matrix(params: KernelParams, X) -> np.ndarray:
     """N x N prior covariance matrix of the training inputs."""
     return rbf_from_sq_dists(params, sq_dists(X))
@@ -159,14 +147,16 @@ def cross_kernel(params: KernelParams, A, B) -> np.ndarray:
     return rbf_from_sq_dists(params, _sq_dists(A, B))
 
 
-def kernel_grad_theta(params: KernelParams, X) -> tuple[np.ndarray, np.ndarray]:
-    """Derivatives of the kernel matrix w.r.t. (log s2, log ell).
+def kernel_grad_theta(
+    params: KernelParams, K: np.ndarray, d2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Derivatives (dK/dlog s2, dK/dlog ell) of ``K = rbf_from_sq_dists(params, d2)``.
 
-    See ``rbf_grad_from_sq_dists``; this builds K and the squared distances
-    from X first.
+    dK/dlog s2 = K (the matrix is linear in s2) and
+    dK/dlog ell = K * d2 / ell^2 elementwise, which vanishes on the diagonal.
     """
-    d2 = sq_dists(X)
-    return rbf_grad_from_sq_dists(params, rbf_from_sq_dists(params, d2), d2)
+    ell = params.length_scale
+    return K, K * d2 / (ell * ell)
 
 
 def _label_variance(y: np.ndarray) -> float:

@@ -36,14 +36,14 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError, InvalidInputError, NumericalError
-from .gpr import GprState, _finite_nonnegative, fit_matrix, grad_sigma, grad_theta, nll
+from .gpr import GprState, _finite_nonnegative, fit_matrix, grad_sigma, grad_theta, loocv, nll
 from .kernel import (
     KernelParams,
     _label_variance,
     build_kernel_matrix,
     heuristic_params,
+    kernel_grad_theta,
     rbf_from_sq_dists,
-    rbf_grad_from_sq_dists,
     sq_dists,
 )
 from .rng import make_rng
@@ -173,11 +173,12 @@ class OptTrace:
     ``stop_reason`` says why the run ended: ``sigma_tol`` (relative sigma
     change below tolerance), ``nll_tol`` (NLL decrease below tolerance, or
     for the projected-gradient baseline no decrease left to find along the
-    gradient), ``grad_tol`` (projected-gradient stationarity residual below
-    tolerance), ``nll_increase`` (a step raised the objective, the NLL plus
-    any penalty, beyond round-off) or ``max_iters``. ``converged`` is true
-    for the first three. Only the loop's record is stored; ``iters``,
-    ``converged``, ``monotone`` and the final values are read off it.
+    gradient), ``grad_tol`` (the projected-gradient baseline's KKT residual,
+    ``loocv``'s ``kkt_residual``, at most its tolerance), ``nll_increase``
+    (a step raised the objective, the NLL plus any penalty, beyond
+    round-off) or ``max_iters``. ``converged`` is true for the first three.
+    Only the loop's record is stored; ``iters``, ``converged``,
+    ``monotone`` and the final values are read off it.
     """
 
     nll_per_iter: np.ndarray
@@ -381,11 +382,11 @@ def projected_gradient_baseline_matrix(
     """Projected gradient descent on sigma >= 0 with a backtracking step.
 
     The step size halves until the NLL does not increase and doubles after
-    each accepted step. Stops on the scale-free stationarity residual
-    (|grad_i| where sigma_i > 0, max(-grad_i, 0) at the boundary, measured
-    relative to (Ktilde^-1)_ii), on sigma stalling, or on NLL stalling.
-    Counts every NLL evaluation, rejected trials included, so runs are
-    comparable with the multiplicative scheme's trace.
+    each accepted step. Stops when the KKT residual of sigma >= 0 (the
+    ``kkt_residual`` of ``loocv``) is at most ``tol_grad``, on sigma
+    stalling, or on NLL stalling. Counts every NLL evaluation, rejected
+    trials included, so runs are comparable with the multiplicative
+    scheme's trace.
     """
     config = config or PgdConfig()
     K = np.asarray(K, dtype=float)
@@ -400,11 +401,10 @@ def projected_gradient_baseline_matrix(
     eta = config.step_size
     stop = "max_iters"
     for _ in range(config.max_iters):
-        g = grad_sigma(state, state.y)
-        residual = np.where(sigma > 0.0, np.abs(g), np.maximum(-g, 0.0))
-        if float(np.max(residual / state.kinv_diag)) <= config.tol_grad:
+        if loocv(state, state.y).kkt_residual <= config.tol_grad:
             stop = "grad_tol"
             break
+        g = grad_sigma(state, state.y)
         trial = eta
         accepted = False
         for _ in range(config.max_halvings + 1):
@@ -537,7 +537,7 @@ def _theta_block(
     # values a rounding apart give the same kernel), but the kernel and fit
     # of the latest trial only. The start is the caller's fit and L-BFGS-B's
     # first evaluation, so that refits nothing.
-    evaluated = {start_params: (start, grad_theta(state, y, rbf_grad_from_sq_dists(start_params, K, d2)))}
+    evaluated = {start_params: (start, grad_theta(state, y, kernel_grad_theta(start_params, K, d2)))}
     latest = (start_params, K, state)
     steps: list[tuple[float, int]] = []
 
@@ -559,7 +559,7 @@ def _theta_block(
         except (NumericalError, InvalidInputError):
             failed = True
             return math.inf, np.zeros_like(x)
-        evaluated[params] = value, grad_theta(trial, trial.y, rbf_grad_from_sq_dists(params, trial_K, d2))
+        evaluated[params] = value, grad_theta(trial, trial.y, kernel_grad_theta(params, trial_K, d2))
         return evaluated[params]
 
     def record(x: np.ndarray) -> None:

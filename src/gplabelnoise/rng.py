@@ -38,13 +38,15 @@ def normals(rng: np.random.Generator, size, std: float = 1.0) -> np.ndarray:
     """Seeded N(0, std^2) draws via the Box-Muller transform.
 
     Uses only ``rng.random`` so the stream consumed is exactly two uniforms
-    per normal, independent of numpy's internal ziggurat tables.
+    per normal, independent of numpy's internal ziggurat tables. Draws that
+    overflow come back infinite, without a warning.
     """
     u1 = rng.random(size)
     u2 = rng.random(size)
     # 1 - u1 lies in (0, 1], keeping the log argument nonzero.
     z = np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * np.pi * u2)
-    return std * z
+    with np.errstate(over="ignore"):
+        return std * z
 
 
 def choose_subset(rng: np.random.Generator, n: int, k: int) -> np.ndarray:

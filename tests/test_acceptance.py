@@ -36,6 +36,7 @@ from gplabelnoise import (
     predict_batch,
     projected_gradient_baseline_matrix,
     roc_auc,
+    sq_dists,
 )
 from gplabelnoise.rng import make_rng, normals
 from oracles import diagonal_solution, fit, grad_sigma_full_matrix
@@ -98,7 +99,7 @@ class TestAcceptance:
             err = float(np.max(np.abs(g - fd)) / max(1.0, float(np.max(np.abs(fd)))))
             worst_sigma = max(worst_sigma, err)
 
-            gt = grad_theta(state, y, kernel_grad_theta(params, X))
+            gt = grad_theta(state, y, kernel_grad_theta(params, K, sq_dists(X)))
             log0 = params.log_vector()
             fd_t = np.empty(2)
             for j in range(2):

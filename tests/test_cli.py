@@ -167,8 +167,8 @@ class TestGen:
     @pytest.mark.parametrize(
         "argv",
         [("--d", "0"), ("--d", "-1"), ("--base-noise", "-1"), ("--base-noise", "nan"),
-         ("--level", "nan")],
-        ids=["d-zero", "d-negative", "base-noise-negative", "base-noise-nan", "level-nan"],
+         ("--level", "nan"), ("--level", "inf")],
+        ids=["d-zero", "d-negative", "base-noise-negative", "base-noise-nan", "level-nan", "level-inf"],
     )
     def test_impossible_grid_setting_is_a_config_error(self, argv, tmp_path, capsys):
         out = tmp_path / "x.csv"
@@ -782,9 +782,10 @@ class TestBenchmark:
          (("--folds", "100"), "error: need at least 100 samples for 100-fold CV"),
          (("--recall-levels", "0.5,2"), "error: recall levels must lie in (0, 1]"),
          (("--rates", "0.1,1.5"), "error: noise rate must be in [0, 1]"),
+         (("--levels", "0.5,inf"), "error: noise level must be non-negative and finite"),
          # the first cell's seed is in range, the second's is 2**64
          (("--rates", "0.1,0.2", "--seed", str(2**64 - 1)), "error: seed must lie in [0, 2**64)")],
-        ids=["folds", "folds-100", "recall-levels", "rates", "cell-seed"],
+        ids=["folds", "folds-100", "recall-levels", "rates", "levels-inf", "cell-seed"],
     )
     def test_bad_setting_exits_1_without_output(self, setting, message, tmp_path, monkeypatch, capsys):
         """Every setting is checked before the first cell fits anything."""
@@ -915,6 +916,17 @@ class TestConfigPrecedence:
         assert json.loads(from_file)["config"]["joint"] is True
         assert run("fit", "--data", str(example_csv), "--joint", "--out", str(out)) == 0
         assert out.read_bytes() == from_file
+
+    @pytest.mark.parametrize("value", ["false", "0"])
+    def test_config_file_false_boolean_leaves_the_flag_off(self, value, example_csv, tmp_path, capsys):
+        cfg = tmp_path / "settings.cfg"
+        cfg.write_text(f"joint={value}\n")
+        out = tmp_path / "x.json"
+        assert run("fit", "--data", str(example_csv), "--config", str(cfg), "--out", str(out)) == 0
+        from_file = json.loads(out.read_text())
+        assert from_file["config"]["joint"] is False
+        assert run("fit", "--data", str(example_csv), "--out", str(out)) == 0
+        assert from_file["per_label"] == json.loads(out.read_text())["per_label"]
 
     def test_config_file_boolean_must_be_a_boolean(self, example_csv, tmp_path, capsys):
         cfg = tmp_path / "settings.cfg"

@@ -72,6 +72,11 @@ class TestRngHelpers:
     def test_largest_seed_accepted(self):
         assert normals(make_rng(2**64 - 1), 2).shape == (2,)
 
+    def test_overflowing_scale_gives_infinite_draws_without_a_warning(self):
+        # the suite turns numpy's RuntimeWarning into an error
+        draws = normals(make_rng(0), 50, std=1e308)
+        assert np.isinf(draws).any() and not np.isnan(draws).any()
+
 
 # ---------------------------------------------------------------------------
 # dataset container
@@ -245,6 +250,11 @@ class TestGenGp:
         with pytest.raises(ConfigError):
             gen_gp(KernelParams(1.0, 0.5), 8, seed=0, **kwargs)
 
+    def test_base_noise_without_finite_labels_is_invalid_input(self):
+        # 1e308 times some of the 50 unit draws overflows
+        with pytest.raises(InvalidInputError, match="finite"):
+            gen_gp(KernelParams(1.0, 0.3), 50, seed=0, base_noise_std=1e308)
+
 
 # ---------------------------------------------------------------------------
 # noise injection
@@ -298,6 +308,18 @@ class TestInjectNoise:
     def test_bad_spec_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             NoiseInjectionSpec(**kwargs)
+
+    @pytest.mark.parametrize("level", [float("inf"), float("-inf")])
+    def test_infinite_level_rejected(self, level):
+        with pytest.raises(ConfigError, match="noise level must be non-negative and finite"):
+            NoiseInjectionSpec(rate=0.5, level=level)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_level_without_finite_labels_is_invalid_input(self, seed):
+        """A finite level whose draws overflow, or whose labels have no finite
+        variance, fails as invalid input, not with a floating-point warning."""
+        with pytest.raises(InvalidInputError, match="finite"):
+            inject_noise(self._clean(20, seed), NoiseInjectionSpec(rate=0.5, level=1e308))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for GP regression: fitting, prediction, likelihood, gradients, LOOCV."""
 
+import logging
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -11,18 +13,20 @@ from gplabelnoise import (
     NumericalError,
     build_kernel_matrix,
     fit_matrix,
+    gen_gp,
     grad_sigma,
     grad_theta,
     kernel_grad_theta,
     loocv,
     nll,
     predict_batch,
+    sq_dists,
 )
 from gplabelnoise import gpr
 from gplabelnoise.gpr import cholesky_with_jitter
 from gplabelnoise.rng import make_rng, normals
 from memtrace import peak_nn
-from oracles import fit, grad_sigma_full_matrix
+from oracles import diagonal_solution, fit, grad_sigma_full_matrix
 
 # ---------------------------------------------------------------------------
 # fitting
@@ -367,7 +371,7 @@ class TestLazyReads:
         state = fit(params, 0.1 + rng.random(n), X, normals(rng, n))
         nll(state, state.y)
         grad_sigma(state, state.y)
-        grad_theta(state, state.y, kernel_grad_theta(params, X))
+        grad_theta(state, state.y, kernel_grad_theta(params, build_kernel_matrix(params, X), sq_dists(X)))
         loocv(state, state.y)
         assert [name for name, value in vars(state).items() if np.ndim(value) == 2] == ["chol"]
 
@@ -527,7 +531,7 @@ class TestGradients:
         sigma = 0.3 + rng.random(9)
         y = normals(rng, 9)
         state = fit(params, sigma, X, y)
-        g = grad_theta(state, y, kernel_grad_theta(params, X))
+        g = grad_theta(state, y, kernel_grad_theta(params, build_kernel_matrix(params, X), sq_dists(X)))
         log0 = params.log_vector()
         h = 1e-5
         for idx in range(2):
@@ -548,9 +552,10 @@ class TestGradients:
         sigma = 0.05 + 0.2 * rng.random(n)
         y = normals(rng, n)
         state = fit(params, sigma, X, y)
-        matrices = kernel_grad_theta(params, X)
+        K = build_kernel_matrix(params, X)
+        matrices = kernel_grad_theta(params, K, sq_dists(X))
         g = grad_theta(state, y, matrices)
-        Kt = build_kernel_matrix(params, X) + np.diag(sigma)
+        Kt = K + np.diag(sigma)
         a = np.linalg.solve(Kt, y)
         dense = [np.trace(np.linalg.inv(Kt) @ dK) - a @ dK @ a for dK in matrices]
         np.testing.assert_allclose(g, dense, rtol=1e-10)
@@ -629,6 +634,18 @@ class TestPredict:
         mean, var = predict_batch(params, X, state, np.zeros((0, 1)))
         assert mean.shape == var.shape == (0,)
 
+    def test_negative_variances_are_clamped_and_logged(self, caplog):
+        """A noise-free fit under a length scale far longer than the data's
+        is ill-conditioned: k' Kt^-1 k exceeds the prior variance by more
+        than round-off, and those points are clamped to 0 with a warning."""
+        data = gen_gp(KernelParams(1.0, 0.3), 7, d=1, seed=17)
+        params = KernelParams(1.0, 2.8)
+        state = fit(params, np.zeros(7), data.X, data.y_centered)
+        with caplog.at_level(logging.WARNING, logger="gplabelnoise.gpr"):
+            _, var = predict_batch(params, data.X, state, np.linspace(-1.0, 1.0, 41))
+        assert "posterior variance clamped to 0 at 7 points" in caplog.messages
+        assert np.all(var >= 0.0)
+
 
 # ---------------------------------------------------------------------------
 # leave-one-out cross-validation
@@ -643,6 +660,37 @@ class TestLoocv:
         res = loocv(state, np.array([3.0]))
         assert res.errors[0] == pytest.approx(3.0, rel=1e-12)
         assert res.stds[0] == pytest.approx(np.sqrt(2.0), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "sigma, y, residual",
+        # p = 1 / (1 + sigma), a = p y, g = p - a^2
+        [(1.0, 3.0, 3.5),  # sigma > 0: |g| / p = |1 - y^2 / 2|
+         (0.0, 3.0, 8.0),  # at the boundary a negative g violates: -g / p = y^2 - 1
+         (0.0, 0.5, 0.0)],  # and a positive one does not
+        ids=["interior", "boundary-violated", "boundary-met"],
+    )
+    def test_kkt_residual_hand_values(self, sigma, y, residual):
+        state = fit_matrix(np.array([[1.0]]), np.array([sigma]), np.array([y]))
+        assert loocv(state, np.array([y])).kkt_residual == pytest.approx(residual, rel=1e-12, abs=1e-15)
+
+    def test_kkt_residual_is_the_containment_gap(self):
+        """q = (errors / stds)^2: the residual is |1 - q| on sigma > 0 and
+        (q - 1)+ at sigma = 0, and it vanishes at the diagonal optimum."""
+        rng = make_rng(45)
+        n = 12
+        K_diag = 0.5 + rng.random(n)
+        y = 2.0 * normals(rng, n)
+        sigma = diagonal_solution(K_diag, y)
+        assert 0 < np.count_nonzero(sigma) < n  # both kinds of label
+        state = fit_matrix(np.diag(K_diag), sigma, y)
+        res = loocv(state, y)
+        assert res.kkt_residual < 1e-12
+        sigma = 0.3 * sigma
+        state = fit_matrix(np.diag(K_diag), sigma, y)
+        res = loocv(state, y)
+        q = (res.errors / res.stds) ** 2
+        gap = np.where(sigma > 0.0, np.abs(1.0 - q), np.maximum(q - 1.0, 0.0))
+        assert res.kkt_residual == pytest.approx(float(np.max(gap)), rel=1e-12)
 
     def test_matches_brute_force_retraining(self):
         rng = make_rng(44)

@@ -69,17 +69,6 @@ def test_package_exports_nothing_else():
     assert sorted(gplabelnoise.__all__) == sorted(names)
 
 
-# Public names that no library module or benchmark reads, kept on purpose:
-EXPORTS_READ_ONLY_BY_TESTS = {
-    # BENCHMARK.json declares its per-layer calls and self time, which the
-    # traced benchmark finds through kernel.__all__
-    "kernel_grad_theta",
-    # computes the paper's leave-one-out quantities (criterion 3); ROADMAP
-    # item 12's fit certificate is to read it
-    "loocv",
-}
-
-
 def _names_read(tree: ast.Module) -> set[str]:
     """Names a module reads: bare names, attributes (``gpl.fit_matrix``) and
     the names it imports."""
@@ -94,7 +83,7 @@ def _names_read(tree: ast.Module) -> set[str]:
     return read
 
 
-def _unread_exports(sources: dict[str, str], exempt=frozenset()) -> list[str]:
+def _unread_exports(sources: dict[str, str]) -> list[str]:
     """``module.name`` for each name in a module's literal ``__all__`` that no
     module of ``sources`` (module name -> source text) reads. A definition
     and an ``__all__`` entry are not reads, so a name read only by the module
@@ -109,8 +98,7 @@ def _unread_exports(sources: dict[str, str], exempt=frozenset()) -> list[str]:
                 and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
                 and isinstance(node.value, ast.List)
             ):
-                unread += [f"{module}.{elt.value}" for elt in node.value.elts
-                           if elt.value not in read and elt.value not in exempt]
+                unread += [f"{module}.{elt.value}" for elt in node.value.elts if elt.value not in read]
     return unread
 
 
@@ -120,24 +108,20 @@ def _library_and_bench_sources() -> dict[str, str]:
 
 
 def test_every_export_is_read_outside_the_tests():
-    unread = _unread_exports(_library_and_bench_sources(), EXPORTS_READ_ONLY_BY_TESTS)
+    unread = _unread_exports(_library_and_bench_sources())
     assert not unread, f"public names only the tests read (move them to tests/): {unread}"
-
-
-def test_every_exempt_export_exists():
-    exported = {name for module in LIBRARY_MODULES for name in module.__all__}
-    assert EXPORTS_READ_ONLY_BY_TESTS <= exported
 
 
 def test_guard_sees_an_unread_export():
     sources = _library_and_bench_sources()
     sources["gplabelnoise.planted"] = "__all__ = ['planted']\ndef planted():\n    return 1\n"
-    assert _unread_exports(sources, EXPORTS_READ_ONLY_BY_TESTS) == ["gplabelnoise.planted.planted"]
+    assert _unread_exports(sources) == ["gplabelnoise.planted.planted"]
 
 
 # Top-level modules the tests import that are neither the standard library
-# nor a distribution: the package under test and the tests' own helpers.
-LOCAL_MODULES = {"gplabelnoise", "oracles", "memtrace"}
+# nor a distribution: the package under test, the tests' own helpers and
+# this module, whose source readers test_benchmark_config reuses.
+LOCAL_MODULES = {"gplabelnoise", "oracles", "memtrace", "test_imports"}
 
 
 def _top_level_imports(tree: ast.Module) -> set[str]:

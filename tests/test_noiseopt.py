@@ -31,6 +31,7 @@ from gplabelnoise import (
     optimize_sigma_matrix,
     optimize_sigma_uniform_matrix,
     projected_gradient_baseline_matrix,
+    sq_dists,
     write_dataset,
 )
 from gplabelnoise import cli, kernel, noiseopt
@@ -645,21 +646,22 @@ class TestJointOptimize:
 
     def test_theta_gradients_use_kernel_grad_theta_matrices(self, monkeypatch):
         """Every theta gradient, built from the cached squared distances,
-        sees bitwise the matrices kernel_grad_theta builds from X."""
+        sees bitwise the matrices kernel_grad_theta gives for the kernel
+        and squared distances built afresh from X."""
         data = gen_example1(1)
         seen = []
-        rbf_grad = noiseopt.rbf_grad_from_sq_dists
+        grad = noiseopt.kernel_grad_theta
 
         def spy(params, K, d2):
-            matrices = rbf_grad(params, K, d2)
+            matrices = grad(params, K, d2)
             seen.append((params, [m.copy() for m in matrices]))
             return matrices
 
-        monkeypatch.setattr(noiseopt, "rbf_grad_from_sq_dists", spy)
+        monkeypatch.setattr(noiseopt, "kernel_grad_theta", spy)
         joint_optimize(data, JointOptConfig(outer_rounds=2, restarts=2))
         assert len(seen) > 2
         for params, matrices in seen:
-            reference = kernel_grad_theta(params, data.X)
+            reference = kernel_grad_theta(params, build_kernel_matrix(params, data.X), sq_dists(data.X))
             assert all(np.array_equal(m, r) for m, r in zip(matrices, reference))
 
     def test_failed_theta_trials_are_rejected(self, monkeypatch):
@@ -759,8 +761,9 @@ class TestJointOptimize:
         for seed in range(20):
             data = gen_example1(seed)
             params, sigma, _ = joint_optimize(data)
-            state = fit_matrix(build_kernel_matrix(params, data.X), sigma, data.y_centered)
-            g = grad_theta(state, data.y_centered, kernel_grad_theta(params, data.X))
+            K = build_kernel_matrix(params, data.X)
+            state = fit_matrix(K, sigma, data.y_centered)
+            g = grad_theta(state, data.y_centered, kernel_grad_theta(params, K, sq_dists(data.X)))
             peaks.append(float(np.max(np.abs(g))))
         assert float(np.median(peaks)) < 0.05, f"median max|grad| {np.median(peaks)}"
 
