@@ -189,7 +189,9 @@ class TestSquaredDistanceCache:
         assert np.array_equal(sq_dists(X), d2)  # the input is left alone
 
     @pytest.mark.parametrize("params", PARAMS)
-    def test_gradient_is_bitwise_the_derivative_expression(self, params):
+    def test_gradient_helper_matches_kernel_grad_theta(self, params):
+        """kernel_grad_theta on a cached K and squared distances is bitwise
+        the derivative expression: d/d(sv) is K, d/d(ell) is K * d2 / ell^2."""
         X = 2.0 * make_rng(25).random((30, 2)) - 1.0
         d2 = sq_dists(X)
         K = rbf_from_sq_dists(params, d2)
