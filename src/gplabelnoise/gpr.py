@@ -24,11 +24,18 @@ The factor path calls LAPACK directly: ``dpotrf`` for the Cholesky factor,
 ``dpotri`` for the full inverse, each bound once at import. These are the
 routines, with the same arguments, that ``scipy.linalg.cholesky``/
 ``cho_solve`` call, so factors and solves are bitwise the same, without
-SciPy's per-call wrapper cost (which dominates at N of a few dozen). The
-input checks those wrappers would make live in ``fit_matrix`` (square K,
-finite labels of matching length, finite Kt), ``cholesky_with_jitter``
-(square, finite K, finite diagonal of Kt) and ``_check_sigma`` (shape,
-finite, non-negative).
+SciPy's per-call wrapper cost (which dominates at N of a few dozen).
+
+The input checks those wrappers would make are made once per K and y, by
+a refitter (``_Refitter``): on construction it checks that K is a finite,
+non-empty square matrix and y a finite vector of matching length, and each
+fit then checks only sigma (``_check_sigma``: shape, finite, non-negative)
+and the finiteness of diag(K) + sigma, which for a checked K is the
+finiteness of Kt, in O(N). ``fit_matrix`` is the first fit of a new
+refitter. A loop that refits one K, such as a sigma iteration, builds one
+refitter, so K and y are checked when it starts instead of on every step;
+each fit still factors a fresh copy of Kt. ``cholesky_with_jitter`` makes the
+same checks with the same helpers.
 
 Above order 64 the triangular inverse is recursive blocked inversion
 (Elmroth, Gustavson, Jonsson and Kagstrom, SIAM Review 2004): L is halved,
@@ -49,7 +56,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -89,14 +95,39 @@ _JITTER_STEPS = (1e-10, 1e-9, 1e-8, 1e-7)
 _TRTRI_MAX_N = 64
 
 
+class _cached:
+    """``functools.cached_property`` without its lock.
+
+    The first read stores the value in the instance ``__dict__``, which
+    later reads find before this non-data descriptor, so the value is
+    computed once and then read like a field. Python 3.11's
+    ``cached_property`` takes a class-wide lock on every first read, which
+    costs more than the read itself at N of a few dozen.
+    """
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.__doc__ = fn.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class GprState:
     """Factorized regularized covariance plus the reads of it that are used.
 
-    ``y`` is a copy of the fitted labels, so readers can tell when ``alpha``
-    answers for the labels they are given. ``chol`` is the one N x N array
-    a state holds; ``logdet`` and ``kinv_diag`` are computed from it on
-    first access and cached.
+    ``y`` is a read-only copy of the fitted labels, shared by the states
+    of one refitter, so readers can tell when ``alpha`` answers for the
+    labels they are given. ``chol`` is the one N x N array a state holds;
+    ``logdet`` and ``kinv_diag`` are computed from it on first access and
+    cached.
     """
 
     sigma: np.ndarray
@@ -127,12 +158,12 @@ class GprState:
             return self.alpha
         return self.solve(y)
 
-    @cached_property
+    @_cached
     def logdet(self) -> float:
         """log det Kt = 2 * sum(log diag L)."""
         return 2.0 * float(np.log(self.chol.diagonal()).sum())
 
-    @cached_property
+    @_cached
     def kinv_diag(self) -> np.ndarray:
         """diag(Kt^-1), the column sums of squares of L^-1.
 
@@ -209,12 +240,32 @@ class LoocvResult:
     kkt_residual: float  # largest scaled violation of the KKT conditions of sigma >= 0
 
 
+def _checked_matrix(K) -> np.ndarray:
+    """K as a float array, checked to be a finite, non-empty square matrix."""
+    K = np.asarray(K, dtype=float)
+    if K.ndim != 2 or K.shape[0] != K.shape[1]:
+        raise InvalidInputError(f"K must be a square matrix, got shape {K.shape}")
+    if K.shape[0] == 0:
+        raise EmptyDatasetError("cannot factor a 0 x 0 matrix")
+    if not np.isfinite(K).all():
+        raise InvalidInputError("matrix to factor must be finite")
+    return K
+
+
+def _factor(K: np.ndarray, diag: np.ndarray) -> tuple[np.ndarray, int]:
+    """``potrf`` of a fresh Fortran-ordered copy of K with ``diag`` on its
+    diagonal, factored in place: the lower factor and LAPACK's info."""
+    A = np.array(K, order="F")
+    A.flat[:: A.shape[0] + 1] = diag
+    return _potrf(A, lower=1, clean=1, overwrite_a=1)
+
+
 def cholesky_with_jitter(K: np.ndarray, sigma) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of K + diag(sigma) + jitter*I, and the jitter,
     for the smallest rung of the jitter ladder that factors.
 
-    The fallback of ``fit_matrix`` once K + diag(sigma) itself fails to
-    factor, so it never factors without jitter: the first rung is
+    The fallback of a fit once K + diag(sigma) itself fails to factor, so
+    it never factors without jitter: the first rung is
     1e-10 * mean(diag K), and each further rung is 10x the one before.
     Each rung is one Fortran-ordered copy of K with the jittered diagonal,
     factored in place, and a failed rung is released before the next: the
@@ -226,26 +277,15 @@ def cholesky_with_jitter(K: np.ndarray, sigma) -> tuple[np.ndarray, float]:
     K + diag(sigma) finite, and ``NumericalError`` carrying the smallest
     eigenvalue of K + diag(sigma) once the ladder is exhausted.
     """
-    K = np.asarray(K, dtype=float)
-    if K.ndim != 2 or K.shape[0] != K.shape[1]:
-        raise InvalidInputError(f"matrix to factor must be square, got shape {K.shape}")
-    n = K.shape[0]
-    if n == 0:
-        raise EmptyDatasetError("cannot factor a 0 x 0 matrix")
-    sigma = _check_sigma(sigma, n)
-    with np.errstate(over="ignore"):
-        diag = K.diagonal() + sigma
     # checked before any copy: the check's mask and a rung are never held
     # together
-    if not (np.isfinite(K).all() and np.isfinite(diag).all()):
-        raise InvalidInputError("matrix to factor must be finite")
-    scale = float(np.add.reduce(K.diagonal()) / n)
+    K = _checked_matrix(K)
+    k_diag = K.diagonal()
+    sigma, diag = _noisy_diagonal(k_diag, float(k_diag.max()), sigma)
+    scale = float(np.add.reduce(k_diag) / k_diag.shape[0])
     for step in _JITTER_STEPS:
         jitter = step * scale
-        A = np.array(K, order="F")
-        np.fill_diagonal(A, diag + jitter)
-        L, info = _potrf(A, lower=1, clean=1, overwrite_a=1)
-        del A
+        L, info = _factor(K, diag + jitter)
         if info == 0:
             log.debug("cholesky needed jitter %.3e", jitter)
             return L, jitter
@@ -277,53 +317,82 @@ def _check_sigma(sigma, n: int) -> np.ndarray:
     return sigma
 
 
+def _noisy_diagonal(k_diag: np.ndarray, k_diag_max: float, sigma) -> tuple[np.ndarray, np.ndarray]:
+    """sigma, checked by ``_check_sigma``, and diag(K) + sigma, checked to be
+    finite, for ``k_diag`` = diag(K) and ``k_diag_max`` its largest entry.
+
+    For a finite K that is the condition that K + diag(sigma) is finite,
+    checked in O(N). When max diag(K) + max sigma is finite no entry can
+    round past it, so none overflows and the sum needs no further check.
+    """
+    sigma = _check_sigma(sigma, k_diag.shape[0])
+    if k_diag_max + float(sigma.max()) < math.inf:
+        return sigma, k_diag + sigma
+    with np.errstate(over="ignore"):
+        diag = k_diag + sigma
+    if not np.isfinite(diag).all():
+        raise InvalidInputError("matrix to factor must be finite")
+    return sigma, diag
+
+
+class _Refitter:
+    """Fits of K + diag(sigma) for one K and y, which are checked once.
+
+    Calling it with a sigma checks only sigma and diag(K) + sigma, O(N),
+    then factors a fresh Fortran-ordered copy of Kt in place; if that fails,
+    the attempt is released and ``cholesky_with_jitter`` runs on K and
+    sigma. It holds a reference to K, not a copy, and one read-only copy of
+    y that every state it returns shares, so a loop of refits keeps no N x N
+    array of its own.
+    """
+
+    __slots__ = ("K", "y", "_k_diag", "_k_diag_max")
+
+    def __init__(self, K, y):
+        K = _checked_matrix(K)
+        n = K.shape[0]
+        y = np.asarray(y, dtype=float)
+        if y.shape != (n,):
+            raise InvalidInputError(f"y must have shape ({n},), got {y.shape}")
+        if not np.isfinite(y).all():
+            raise InvalidInputError("y entries must be finite")
+        self.K, self.y = K, y.copy()
+        self.y.flags.writeable = False
+        self._k_diag = K.diagonal()
+        self._k_diag_max = float(self._k_diag.max())
+
+    def __call__(self, sigma) -> GprState:
+        sigma, diag = _noisy_diagonal(self._k_diag, self._k_diag_max, sigma)
+        L, info = _factor(self.K, diag)
+        jitter = 0.0
+        if info != 0:
+            del L  # the failed attempt, released before the ladder's first rung
+            L, jitter = cholesky_with_jitter(self.K, sigma)
+        # info is 0: a successful Cholesky leaves a positive diagonal
+        return GprState(sigma=sigma, y=self.y, chol=L, jitter=jitter, alpha=_potrs(L, self.y, lower=1)[0])
+
+
 def fit_matrix(K: np.ndarray, sigma, y) -> GprState:
     """Factorize K + diag(sigma) and cache alpha = Kt^-1 y.
 
-    Kt is one Fortran-ordered copy of K with sigma added to its diagonal,
-    and LAPACK factors it in place, so a fit holds one N x N array: the
-    factor. Only when that factorization fails is the failed attempt
-    released and the jitter ladder (``cholesky_with_jitter``) run on K and
-    sigma, which starts at its first jittered rung and holds one rung at a
-    time. Nothing is inverted here; ``GprState.logdet`` and ``kinv_diag``
-    are computed from the factor by their first reader, so a state read
-    only by ``nll`` costs a factorization and one solve. O(N^3), fine at
-    the targeted scale.
+    The first fit of a refitter of K and y: it checks K and y, then sigma
+    and the finiteness of diag(K) + sigma. Kt is one Fortran-ordered copy
+    of K with sigma on its diagonal, and LAPACK factors it in place, so a
+    fit holds one N x N array: the factor. Only when that factorization
+    fails is the failed attempt released and the jitter ladder
+    (``cholesky_with_jitter``) run on K and sigma, which starts at its
+    first jittered rung and holds one rung at a time. Nothing is inverted
+    here; ``GprState.logdet`` and ``kinv_diag`` are computed from the
+    factor by their first reader, so a state read only by ``nll`` costs a
+    factorization and one solve. O(N^3), fine at the targeted scale.
 
     Raises ``EmptyDatasetError`` for a 0 x 0 K, ``InvalidInputError`` unless K
-    is a square matrix, y a finite vector of matching length, sigma a finite
-    non-negative vector of matching length and K + diag(sigma) finite, and
-    ``NumericalError`` when K + diag(sigma) cannot be factorized.
+    is a finite square matrix, y a finite vector of matching length, sigma a
+    finite non-negative vector of matching length and K + diag(sigma)
+    finite, and ``NumericalError`` when K + diag(sigma) cannot be
+    factorized.
     """
-    K = np.asarray(K, dtype=float)
-    if K.ndim != 2 or K.shape[0] != K.shape[1]:
-        raise InvalidInputError(f"K must be a square matrix, got shape {K.shape}")
-    n = K.shape[0]
-    if n == 0:
-        raise EmptyDatasetError("cannot fit zero points")
-    y = np.asarray(y, dtype=float)
-    if y.shape != (n,):
-        raise InvalidInputError(f"y must have shape ({n},), got {y.shape}")
-    if not np.isfinite(y).all():
-        raise InvalidInputError("y entries must be finite")
-    sigma = _check_sigma(sigma, n)
-    Kt = np.array(K, order="F")
-    Kt.flat[:: n + 1] += sigma  # the diagonal
-    if not np.isfinite(Kt).all():
-        raise InvalidInputError("matrix to factor must be finite")
-    L, info = _potrf(Kt, lower=1, clean=1, overwrite_a=1)
-    jitter = 0.0
-    if info != 0:
-        del L, Kt  # the failed attempt, released before the ladder's first rung
-        L, jitter = cholesky_with_jitter(K, sigma)
-    return GprState(
-        sigma=sigma,
-        y=y.copy(),
-        chol=L,
-        jitter=jitter,
-        # info is 0: a successful Cholesky leaves a positive diagonal
-        alpha=_potrs(L, y, lower=1)[0],
-    )
+    return _Refitter(K, y)(sigma)
 
 
 def predict_batch(params: KernelParams, X, state: GprState, X_star) -> tuple[np.ndarray, np.ndarray]:

@@ -36,7 +36,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError, InvalidInputError, NumericalError
-from .gpr import GprState, _finite_nonnegative, fit_matrix, grad_sigma, grad_theta, loocv, nll
+from .gpr import GprState, _finite_nonnegative, _Refitter, fit_matrix, grad_sigma, grad_theta, loocv, nll
 from .kernel import (
     KernelParams,
     _label_variance,
@@ -304,8 +304,11 @@ def _mult_loop(
     """The multiplicative scheme from ``sigma``: final sigma, trace, last state.
 
     A given ``state`` is the caller's fit of (K, sigma, y): the loop starts
-    from it and counts no fit for it. Every fit is of K itself, so the
-    kernel that K came from stays with the caller. A step's state is
+    from it and counts no fit for it; otherwise the first fit is a
+    ``fit_matrix`` call. Every later fit is a refit through one
+    ``_Refitter``, which checks K and y when the loop starts and then only
+    each step's sigma and diag(K) + sigma. Every fit is of K itself,
+    so the kernel that K came from stays with the caller. A step's state is
     dropped before the refit, so beside K the loop holds one factor and,
     while a step reads diag(Kt^-1), at most 3/4 of an N x N array of
     workspace (a given state stays alive while the caller holds it).
@@ -322,6 +325,7 @@ def _mult_loop(
     evals = [1 if state is None else 0]
     if state is None:
         state = fit_matrix(K, sigma, y)
+    refit = _Refitter(K, y)
     nlls = [nll(state, state.y)]
     objective = nlls[0] + _penalty(sigma, config)
     stop = "max_iters"
@@ -330,7 +334,7 @@ def _mult_loop(
         new_sigma = step(state, state.y, config)
         rel = _rel_change(new_sigma, sigma)
         del state  # one factor alive at a time: this step's goes before the refit
-        state = fit_matrix(K, new_sigma, y)
+        state = refit(new_sigma)
         value = nll(state, state.y)
         previous, objective = objective, value + _penalty(new_sigma, config)
         reason = _fixed_point_stop(rel, previous, objective, config)
@@ -382,9 +386,11 @@ def projected_gradient_baseline_matrix(
     """Projected gradient descent on sigma >= 0 with a backtracking step.
 
     The step size halves until the NLL does not increase and doubles after
-    each accepted step. Stops when the KKT residual of sigma >= 0 (the
-    ``kkt_residual`` of ``loocv``) is at most ``tol_grad``, on sigma
-    stalling, or on NLL stalling. Counts every NLL evaluation, rejected
+    each accepted step. The start is a ``fit_matrix`` call and every trial
+    a refit through one ``_Refitter``, which checks K and y at the start.
+    Stops when the KKT residual of sigma >= 0 (the ``kkt_residual`` of
+    ``loocv``) is at most ``tol_grad``, on sigma stalling, or on NLL
+    stalling. Counts every NLL evaluation, rejected
     trials included, so runs are comparable with the multiplicative
     scheme's trace.
     """
@@ -394,6 +400,7 @@ def projected_gradient_baseline_matrix(
     sigma = _resolve_sigma_init(config.sigma_init, y, y.shape[0])
 
     state = fit_matrix(K, sigma, y)
+    refit = _Refitter(K, y)
     value = nll(state, state.y)
     nlls = [value]
     evals_done = 1
@@ -409,7 +416,7 @@ def projected_gradient_baseline_matrix(
         accepted = False
         for _ in range(config.max_halvings + 1):
             cand = np.maximum(sigma - trial * g, 0.0)
-            cand_state = fit_matrix(K, cand, y)
+            cand_state = refit(cand)
             cand_value = nll(cand_state, cand_state.y)
             evals_done += 1
             if cand_value <= value:

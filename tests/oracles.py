@@ -2,10 +2,12 @@
 
 Each is the direct formula for something the library computes another way:
 one kernel entry, all squared distances in one expression, the full-matrix
-sigma gradient, the closed-form noise optimum for a diagonal kernel, and a
-fit from inputs instead of a kernel matrix. None is read by the library
-itself.
+sigma gradient, the closed-form noise optimum for a diagonal kernel, a
+fit from inputs instead of a kernel matrix, and the two sigma loops with
+one ``fit_matrix`` call per fit. None is read by the library itself.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -13,10 +15,17 @@ from gplabelnoise import (
     GprState,
     InvalidInputError,
     KernelParams,
+    MultUpdateConfig,
+    OptTrace,
+    PgdConfig,
     build_kernel_matrix,
     fit_matrix,
+    grad_sigma,
+    loocv,
+    mult_update_step,
+    nll,
 )
-from gplabelnoise import gpr
+from gplabelnoise import gpr, noiseopt
 
 
 def eval_kernel(params: KernelParams, a, b) -> float:
@@ -62,3 +71,63 @@ def diagonal_solution(K_diag: np.ndarray, y: np.ndarray) -> np.ndarray:
 def fit(params: KernelParams, sigma, X, y) -> GprState:
     """Fit the regularized GPR state for kernel ``params`` on (X, y)."""
     return fit_matrix(build_kernel_matrix(params, X), sigma, y)
+
+
+def mult_loop(K, y, config: MultUpdateConfig, step=mult_update_step):
+    """The multiplicative scheme from ``config``'s start, as ``_mult_loop``
+    ran it with a ``fit_matrix`` call per step: final sigma, trace, and the
+    jitter of every fit."""
+    config = replace(config, zero_clip=noiseopt._resolve_zero_clip(config.zero_clip, y))
+    sigma = noiseopt._resolve_sigma_init(config.sigma_init, y, y.shape[0])
+    state = fit_matrix(K, sigma, y)
+    nlls, jitters = [nll(state, y)], [state.jitter]
+    objective = nlls[0] + noiseopt._penalty(sigma, config)
+    stop = "max_iters"
+    for _ in range(config.max_iters):
+        new_sigma = step(state, y, config)
+        rel = noiseopt._rel_change(new_sigma, sigma)
+        state = fit_matrix(K, new_sigma, y)
+        nlls.append(nll(state, y))
+        jitters.append(state.jitter)
+        previous, objective = objective, nlls[-1] + noiseopt._penalty(new_sigma, config)
+        sigma = new_sigma
+        reason = noiseopt._fixed_point_stop(rel, previous, objective, config)
+        if reason is not None:
+            stop = reason
+            break
+    return sigma, OptTrace(np.array(nlls), np.arange(1, len(nlls) + 1), stop), jitters
+
+
+def projected_gradient(K, y, config: PgdConfig):
+    """The projected-gradient baseline with a ``fit_matrix`` call per trial:
+    final sigma and trace."""
+    sigma = noiseopt._resolve_sigma_init(config.sigma_init, y, y.shape[0])
+    state = fit_matrix(K, sigma, y)
+    value = nll(state, y)
+    nlls, evals, evals_done = [value], [1], 1
+    eta, stop = config.step_size, "max_iters"
+    for _ in range(config.max_iters):
+        if loocv(state, y).kkt_residual <= config.tol_grad:
+            stop = "grad_tol"
+            break
+        g, trial = grad_sigma(state, y), eta
+        for _ in range(config.max_halvings + 1):
+            cand = np.maximum(sigma - trial * g, 0.0)
+            cand_state = fit_matrix(K, cand, y)
+            cand_value = nll(cand_state, y)
+            evals_done += 1
+            if cand_value <= value:
+                break
+            trial *= 0.5
+        else:
+            stop = "nll_tol"
+            break
+        reason = noiseopt._fixed_point_stop(noiseopt._rel_change(cand, sigma), value, cand_value, config)
+        sigma, state, value = cand, cand_state, cand_value
+        nlls.append(value)
+        evals.append(evals_done)
+        eta = trial * 2.0
+        if reason is not None:
+            stop = reason
+            break
+    return sigma, OptTrace(np.array(nlls), np.array(evals), stop)

@@ -146,6 +146,17 @@ class TestFit:
         with pytest.raises(InvalidInputError):
             fit_matrix(K, np.ones(y.shape[0]), y)
 
+    def test_overflowing_diagonal_rejected(self):
+        """diag(K) + sigma is checked finite, with no overflow warning."""
+        with pytest.raises(InvalidInputError, match="^matrix to factor must be finite$"):
+            fit_matrix(np.diag([1e308, 1.0]), np.array([1e308, 0.0]), np.ones(2))
+
+    def test_large_entries_on_different_labels_fit(self):
+        """max diag(K) + max sigma overflows although no entry of
+        diag(K) + sigma does: the fit goes ahead on that diagonal."""
+        state = fit_matrix(np.diag([1e308, 1.0]), np.array([0.0, 1e308]), np.ones(2))
+        assert np.array_equal(state.chol.diagonal(), np.sqrt([1e308, 1e308]))
+
     @pytest.mark.parametrize(
         "M",
         [
@@ -350,8 +361,9 @@ class TestLazyReads:
     def test_jittered_fit_holds_one_rung(self):
         """A fit whose matrix fails to factor releases that attempt before the
         ladder copies K for its first rung, and the ladder checks K before it
-        copies: the peak is the fit's own copy of Kt and its N^2-byte
-        finiteness mask, as for a fit that needs no jitter."""
+        copies: the peak is one copy of Kt or a rung (K's N^2-byte finiteness
+        mask is released before either is made), as for a fit that needs no
+        jitter."""
         n = 300
         X = make_rng(58).random((n, 2))
         X[1] = X[0]

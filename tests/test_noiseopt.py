@@ -2,9 +2,12 @@
 variant, the projected-gradient baseline, and joint hyperparameter search."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gplabelnoise import (
     ConfigError,
@@ -34,9 +37,10 @@ from gplabelnoise import (
     sq_dists,
     write_dataset,
 )
-from gplabelnoise import cli, kernel, noiseopt
+from gplabelnoise import cli, gpr, kernel, noiseopt
 from gplabelnoise.rng import make_rng, normals
 from memtrace import peak_nn
+import oracles
 from oracles import diagonal_solution
 
 # configurations tight enough to chase hand-checkable fixed points to high
@@ -732,20 +736,32 @@ class TestJointOptimize:
         assert np.all(np.abs(trials[-1].log_vector() - log_theta) <= smallest * (1 + 1e-12))
 
     def test_no_fit_repeats_the_one_before(self, monkeypatch):
-        """States cross the theta/sigma boundary: no fit factors the same K
-        and sigma as the fit just before it."""
-        fit, last, repeats = noiseopt.fit_matrix, [None], [0]
+        """States cross the theta/sigma boundary: no factorization is of the
+        matrix the one just before it factored. The spy sits on LAPACK's
+        ``potrf``, which every fit, refit and jitter rung calls, so it sees
+        each sigma step's refit as well as loop starts and theta trials."""
+        potrf, last = gpr._potrf, [None]
+        counts = {"factorizations": 0, "repeats": 0, "steps": 0}
 
-        def spy(K, sigma, y):
-            key = (K.tobytes(), np.asarray(sigma, dtype=float).tobytes())
-            repeats[0] += key == last[0]
+        def spy(A, **kwargs):
+            key = A.tobytes()  # before potrf overwrites A
+            counts["factorizations"] += 1
+            counts["repeats"] += key == last[0]
             last[0] = key
-            return fit(K, sigma, y)
+            return potrf(A, **kwargs)
 
-        monkeypatch.setattr(noiseopt, "fit_matrix", spy)
+        step = noiseopt.mult_update_step
+
+        def counting_step(*args):
+            counts["steps"] += 1
+            return step(*args)
+
+        monkeypatch.setattr(gpr, "_potrf", spy)
+        monkeypatch.setattr(noiseopt, "mult_update_step", counting_step)
         for seed in range(5):
             joint_optimize(gen_example1(seed))
-        assert repeats[0] == 0
+        assert counts["repeats"] == 0
+        assert counts["factorizations"] > counts["steps"] > 0
 
     def test_trace_columns_align(self):
         """One entry per recorded point in every trace column: theta
@@ -828,3 +844,229 @@ class TestNumericalFailure:
         with pytest.raises(NumericalError, match="all 4 joint restarts failed numerically") as info:
             joint_optimize(gen_example1(0))
         assert info.value.smallest_pivot == -1.0
+
+
+# ---------------------------------------------------------------------------
+# refits: a loop's later fits reuse its K and y, checked once
+# ---------------------------------------------------------------------------
+
+
+def _heuristic_problem(data):
+    """The kernel matrix under the heuristic theta, and the centred labels."""
+    return build_kernel_matrix(heuristic_params(data.X, data.y), data.X), data.y_centered
+
+
+def _assert_same_run(got, expected):
+    """Bitwise the same sigma and trace columns, and the same stop reason."""
+    (sigma, trace), (sigma_o, trace_o) = got, expected[:2]
+    for a, b in ((sigma, sigma_o), (trace.nll_per_iter, trace_o.nll_per_iter),
+                 (trace.func_evals_per_iter, trace_o.func_evals_per_iter)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert trace.stop_reason == trace_o.stop_reason
+
+
+# duplicate inputs with equal labels: both variances of the pair reach 0
+# and a refit, not the loop start, takes the jitter ladder
+DUPLICATE_INPUTS = make_dataset(np.repeat(np.linspace(0.0, 1.0, 4), 2)[:, None],
+                                np.array([0.0, 0.1, 1.0, 0.9, -1.0, -1.2, 0.5, 0.5]))
+
+
+class TestRefitsMatchFitMatrix:
+    """Each loop is bitwise the loop with one ``fit_matrix`` call per fit
+    (``oracles.mult_loop`` and ``oracles.projected_gradient``)."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_per_label_loop(self, seed):
+        K, y = _heuristic_problem(gen_example1(seed))
+        _assert_same_run(optimize_sigma_matrix(K, y), oracles.mult_loop(K, y, MultUpdateConfig()))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_tied_loop(self, seed):
+        K, y = _heuristic_problem(gen_example1(seed))
+        expected = oracles.mult_loop(K, y, MultUpdateConfig(), step=noiseopt._tied_step)
+        _assert_same_run(optimize_sigma_uniform_matrix(K, y), expected)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_penalized_loop(self, seed):
+        K, y = _heuristic_problem(gen_example1(seed))
+        config = MultUpdateConfig(penalty_lambda=0.1, penalty_p=1.0)
+        _assert_same_run(optimize_sigma_matrix(K, y, config), oracles.mult_loop(K, y, config))
+
+    def test_refit_on_the_jitter_ladder(self):
+        K, y = _heuristic_problem(DUPLICATE_INPUTS)
+        *expected, jitters = oracles.mult_loop(K, y, MultUpdateConfig())
+        assert jitters[0] == 0.0 and max(jitters[1:]) > 0.0
+        _assert_same_run(optimize_sigma_matrix(K, y), expected)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_projected_gradient_trials(self, seed):
+        K, y = _heuristic_problem(gen_example1(seed))
+        _assert_same_run(projected_gradient_baseline_matrix(K, y), oracles.projected_gradient(K, y, PgdConfig()))
+
+
+def _set_entry(value):
+    """A step that returns the state's sigma with entry 3 set to ``value``."""
+    def step(state, y, config):
+        sigma = state.sigma.copy()
+        sigma[3] = value
+        return sigma
+    return step
+
+
+class TestRefitFailure:
+    """A fit that fails at a refit, not at the loop start, raises what
+    ``fit_matrix`` raises on the same matrix."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_bad_step_raises_the_fit_error(self, monkeypatch, bad):
+        K, y = _heuristic_problem(gen_example1(0))
+        sigma = np.ones(24)
+        sigma[3] = bad
+        with pytest.raises(InvalidInputError) as expected:
+            fit_matrix(K, sigma, y)
+        monkeypatch.setattr(noiseopt, "mult_update_step", _set_entry(bad))
+        monkeypatch.setattr(noiseopt, "_tied_step", _set_entry(bad))
+        for optimize in (optimize_sigma_matrix, optimize_sigma_uniform_matrix):
+            with pytest.raises(InvalidInputError) as info:
+                optimize(K, y)
+            assert str(info.value) == str(expected.value) == "sigma entries must be finite and non-negative"
+
+    def test_exhausted_ladder_at_a_refit_carries_its_pivot(self, monkeypatch):
+        K = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues -1 and 3
+        y = np.array([1.0, -1.0])
+        with pytest.raises(NumericalError) as expected:
+            fit_matrix(K, np.zeros(2), y)
+        pivot = expected.value.smallest_pivot
+        assert pivot < 0.0
+        # the loops start at K + 5 I, which factors, and step to sigma = 0
+        monkeypatch.setattr(noiseopt, "mult_update_step", lambda state, y, config: np.zeros(2))
+        with pytest.raises(NumericalError) as info:
+            optimize_sigma_matrix(K, y, MultUpdateConfig(sigma_init=5.0))
+        assert info.value.smallest_pivot == pivot
+        monkeypatch.setattr(noiseopt, "grad_sigma", lambda state, y: np.full(2, 1e3))
+        with pytest.raises(NumericalError) as info:
+            projected_gradient_baseline_matrix(K, y, PgdConfig(sigma_init=5.0))
+        assert info.value.smallest_pivot == pivot
+
+
+# ---------------------------------------------------------------------------
+# properties (Hypothesis): settings, degenerate inputs and label scale
+# ---------------------------------------------------------------------------
+
+PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+
+
+def _accepted(config_type, **kwargs) -> bool:
+    try:
+        config_type(**kwargs)
+    except ConfigError:
+        return False
+    return True
+
+
+def _count_ok(value, least: int) -> bool:
+    return isinstance(value, int) and value >= least
+
+
+@PROPERTY_SETTINGS
+@given(field=st.sampled_from(["tol_sigma", "tol_nll", "penalty_lambda", "zero_clip", "penalty_p"]),
+       value=ANY_FLOAT)
+def test_mult_config_float_settings(field, value):
+    least = 1.0 if field == "penalty_p" else 0.0
+    assert _accepted(MultUpdateConfig, **{field: value}) == (math.isfinite(value) and value >= least)
+
+
+@PROPERTY_SETTINGS
+@given(field=st.sampled_from(["tol_sigma", "tol_nll", "tol_grad", "step_size"]), value=ANY_FLOAT)
+def test_pgd_config_float_settings(field, value):
+    ok = math.isfinite(value) and (value > 0.0 if field == "step_size" else value >= 0.0)
+    assert _accepted(PgdConfig, **{field: value}) == ok
+
+
+@PROPERTY_SETTINGS
+@given(value=st.integers(-3, 3) | ANY_FLOAT)
+def test_count_settings(value):
+    assert _accepted(MultUpdateConfig, max_iters=value) == _count_ok(value, 1)
+    assert _accepted(PgdConfig, max_iters=value) == _count_ok(value, 1)
+    assert _accepted(PgdConfig, max_halvings=value) == _count_ok(value, 0)
+
+
+@PROPERTY_SETTINGS
+@given(value=ANY_FLOAT | st.lists(ANY_FLOAT, min_size=1, max_size=4))
+def test_sigma_init_setting(value):
+    ok = all(math.isfinite(v) and v > 0.0 for v in np.atleast_1d(value))
+    assert _accepted(MultUpdateConfig, sigma_init=value) == _accepted(PgdConfig, sigma_init=value) == ok
+
+
+def _outcome(optimize, *args):
+    """A run's result, or the type and message of the library error it raised."""
+    try:
+        return optimize(*args)
+    except (InvalidInputError, NumericalError) as e:
+        return type(e), str(e)
+
+
+@st.composite
+def degenerate_problems(draw):
+    """Small 1-D problems with duplicate inputs, constant labels or N = 1.
+
+    Coordinates and labels are multiples of 1/16 and 1/64, so labels have a
+    finite variance and no coordinate is subnormal."""
+    kind = draw(st.sampled_from(["duplicates", "constant", "single"]))
+    n = 1 if kind == "single" else draw(st.integers(2, 8))
+    points = draw(st.lists(st.integers(-16, 16), min_size=n, max_size=n, unique=kind != "duplicates"))
+    if kind == "duplicates":
+        points[-1] = points[0]
+    labels = draw(st.lists(st.integers(-128, 128), min_size=n, max_size=n))
+    if kind == "constant":
+        labels = [labels[0]] * n
+    return make_dataset(np.array(points, dtype=float)[:, None] / 16.0, np.array(labels, dtype=float) / 64.0)
+
+
+@PROPERTY_SETTINGS
+@given(data=degenerate_problems())
+def test_degenerate_inputs_refit_as_fit_matrix(data):
+    """Through the refit path, each degenerate problem runs bitwise as with
+    one ``fit_matrix`` call per step, or fails with the same error."""
+    K, y = _heuristic_problem(data)
+    config = MultUpdateConfig(max_iters=200)
+    got = _outcome(optimize_sigma_matrix, K, y, config)
+    expected = _outcome(oracles.mult_loop, K, y, config)
+    if isinstance(expected[0], type):
+        assert got == expected
+    else:
+        _assert_same_run(got, expected)
+        assert np.all(np.isfinite(got[0])) and np.all(got[0] >= 0.0)
+
+
+@st.composite
+def scaled_problems(draw):
+    """A 1-D problem with labels of non-zero variance, a power of two in
+    2^-20..2^20 and a number of steps."""
+    n = draw(st.integers(2, 10))
+    points = draw(st.lists(st.integers(-16, 16), min_size=n, max_size=n))
+    labels = draw(st.lists(st.integers(-128, 128), min_size=n, max_size=n).filter(lambda v: len(set(v)) > 1))
+    data = make_dataset(np.array(points, dtype=float)[:, None] / 16.0, np.array(labels, dtype=float) / 64.0)
+    return data, 2.0 ** draw(st.integers(-20, 20)), draw(st.integers(1, 30))
+
+
+@PROPERTY_SETTINGS
+@given(problem=scaled_problems())
+def test_label_rescale_scales_every_refit_step_exactly(problem):
+    """Labels scaled by c = 2^k scale K, the start and every step's sigma by
+    c^2 bit for bit (see test_label_scale_scales_the_noise_exactly), over a
+    fixed number of steps: a ``fit_matrix`` start, then refits."""
+    data, c, steps = problem
+    runs = []
+    for scale in (1.0, c):
+        K, y = _heuristic_problem(make_dataset(data.X, scale * data.y))
+        refit = gpr._Refitter(K, y)
+        state = fit_matrix(K, noiseopt._resolve_sigma_init(None, y, data.n), y)
+        sigmas = [state.sigma]
+        for _ in range(steps):
+            sigmas.append(mult_update_step(state, state.y, MultUpdateConfig()))
+            state = refit(sigmas[-1])
+        runs.append(sigmas)
+    for sigma, sigma_c in zip(*runs):
+        assert sigma_c.tobytes() == (c * c * sigma).tobytes()
