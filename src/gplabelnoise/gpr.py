@@ -27,15 +27,13 @@ routines, with the same arguments, that ``scipy.linalg.cholesky``/
 SciPy's per-call wrapper cost (which dominates at N of a few dozen).
 
 The input checks those wrappers would make are made once per K and y, by
-a refitter (``_Refitter``): on construction it checks that K is a finite,
-non-empty square matrix and y a finite vector of matching length, and each
-fit then checks only sigma (``_check_sigma``: shape, finite, non-negative)
-and the finiteness of diag(K) + sigma, which for a checked K is the
-finiteness of Kt, in O(N). ``fit_matrix`` is the first fit of a new
-refitter. A loop that refits one K, such as a sigma iteration, builds one
-refitter, so K and y are checked when it starts instead of on every step;
-each fit still factors a fresh copy of Kt. ``cholesky_with_jitter`` makes the
-same checks with the same helpers.
+``fit_matrix``, which hands K and a read-only copy of y to a refitter
+(``_Refitter``). A loop that refits one K, such as a sigma iteration,
+builds its refitter from its first fit's K and ``state.y``, and
+``fit_matrix`` shares rather than re-checks a ``state.y`` it is given. Each
+fit checks sigma in one pass (``_check_sigma``: one ``np.minimum.reduce``,
+one ``np.maximum.reduce``, and diag(K) + sigma bounded by max diag(K) plus
+that max), O(N); ``cholesky_with_jitter`` and ``detect.flag_noisy`` use it.
 
 Above order 64 the triangular inverse is recursive blocked inversion
 (Elmroth, Gustavson, Jonsson and Kagstrom, SIAM Review 2004): L is halved,
@@ -55,6 +53,7 @@ from __future__ import annotations
 
 import logging
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,6 +93,9 @@ _JITTER_STEPS = (1e-10, 1e-9, 1e-8, 1e-7)
 # keeping dtrtri up to 128 is 1.2-1.6x slower at N=100-200.
 _TRTRI_MAX_N = 64
 
+# each fit's read-only copy of its labels (state.y), checked when made, by id
+_LABELS: weakref.WeakValueDictionary[int, np.ndarray] = weakref.WeakValueDictionary()
+
 
 class _cached:
     """``functools.cached_property`` without its lock.
@@ -119,7 +121,8 @@ class _cached:
         return value
 
 
-@dataclass(frozen=True)
+# not frozen: a frozen dataclass's per-field object.__setattr__ is slow at small N
+@dataclass
 class GprState:
     """Factorized regularized covariance plus the reads of it that are used.
 
@@ -281,7 +284,7 @@ def cholesky_with_jitter(K: np.ndarray, sigma) -> tuple[np.ndarray, float]:
     # together
     K = _checked_matrix(K)
     k_diag = K.diagonal()
-    sigma, diag = _noisy_diagonal(k_diag, float(k_diag.max()), sigma)
+    sigma, diag = _check_sigma(sigma, k_diag.shape[0], k_diag, float(np.maximum.reduce(k_diag)))
     scale = float(np.add.reduce(k_diag) / k_diag.shape[0])
     for step in _JITTER_STEPS:
         jitter = step * scale
@@ -308,25 +311,19 @@ def _finite_nonnegative(x) -> bool:
     return x.size > 0 and x.min() >= 0.0 and x.max() < math.inf
 
 
-def _check_sigma(sigma, n: int) -> np.ndarray:
+def _check_sigma(sigma, n: int, k_diag=0.0, k_diag_max: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """sigma, checked to be a finite, non-negative vector of shape (n,),
+    n >= 1, and k_diag + sigma, checked to be finite, in one pass: two ufunc
+    reductions (NaN fails both comparisons), then k_diag_max (max k_diag)
+    plus max sigma bounds every entry of the sum, so a finite bound rules
+    out overflow. For k_diag = diag(K), K finite, that is a finite Kt."""
     sigma = np.asarray(sigma, dtype=float)
     if sigma.shape != (n,):
         raise InvalidInputError(f"sigma must have shape ({n},), got {sigma.shape}")
-    if not _finite_nonnegative(sigma):
+    top = float(np.maximum.reduce(sigma))
+    if not (top < math.inf and np.minimum.reduce(sigma) >= 0.0):
         raise InvalidInputError("sigma entries must be finite and non-negative")
-    return sigma
-
-
-def _noisy_diagonal(k_diag: np.ndarray, k_diag_max: float, sigma) -> tuple[np.ndarray, np.ndarray]:
-    """sigma, checked by ``_check_sigma``, and diag(K) + sigma, checked to be
-    finite, for ``k_diag`` = diag(K) and ``k_diag_max`` its largest entry.
-
-    For a finite K that is the condition that K + diag(sigma) is finite,
-    checked in O(N). When max diag(K) + max sigma is finite no entry can
-    round past it, so none overflows and the sum needs no further check.
-    """
-    sigma = _check_sigma(sigma, k_diag.shape[0])
-    if k_diag_max + float(sigma.max()) < math.inf:
+    if k_diag_max + top < math.inf:
         return sigma, k_diag + sigma
     with np.errstate(over="ignore"):
         diag = k_diag + sigma
@@ -336,50 +333,43 @@ def _noisy_diagonal(k_diag: np.ndarray, k_diag_max: float, sigma) -> tuple[np.nd
 
 
 class _Refitter:
-    """Fits of K + diag(sigma) for one K and y, which are checked once.
+    """Fits of K + diag(sigma) for one K and y that a fit has checked.
 
     Calling it with a sigma checks only sigma and diag(K) + sigma, O(N),
     then factors a fresh Fortran-ordered copy of Kt in place; if that fails,
     the attempt is released and ``cholesky_with_jitter`` runs on K and
-    sigma. It holds a reference to K, not a copy, and one read-only copy of
-    y that every state it returns shares, so a loop of refits keeps no N x N
-    array of its own.
+    sigma. It holds a reference to K, not a copy, and the read-only y that
+    every state it returns shares, so a loop of refits keeps no N x N array
+    of its own.
     """
 
     __slots__ = ("K", "y", "_k_diag", "_k_diag_max")
 
-    def __init__(self, K, y):
-        K = _checked_matrix(K)
-        n = K.shape[0]
-        y = np.asarray(y, dtype=float)
-        if y.shape != (n,):
-            raise InvalidInputError(f"y must have shape ({n},), got {y.shape}")
-        if not np.isfinite(y).all():
-            raise InvalidInputError("y entries must be finite")
-        self.K, self.y = K, y.copy()
-        self.y.flags.writeable = False
+    def __init__(self, K: np.ndarray, y: np.ndarray):
+        self.K, self.y = K, y
         self._k_diag = K.diagonal()
-        self._k_diag_max = float(self._k_diag.max())
+        self._k_diag_max = float(np.maximum.reduce(self._k_diag))
 
     def __call__(self, sigma) -> GprState:
-        sigma, diag = _noisy_diagonal(self._k_diag, self._k_diag_max, sigma)
+        sigma, diag = _check_sigma(sigma, self.y.shape[0], self._k_diag, self._k_diag_max)
         L, info = _factor(self.K, diag)
         jitter = 0.0
         if info != 0:
             del L  # the failed attempt, released before the ladder's first rung
             L, jitter = cholesky_with_jitter(self.K, sigma)
         # info is 0: a successful Cholesky leaves a positive diagonal
-        return GprState(sigma=sigma, y=self.y, chol=L, jitter=jitter, alpha=_potrs(L, self.y, lower=1)[0])
+        return GprState(sigma, self.y, L, jitter, _potrs(L, self.y, lower=1)[0])
 
 
 def fit_matrix(K: np.ndarray, sigma, y) -> GprState:
     """Factorize K + diag(sigma) and cache alpha = Kt^-1 y.
 
-    The first fit of a refitter of K and y: it checks K and y, then sigma
-    and the finiteness of diag(K) + sigma. Kt is one Fortran-ordered copy
-    of K with sigma on its diagonal, and LAPACK factors it in place, so a
-    fit holds one N x N array: the factor. Only when that factorization
-    fails is the failed attempt released and the jitter ladder
+    The first fit of a refitter of K and y: it checks K and y (a fit's
+    ``state.y`` is shared, not checked again), then sigma and the
+    finiteness of diag(K) + sigma. Kt is one Fortran-ordered copy of K
+    with sigma on its diagonal, and LAPACK factors it in place, so a fit
+    holds one N x N array: the factor. Only when that factorization fails
+    is the failed attempt released and the jitter ladder
     (``cholesky_with_jitter``) run on K and sigma, which starts at its
     first jittered rung and holds one rung at a time. Nothing is inverted
     here; ``GprState.logdet`` and ``kinv_diag`` are computed from the
@@ -392,6 +382,16 @@ def fit_matrix(K: np.ndarray, sigma, y) -> GprState:
     finite, and ``NumericalError`` when K + diag(sigma) cannot be
     factorized.
     """
+    K = _checked_matrix(K)
+    n = K.shape[0]
+    if not (_LABELS.get(id(y)) is y and y.shape == (n,) and not y.flags.writeable):
+        y = np.array(y, dtype=float)  # a copy
+        if y.shape != (n,):
+            raise InvalidInputError(f"y must have shape ({n},), got {y.shape}")
+        if not np.isfinite(y).all():
+            raise InvalidInputError("y entries must be finite")
+        y.flags.writeable = False
+        _LABELS[id(y)] = y
     return _Refitter(K, y)(sigma)
 
 

@@ -16,8 +16,10 @@ is measured against.
 ``joint_optimize`` wraps the sigma scheme in a block-coordinate descent that
 also moves the kernel hyperparameters (L-BFGS-B in log space, with the
 analytic gradient) and restarts from seeded random log-space
-initializations. Each block starts from the state the other block fitted
-last, so no (theta, sigma) pair is factored twice in a row.
+initializations. L-BFGS-B (Byrd, Lu, Nocedal and Zhu, 1995) runs as
+``scipy.optimize.fmin_l_bfgs_b``, ``minimize``'s solver and defaults without
+its per-call wrapper. Each block starts from the state the other block
+fitted last, so no (theta, sigma) pair is factored twice in a row.
 
 ``optimize_sigma`` is the dataset-level entry point; the others
 (``*_matrix``) take a precomputed kernel matrix so the schemes can run on
@@ -263,10 +265,10 @@ def _resolve_zero_clip(zero_clip, y: np.ndarray) -> float:
 
 
 def _rel_change(new: np.ndarray, old: np.ndarray) -> float:
-    scale = float(np.abs(old).max())
+    scale = float(np.maximum.reduce(np.abs(old)))
     if scale == 0.0:
         scale = 1.0
-    return float(np.abs(new - old).max()) / scale
+    return float(np.maximum.reduce(np.abs(new - old))) / scale
 
 
 def mult_update_step(state: GprState, y: np.ndarray, config: MultUpdateConfig) -> np.ndarray:
@@ -306,9 +308,9 @@ def _mult_loop(
     A given ``state`` is the caller's fit of (K, sigma, y): the loop starts
     from it and counts no fit for it; otherwise the first fit is a
     ``fit_matrix`` call. Every later fit is a refit through one
-    ``_Refitter``, which checks K and y when the loop starts and then only
-    each step's sigma and diag(K) + sigma. Every fit is of K itself,
-    so the kernel that K came from stays with the caller. A step's state is
+    ``_Refitter`` of K and the first fit's labels, so each step checks
+    only its sigma and diag(K) + sigma. Every fit is of K itself, so the
+    kernel that K came from stays with the caller. A step's state is
     dropped before the refit, so beside K the loop holds one factor and,
     while a step reads diag(Kt^-1), at most 3/4 of an N x N array of
     workspace (a given state stays alive while the caller holds it).
@@ -325,7 +327,7 @@ def _mult_loop(
     evals = [1 if state is None else 0]
     if state is None:
         state = fit_matrix(K, sigma, y)
-    refit = _Refitter(K, y)
+    refit = _Refitter(K, state.y)
     nlls = [nll(state, state.y)]
     objective = nlls[0] + _penalty(sigma, config)
     stop = "max_iters"
@@ -387,12 +389,11 @@ def projected_gradient_baseline_matrix(
 
     The step size halves until the NLL does not increase and doubles after
     each accepted step. The start is a ``fit_matrix`` call and every trial
-    a refit through one ``_Refitter``, which checks K and y at the start.
-    Stops when the KKT residual of sigma >= 0 (the ``kkt_residual`` of
-    ``loocv``) is at most ``tol_grad``, on sigma stalling, or on NLL
-    stalling. Counts every NLL evaluation, rejected
-    trials included, so runs are comparable with the multiplicative
-    scheme's trace.
+    a refit of K and the start's labels through one ``_Refitter``. Stops
+    when the KKT residual of sigma >= 0 (the ``kkt_residual`` of ``loocv``)
+    is at most ``tol_grad``, on sigma stalling, or on NLL stalling. Counts
+    every NLL evaluation, rejected trials included, so runs are comparable
+    with the multiplicative scheme's trace.
     """
     config = config or PgdConfig()
     K = np.asarray(K, dtype=float)
@@ -400,7 +401,7 @@ def projected_gradient_baseline_matrix(
     sigma = _resolve_sigma_init(config.sigma_init, y, y.shape[0])
 
     state = fit_matrix(K, sigma, y)
-    refit = _Refitter(K, y)
+    refit = _Refitter(K, state.y)
     value = nll(state, state.y)
     nlls = [value]
     evals_done = 1
@@ -528,12 +529,13 @@ def _theta_block(
     Returns the log theta, K and state kept (the start unless the result's
     NLL is no higher), one (NLL, trials so far) pair per iteration that left
     the start, and the number of trials fitted (the result is refitted,
-    uncounted, when it is not the latest trial). A trial whose fit fails is
-    infinitely bad. L-BFGS-B's line search barely backs off from such a
-    trial, so a run that met one and did not lower the NLL is repeated from
-    the start inside a box of half-width 1 around it in log space, the box
-    halved on each repeat, until a run lowers the NLL, meets no failing
-    trial, or the half-width falls below 2**-10.
+    uncounted, when it is not the latest trial). A trial is a ``fit_matrix``
+    call given ``state.y``, which it shares rather than checks again. A
+    trial whose fit fails is infinitely bad. L-BFGS-B's line search barely
+    backs off from such a trial, so a run that met one and did not lower
+    the NLL is repeated from the start inside a box of half-width 1 around
+    it in log space, the box halved on each repeat, until a run lowers the
+    NLL, meets no failing trial, or the half-width falls below 2**-10.
     """
     import scipy.optimize  # loaded by the first theta block, not with the package
 
@@ -579,19 +581,17 @@ def _theta_block(
     for halfwidth in _THETA_BOX_HALFWIDTHS:
         failed = False
         steps.clear()  # a run that is repeated recorded only the start
-        res = scipy.optimize.minimize(
+        x = scipy.optimize.fmin_l_bfgs_b(
             objective,
             log_theta,
-            jac=True,
-            method="L-BFGS-B",
             bounds=list(zip(np.maximum(log_theta - halfwidth, -_LOG_THETA_BOUND),
                             np.minimum(log_theta + halfwidth, _LOG_THETA_BOUND))),
-            options={"maxiter": _THETA_MAX_STEPS},
+            maxiter=_THETA_MAX_STEPS,
             callback=record,
-        )
-        kept = evaluated.get(KernelParams.from_log(res.x))
+        )[0]
+        kept = evaluated.get(KernelParams.from_log(x))
         if not failed or (kept is not None and kept[0] < start):
             break
     if kept is None or kept[0] > start:
         return log_theta, K, state, steps, len(evaluated) - 1
-    return (res.x, *fit_at(KernelParams.from_log(res.x)), steps, len(evaluated) - 1)
+    return (x, *fit_at(KernelParams.from_log(x)), steps, len(evaluated) - 1)

@@ -3,13 +3,15 @@
 Each is the direct formula for something the library computes another way:
 one kernel entry, all squared distances in one expression, the full-matrix
 sigma gradient, the closed-form noise optimum for a diagonal kernel, a
-fit from inputs instead of a kernel matrix, and the two sigma loops with
-one ``fit_matrix`` call per fit. None is read by the library itself.
+fit from inputs instead of a kernel matrix, the two sigma loops with one
+``fit_matrix`` call per fit, and L-BFGS-B through ``scipy.optimize.minimize``.
+None is read by the library itself.
 """
 
 from dataclasses import replace
 
 import numpy as np
+import scipy.optimize
 
 from gplabelnoise import (
     GprState,
@@ -131,3 +133,15 @@ def projected_gradient(K, y, config: PgdConfig):
             stop = reason
             break
     return sigma, OptTrace(np.array(nlls), np.array(evals), stop)
+
+
+def lbfgsb_by_minimize(func, x0, bounds, maxiter, callback):
+    """``scipy.optimize.fmin_l_bfgs_b`` for an objective that returns its
+    gradient, with the arguments a theta block passes, run as
+    ``scipy.optimize.minimize(method="L-BFGS-B", jac=True)`` with 20
+    iterations and minimize's own defaults for everything else."""
+    assert maxiter == 20
+    res = scipy.optimize.minimize(func, x0, jac=True, method="L-BFGS-B", bounds=bounds,
+                                  options={"maxiter": 20}, callback=callback)
+    return res.x, res.fun, {"grad": res.jac, "task": res.message, "funcalls": res.nfev,
+                            "nit": res.nit, "warnflag": res.status}

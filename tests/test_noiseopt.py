@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -904,6 +905,28 @@ class TestRefitsMatchFitMatrix:
         _assert_same_run(projected_gradient_baseline_matrix(K, y), oracles.projected_gradient(K, y, PgdConfig()))
 
 
+class TestThetaBlockSolver:
+    """The theta blocks call ``scipy.optimize.fmin_l_bfgs_b``; with
+    ``scipy.optimize.minimize(method="L-BFGS-B")`` in its place
+    (``oracles.lbfgsb_by_minimize``) every joint fit is bitwise the same."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_joint_fit_as_with_minimize(self, seed, monkeypatch):
+        data = gen_example1(seed)
+        params, sigma, trace = joint_optimize(data)
+        calls = []
+
+        def reference(*args, **kwargs):
+            calls.append(1)
+            return oracles.lbfgsb_by_minimize(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "fmin_l_bfgs_b", reference)
+        params_o, sigma_o, trace_o = joint_optimize(data)
+        assert calls
+        assert params.log_vector().tobytes() == params_o.log_vector().tobytes()
+        _assert_same_run((sigma, trace), (sigma_o, trace_o))
+
+
 def _set_entry(value):
     """A step that returns the state's sigma with entry 3 set to ``value``."""
     def step(state, y, config):
@@ -1070,3 +1093,40 @@ def test_label_rescale_scales_every_refit_step_exactly(problem):
         runs.append(sigmas)
     for sigma, sigma_c in zip(*runs):
         assert sigma_c.tobytes() == (c * c * sigma).tobytes()
+
+
+@st.composite
+def sigma_for_a_fit(draw):
+    """A kernel matrix of order n and a noise vector for it: of shape (n,),
+    (n + 1,) or (n, 1), with moderate entries, NaN, +-inf, negative ones,
+    -0.0, or entries near the largest double. The kernel's diagonal entries
+    are 1 or 1e308, so diag(K) + sigma can overflow, or its bound can while
+    the sum does not."""
+    n = draw(st.integers(1, 5))
+    X = np.arange(n, dtype=float)[:, None] / n
+    K = build_kernel_matrix(KernelParams(1.0, 0.5), X)
+    if draw(st.booleans()):
+        K = np.diag(draw(st.lists(st.sampled_from([1.0, 1e308]), min_size=n, max_size=n)))
+    shape = draw(st.sampled_from([(n,), (n + 1,), (n, 1)]))
+    entry = (st.floats(0.0, 10.0) | st.sampled_from([math.nan, math.inf, -math.inf, -1.0, -0.0])
+             | st.floats(1e307, 1.7976931348623157e308))
+    values = draw(st.lists(entry, min_size=math.prod(shape), max_size=math.prod(shape)))
+    return K, np.array(values).reshape(shape)
+
+
+@PROPERTY_SETTINGS
+@given(case=sigma_for_a_fit())
+def test_refit_takes_sigma_as_fit_matrix(case):
+    """A loop's refit accepts and rejects the sigma that ``fit_matrix``
+    does, with the same error, and fits the same state bit for bit."""
+    K, sigma = case
+    y = np.linspace(-1.0, 1.0, K.shape[0])
+    refit = gpr._Refitter(K, fit_matrix(K, np.ones(K.shape[0]), y).y)
+    got, expected = _outcome(refit, sigma), _outcome(fit_matrix, K, sigma, y)
+    if isinstance(expected, tuple):
+        assert got == expected
+        return
+    assert isinstance(got, gpr.GprState) and got.jitter == expected.jitter
+    for name in ("sigma", "y", "chol", "alpha"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()

@@ -18,7 +18,12 @@ child hashes:
 - ``cli-sweep``: the CSV of the in-process ``benchmark`` sweep on the
   N=200 base;
 - ``criterion-11``: the ``gen --grid`` base and the ``benchmark`` CSV of
-  acceptance criterion 11.
+  acceptance criterion 11;
+- ``pgd-matrix``, ``uniform-matrix`` and ``penalized-matrix``: sigma and
+  every trace column of ``projected_gradient_baseline_matrix``,
+  ``optimize_sigma_uniform_matrix`` and ``optimize_sigma_matrix`` at
+  lambda 0.1, p 1, on ``gen_example1`` 0-4 at the heuristic theta: the
+  refit paths no benchmark workload runs.
 
 The script prints one md5 per output and tree, and exits 1 if any output
 differs (2 if a child fails).
@@ -65,6 +70,7 @@ def child(seed: int) -> None:
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
 
+    import gplabelnoise as gpl
     import gplabelnoise.cli as cli
 
     with tempfile.TemporaryDirectory() as work:
@@ -84,6 +90,17 @@ def child(seed: int) -> None:
                      cli.main(["benchmark", "--data", base, "--rates", "0.1,0.3", "--levels", "0.5,1.0",
                                "--seed", "5", "--out", out]))
         print("criterion-11", _digest(codes, Path(base).read_bytes(), Path(out).read_bytes()), flush=True)
+
+    problems = []
+    for seed in range(5):
+        data = gpl.gen_example1(seed)
+        params = gpl.heuristic_params(data.X, data.y)
+        problems.append((params, gpl.build_kernel_matrix(params, data.X), data.y_centered))
+    penalty = gpl.MultUpdateConfig(penalty_lambda=0.1, penalty_p=1.0)
+    for name, run in (("pgd-matrix", gpl.projected_gradient_baseline_matrix),
+                      ("uniform-matrix", gpl.optimize_sigma_uniform_matrix),
+                      ("penalized-matrix", lambda K, y: gpl.optimize_sigma_matrix(K, y, penalty))):
+        print(name, _fit_digest((params, *run(K, y)) for params, K, y in problems), flush=True)
 
 
 def _run_tree(src: Path, seed: int) -> dict[str, str]:
@@ -127,7 +144,7 @@ def main(argv=None) -> int:
     for name in list(ref) + [name for name in work if name not in ref]:
         same = ref.get(name) == work.get(name)
         mismatches += not same
-        print(f"{name:15s} {args.ref}: {ref.get(name)}  working tree: {work.get(name)}  "
+        print(f"{name:16s} {args.ref}: {ref.get(name)}  working tree: {work.get(name)}  "
               f"{'equal' if same else 'DIFFERENT'}")
     print("all outputs equal" if mismatches == 0 else f"{mismatches} output(s) differ")
     return 1 if mismatches else 0
