@@ -19,10 +19,12 @@ Exit codes: 0 success, 1 usage/config, 2 I/O or parse, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
 import sys
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -521,10 +523,57 @@ def _cmd_benchmark(args) -> int:
 
     levels_cols = [f"precision_at_{level!r}" for level in cfg["recall_levels"]]
     header = ["rate", "level", "r2", "auc", *levels_cols, *[f"mae_{mode}" for mode in CV_MODES], "error"]
-    lines = [",".join(header)] + [",".join(_benchmark_cell(base, spec, cfg, mult)) for spec in specs]
+    rows = _sweep(functools.partial(_benchmark_cell, base, cfg=cfg, mult=mult), specs)
+    lines = [",".join(header)] + [",".join(row) for row in rows]
     _write_text(cfg["out"], "\n".join(lines) + "\n")
     print(f"wrote {cfg['out']}: {len(specs)} cells")
     return EXIT_OK
+
+
+def _cell_workers(cells: int) -> int:
+    """Worker processes for a sweep of ``cells`` cells; 1 runs them here.
+
+    Cells fan out only where forking is safe and leaves no CPU
+    oversubscribed: on Linux, from a non-daemonic process that runs one
+    OS thread, with more than one usable CPU and more than one cell. One
+    thread means no other thread holds a lock the fork would copy, and a
+    single-threaded BLAS; a multi-threaded BLAS already keeps the CPUs
+    busy, and forked copies of it would fight over them.
+    """
+    if cells < 2 or not sys.platform.startswith("linux"):
+        return 1
+    import multiprocessing
+
+    if multiprocessing.current_process().daemon or len(os.listdir("/proc/self/task")) != 1:
+        return 1
+    return min(cells, len(os.sched_getaffinity(0)))
+
+
+def _sweep(cell, specs: list[NoiseInjectionSpec]) -> list[list[str]]:
+    """``cell`` of every spec, in spec order, in ``_cell_workers`` forked
+    processes when that is more than one. Each cell has its own seed and
+    no cell reads another's result, so the rows are the same bytes either
+    way. A worker that dies ends the sweep with an ``OSError``, once the
+    pool has stopped every other worker."""
+    workers = _cell_workers(len(specs))
+    if workers == 1:
+        return [cell(spec) for spec in specs]
+    import multiprocessing
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+    try:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            return list(pool.map(cell, specs))
+    except BrokenProcessPool as e:
+        raise OSError(f"a benchmark worker process died: {e}") from None
+    finally:
+        # The pool joins its threads, but a joined thread's OS thread may
+        # still be exiting, and a sweep started right after would count it
+        # and run in-process: wait (at most 1 s) until this process runs
+        # one thread again, as it did when the pool started.
+        deadline = time.monotonic() + 1.0
+        while len(os.listdir("/proc/self/task")) > 1 and time.monotonic() < deadline:
+            time.sleep(0.001)
 
 
 def _benchmark_cell(base: Dataset, spec: NoiseInjectionSpec, cfg: dict, mult: MultUpdateConfig) -> list[str]:

@@ -264,11 +264,15 @@ def _resolve_zero_clip(zero_clip, y: np.ndarray) -> float:
     return float(zero_clip)
 
 
-def _rel_change(new: np.ndarray, old: np.ndarray) -> float:
-    scale = float(np.maximum.reduce(np.abs(old)))
-    if scale == 0.0:
-        scale = 1.0
-    return float(np.maximum.reduce(np.abs(new - old))) / scale
+def _rel_change(new: np.ndarray, old: np.ndarray, scale: float) -> tuple[float, float]:
+    """max|new - old| / max|old| (over 1 when old is all zero), and max|new|.
+
+    ``scale`` is max|old|, which the step before returned as its max|new|.
+    Noise vectors are non-negative, so max|new| is max(new).
+    """
+    diff = new - old
+    rel = float(np.maximum.reduce(np.absolute(diff, out=diff))) / (scale or 1.0)
+    return rel, float(np.maximum.reduce(new))
 
 
 def mult_update_step(state: GprState, y: np.ndarray, config: MultUpdateConfig) -> np.ndarray:
@@ -332,9 +336,10 @@ def _mult_loop(
     objective = nlls[0] + _penalty(sigma, config)
     stop = "max_iters"
     step = step or mult_update_step
+    scale = float(np.maximum.reduce(sigma))
     for _ in range(config.max_iters):
         new_sigma = step(state, state.y, config)
-        rel = _rel_change(new_sigma, sigma)
+        rel, scale = _rel_change(new_sigma, sigma, scale)
         del state  # one factor alive at a time: this step's goes before the refit
         state = refit(new_sigma)
         value = nll(state, state.y)
@@ -408,6 +413,7 @@ def projected_gradient_baseline_matrix(
     evals = [1]
     eta = config.step_size
     stop = "max_iters"
+    scale = float(np.maximum.reduce(sigma))
     for _ in range(config.max_iters):
         if loocv(state, state.y).kkt_residual <= config.tol_grad:
             stop = "grad_tol"
@@ -429,7 +435,7 @@ def projected_gradient_baseline_matrix(
             # floor of the objective, which is as converged as it gets
             stop = "nll_tol"
             break
-        rel = _rel_change(cand, sigma)
+        rel, scale = _rel_change(cand, sigma, scale)
         reason = _fixed_point_stop(rel, value, cand_value, config)
         sigma, state, value = cand, cand_state, cand_value
         nlls.append(value)

@@ -75,6 +75,12 @@ def fit(params: KernelParams, sigma, X, y) -> GprState:
     return fit_matrix(build_kernel_matrix(params, X), sigma, y)
 
 
+def rel_change(new, old) -> float:
+    """max|new - old| / max|old|, over 1 when old is all zero."""
+    scale = float(np.max(np.abs(old)))
+    return float(np.max(np.abs(new - old))) / (scale if scale != 0.0 else 1.0)
+
+
 def mult_loop(K, y, config: MultUpdateConfig, step=mult_update_step):
     """The multiplicative scheme from ``config``'s start, as ``_mult_loop``
     ran it with a ``fit_matrix`` call per step: final sigma, trace, and the
@@ -87,7 +93,7 @@ def mult_loop(K, y, config: MultUpdateConfig, step=mult_update_step):
     stop = "max_iters"
     for _ in range(config.max_iters):
         new_sigma = step(state, y, config)
-        rel = noiseopt._rel_change(new_sigma, sigma)
+        rel = rel_change(new_sigma, sigma)
         state = fit_matrix(K, new_sigma, y)
         nlls.append(nll(state, y))
         jitters.append(state.jitter)
@@ -124,7 +130,7 @@ def projected_gradient(K, y, config: PgdConfig):
         else:
             stop = "nll_tol"
             break
-        reason = noiseopt._fixed_point_stop(noiseopt._rel_change(cand, sigma), value, cand_value, config)
+        reason = noiseopt._fixed_point_stop(rel_change(cand, sigma), value, cand_value, config)
         sigma, state, value = cand, cand_state, cand_value
         nlls.append(value)
         evals.append(evals_done)

@@ -91,12 +91,43 @@ class TestTopLevel:
         assert at_import == []
         assert after_joint == ["scipy.optimize"]
 
+    def test_only_benchmark_starts_processes(self, tmp_path):
+        """With one BLAS thread, where a sweep would fan out, ``gen``,
+        ``fit``, ``detect`` and ``compare-optimizers`` reap no child and
+        never load ``multiprocessing``."""
+        code = (
+            "import contextlib, io, json, resource, sys\n"
+            "from gplabelnoise import cli\n"
+            "cpu = lambda: sum(resource.getrusage(resource.RUSAGE_CHILDREN)[:2])\n"
+            "before = cpu()\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [cli.main(argv.split()) for argv in sys.argv[1:]]\n"
+            "print(json.dumps([codes, cpu() > before, 'multiprocessing' in sys.modules]))\n"
+        )
+        data, report = tmp_path / "ex.csv", tmp_path / "fit.json"
+        commands = [f"gen --example1 --out {data}", f"fit --data {data} --out {report}",
+                    f"detect --report {report} --out {tmp_path / 'flags.json'}",
+                    f"compare-optimizers --data {data} --max-iters 20 --out {tmp_path / 'cmp.csv'}"]
+        proc = _child_python("-c", code, *commands, blas_threads="1")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [[0, 0, 0, 0], False, False]
 
-def _child_python(*argv):
-    """Run a fresh interpreter that imports the same sources as this one."""
+
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _child_python(*argv, blas_threads="inherit"):
+    """Run a fresh interpreter that imports the same sources as this one,
+    with the BLAS thread variables as this one has them, set to
+    ``blas_threads``, or removed when it is None."""
     env = dict(os.environ)
+    if blas_threads != "inherit":
+        for var in _BLAS_THREAD_VARS:
+            env.pop(var, None)
+        if blas_threads is not None:
+            env.update(dict.fromkeys(_BLAS_THREAD_VARS, blas_threads))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, timeout=300)
 
 
 # ---------------------------------------------------------------------------
@@ -698,20 +729,25 @@ class TestBenchmark:
         assert outs[0].read_text().splitlines()[1].split(",")[-1] == ""
 
     def test_failing_cell_records_its_error_and_the_sweep_moves_on(self, tmp_path, monkeypatch, capsys):
-        calls = []
+        def fails(*args, **kwargs):
+            raise NumericalError("factorization failed, smallest pivot -1", smallest_pivot=-1.0)
 
-        def fails_once(*args, **kwargs):
-            calls.append(1)
-            if len(calls) == 1:
-                raise NumericalError("factorization failed, smallest pivot -1", smallest_pivot=-1.0)
-            return noiseopt.optimize_sigma_matrix(*args, **kwargs)
+        def cv_mae(*args, seed, **kwargs):
+            # the failure is keyed on the cell, by its seed (--seed + cell
+            # index), not on a call count: cells may run in forked workers,
+            # each with its own copy of any counter
+            if seed != 7:
+                return detect.cv_mae(*args, seed=seed, **kwargs)
+            with monkeypatch.context() as patch:
+                # the cross-validation's per-label fit fails on cell 0's first fold
+                patch.setattr(detect, "optimize_sigma_matrix", fails)
+                return detect.cv_mae(*args, seed=seed, **kwargs)
 
-        # the cross-validation's per-label fit fails on cell 0's first fold
-        monkeypatch.setattr(detect, "optimize_sigma_matrix", fails_once)
+        monkeypatch.setattr(cli, "cv_mae", cv_mae)
         base = self._base(tmp_path, "--grid", "--n", "24", "--rate", "0")
         out = tmp_path / "b.csv"
         assert run("benchmark", "--data", str(base), "--rates", "0.1,0.3", "--levels", "0.5",
-                   "--folds", "3", "--max-iters", "500", "--out", str(out)) == 0
+                   "--folds", "3", "--max-iters", "500", "--seed", "7", "--out", str(out)) == 0
         header, *rows = (line.split(",") for line in out.read_text().splitlines())
         failed, complete = (dict(zip(header, row)) for row in rows)
         assert failed["error"] == "fold 0: factorization failed; smallest pivot -1"
@@ -790,13 +826,15 @@ class TestBenchmark:
     def test_bad_setting_exits_1_without_output(self, setting, message, tmp_path, monkeypatch, capsys):
         """Every setting is checked before the first cell fits anything."""
         base = self._base(tmp_path, "--grid", "--n", "60", "--d", "2", "--rate", "0")
-        calls = []
+        # every cell runs under the sweep, in this process or in workers it
+        # forks, so a sweep that never starts ran no cell in either
+        calls, sweep = [], cli._sweep
 
         def counting(*args, **kwargs):
             calls.append(1)
-            return noiseopt.optimize_sigma(*args, **kwargs)
+            return sweep(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "optimize_sigma", counting)
+        monkeypatch.setattr(cli, "_sweep", counting)
         out = tmp_path / "b.csv"
         assert (
             run("benchmark", "--data", str(base), "--rates", "0.1", "--levels", "0.5",
@@ -805,6 +843,110 @@ class TestBenchmark:
         assert capsys.readouterr().err.startswith(message)
         assert calls == []
         assert not out.exists()
+
+
+# A fresh interpreter that runs one ``benchmark`` sweep on a ``gen --grid``
+# base and prints what the tests below read: the exit code, the CSV, stderr,
+# whether a child process was reaped during the sweep (children's CPU time
+# grew), whether any child is left, and the OS threads before and after it.
+# argv: work directory, CPU affinity ("one" or "all"), injection ("none",
+# "fail" or "die" in cell 1), then extra ``benchmark`` arguments.
+_SWEEP_CHILD = """
+import contextlib, io, json, os, resource, signal, sys
+from gplabelnoise import NumericalError, cli
+
+work, affinity, inject, *extra = sys.argv[1:]
+if affinity == "one":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+parent = os.getpid()
+inject_noise = cli.inject_noise
+
+def injecting(base, spec):
+    if spec.seed == 6:  # cell 1 of --seed 5
+        if inject == "fail":
+            raise NumericalError("injected failure")
+        if inject == "die" and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+    return inject_noise(base, spec)
+
+cli.inject_noise = injecting
+base, out = os.path.join(work, "base.csv"), os.path.join(work, "sweep.csv")
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["gen", "--grid", "--n", "24", "--rate", "0", "--seed", "5", "--out", base]) == 0
+threads = len(os.listdir("/proc/self/task"))
+cpu = lambda: sum(resource.getrusage(resource.RUSAGE_CHILDREN)[:2])
+before = cpu()
+err = io.StringIO()
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    code = cli.main(["benchmark", "--data", base, "--rates", "0.1,0.3", "--levels", "0.5",
+                     "--folds", "3", "--seed", "5", "--out", out, *extra])
+threads_after = len(os.listdir("/proc/self/task"))
+try:
+    os.waitpid(-1, os.WNOHANG)
+    children_left = True
+except ChildProcessError:
+    children_left = False
+csv = open(out).read() if os.path.exists(out) else None
+print(json.dumps({"code": code, "csv": csv, "stderr": err.getvalue(), "reaped": cpu() > before,
+                  "children_left": children_left, "threads": threads, "threads_after": threads_after}))
+"""
+
+
+def _sweep_child(tmp_path, affinity, inject="none", *extra, blas_threads="1"):
+    """Run ``_SWEEP_CHILD`` in a fresh directory and return what it prints."""
+    work = tmp_path / f"{affinity}-{inject}-{blas_threads}{''.join(extra)}"
+    work.mkdir()
+    proc = _child_python("-c", _SWEEP_CHILD, str(work), affinity, inject, *extra, blas_threads=blas_threads)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+needs_two_cpus = pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="cells fan out only with more than one usable CPU",
+)
+
+
+@needs_two_cpus
+class TestBenchmarkWorkers:
+    """With one BLAS thread and more than one usable CPU, sweep cells run in
+    forked workers. Each test runs a fresh interpreter, since this one may
+    run a multi-threaded BLAS, under which the sweep stays in-process."""
+
+    @pytest.mark.parametrize("extra", [(), ("--joint",)], ids=["plain", "joint"])
+    def test_workers_write_the_bytes_of_the_serial_sweep(self, extra, tmp_path):
+        serial = _sweep_child(tmp_path, "one", "none", *extra)
+        fanned = _sweep_child(tmp_path, "all", "none", *extra)
+        assert serial["code"] == fanned["code"] == 0
+        assert not serial["reaped"] and fanned["reaped"]
+        assert fanned["csv"] == serial["csv"]
+        assert len(serial["csv"].splitlines()) == 3
+        # no worker outlives the command, and no pool thread does, so a
+        # sweep started next fans out again
+        assert not fanned["children_left"]
+        assert fanned["threads"] == fanned["threads_after"] == 1
+
+    def test_a_multithreaded_blas_keeps_the_sweep_in_process(self, tmp_path):
+        result = _sweep_child(tmp_path, "all", blas_threads=None)
+        if result["threads"] < 2:
+            pytest.skip("this BLAS runs no threads of its own")
+        assert result["code"] == 0
+        assert not result["reaped"]
+
+    def test_a_failing_cell_in_a_worker_writes_its_error_row(self, tmp_path):
+        result = _sweep_child(tmp_path, "all", "fail")
+        assert result["code"] == 0 and result["reaped"]
+        header, *rows = (line.split(",") for line in result["csv"].splitlines())
+        complete, failed = (dict(zip(header, row)) for row in rows)
+        assert (complete["error"], failed["error"]) == ("", "injected failure")
+        assert failed["rate"] == "0.3" and failed["mae_full"] == "NA"
+
+    def test_a_dying_worker_ends_the_command_with_exit_2(self, tmp_path):
+        result = _sweep_child(tmp_path, "all", "die")
+        assert result["code"] == 2
+        assert result["stderr"].startswith("error: a benchmark worker process died")
+        assert result["csv"] is None
+        assert not result["children_left"]
 
 
 class TestCompareOptimizers:

@@ -19,11 +19,19 @@ child hashes:
   N=200 base;
 - ``criterion-11``: the ``gen --grid`` base and the ``benchmark`` CSV of
   acceptance criterion 11;
+- ``joint-sweep``: the same of ``benchmark --joint`` (joint theta and sigma
+  fits in every cell and fold) on an N=30 ``gen --grid`` base;
 - ``pgd-matrix``, ``uniform-matrix`` and ``penalized-matrix``: sigma and
   every trace column of ``projected_gradient_baseline_matrix``,
   ``optimize_sigma_uniform_matrix`` and ``optimize_sigma_matrix`` at
   lambda 0.1, p 1, on ``gen_example1`` 0-4 at the heuristic theta: the
   refit paths no benchmark workload runs.
+
+With one BLAS thread and more than one usable CPU, ``benchmark`` runs its
+cells in forked worker processes, so on such a machine the three sweep
+digests also compare a tree's worker output with another tree's in-process
+output (pin the check to one CPU with ``taskset -c 0`` to compare both
+in-process).
 
 The script prints one md5 per output and tree, and exits 1 if any output
 differs (2 if a child fails).
@@ -90,6 +98,13 @@ def child(seed: int) -> None:
                      cli.main(["benchmark", "--data", base, "--rates", "0.1,0.3", "--levels", "0.5,1.0",
                                "--seed", "5", "--out", out]))
         print("criterion-11", _digest(codes, Path(base).read_bytes(), Path(out).read_bytes()), flush=True)
+
+        base, out = os.path.join(work, "joint-base.csv"), os.path.join(work, "joint.csv")
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = (cli.main(["gen", "--grid", "--n", "30", "--rate", "0", "--seed", "2", "--out", base]),
+                     cli.main(["benchmark", "--data", base, "--joint", "--folds", "3", "--seed", "2",
+                               "--out", out]))
+        print("joint-sweep", _digest(codes, Path(base).read_bytes(), Path(out).read_bytes()), flush=True)
 
     problems = []
     for seed in range(5):
