@@ -12,8 +12,9 @@ flags, and unknown keys rejected. ``GPLABELNOISE_SEED`` supplies the default
 seed when no flag or config entry does. Every command is deterministic given
 its resolved settings: reruns produce byte-identical output files.
 
-Exit codes: 0 success, 1 usage/config, 2 I/O or parse, 3 numerical failure,
-4 fit stopped without converging (iteration cap or NLL increase).
+Exit codes: 0 success, 1 usage/config, 2 I/O, parse or a worker process that
+died, 3 numerical failure, 4 fit stopped without converging (iteration cap
+or NLL increase).
 """
 
 from __future__ import annotations
@@ -24,12 +25,12 @@ import itertools
 import json
 import os
 import sys
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import __version__
+from ._fanout import fan_out
 from .data import (
     Dataset,
     LabelTruth,
@@ -530,50 +531,11 @@ def _cmd_benchmark(args) -> int:
     return EXIT_OK
 
 
-def _cell_workers(cells: int) -> int:
-    """Worker processes for a sweep of ``cells`` cells; 1 runs them here.
-
-    Cells fan out only where forking is safe and leaves no CPU
-    oversubscribed: on Linux, from a non-daemonic process that runs one
-    OS thread, with more than one usable CPU and more than one cell. One
-    thread means no other thread holds a lock the fork would copy, and a
-    single-threaded BLAS; a multi-threaded BLAS already keeps the CPUs
-    busy, and forked copies of it would fight over them.
-    """
-    if cells < 2 or not sys.platform.startswith("linux"):
-        return 1
-    import multiprocessing
-
-    if multiprocessing.current_process().daemon or len(os.listdir("/proc/self/task")) != 1:
-        return 1
-    return min(cells, len(os.sched_getaffinity(0)))
-
-
 def _sweep(cell, specs: list[NoiseInjectionSpec]) -> list[list[str]]:
-    """``cell`` of every spec, in spec order, in ``_cell_workers`` forked
-    processes when that is more than one. Each cell has its own seed and
-    no cell reads another's result, so the rows are the same bytes either
-    way. A worker that dies ends the sweep with an ``OSError``, once the
-    pool has stopped every other worker."""
-    workers = _cell_workers(len(specs))
-    if workers == 1:
-        return [cell(spec) for spec in specs]
-    import multiprocessing
-    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-
-    try:
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            return list(pool.map(cell, specs))
-    except BrokenProcessPool as e:
-        raise OSError(f"a benchmark worker process died: {e}") from None
-    finally:
-        # The pool joins its threads, but a joined thread's OS thread may
-        # still be exiting, and a sweep started right after would count it
-        # and run in-process: wait (at most 1 s) until this process runs
-        # one thread again, as it did when the pool started.
-        deadline = time.monotonic() + 1.0
-        while len(os.listdir("/proc/self/task")) > 1 and time.monotonic() < deadline:
-            time.sleep(0.001)
+    """``cell`` of every spec, in spec order, in forked processes where
+    ``fan_out`` allows. Each cell has its own seed and no cell reads
+    another's result, so the rows are the same bytes either way."""
+    return fan_out(cell, specs, "benchmark")
 
 
 def _benchmark_cell(base: Dataset, spec: NoiseInjectionSpec, cfg: dict, mult: MultUpdateConfig) -> list[str]:

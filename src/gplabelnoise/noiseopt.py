@@ -36,6 +36,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._fanout import fan_out
 from .data import Dataset
 from .errors import ConfigError, InvalidInputError, NumericalError
 from .gpr import GprState, _finite_nonnegative, _Refitter, fit_matrix, grad_sigma, grad_theta, loocv, nll
@@ -466,6 +467,11 @@ def joint_optimize(
     by restart_seed. The winner is the restart with the lowest final NLL,
     earliest index on ties; restarts that fail numerically are dropped, and
     only if all of them fail does the failure propagate.
+
+    With one BLAS thread and more than one usable CPU on Linux, the
+    restarts run in this process and forked copies of it (``_fanout``);
+    each restart computes the same bytes either way. A copy that dies
+    raises ``OSError``.
     """
     config = config or JointOptConfig()
     mult_config = mult_config or MultUpdateConfig()
@@ -473,19 +479,23 @@ def joint_optimize(
     center = heuristic_params(X, data.y).log_vector()
     d2 = sq_dists(X)  # shared by every kernel matrix of every restart
     rng = make_rng(config.restart_seed)
+    # restart 0 draws an offset too, and starts at the heuristic
+    starts = [center + _RESTART_SPREAD * (2.0 * rng.random(2) - 1.0) for _ in range(config.restarts)]
+    starts[0] = center
+
+    def restart(log_theta: np.ndarray):
+        try:
+            return _joint_single_start(d2, y, log_theta, config, mult_config)
+        except NumericalError as e:
+            return e
 
     best = None
     failures: list[NumericalError] = []
-    for r in range(config.restarts):
-        offset = _RESTART_SPREAD * (2.0 * rng.random(2) - 1.0)
-        log_theta = center if r == 0 else center + offset
-        try:
-            result = _joint_single_start(d2, y, log_theta, config, mult_config)
-        except NumericalError as e:
-            log.warning("joint restart %d failed: %s", r, e)
-            failures.append(e)
-            continue
-        if best is None or result[2].final_nll < best[2].final_nll:
+    for r, result in enumerate(fan_out(restart, starts, "joint restart")):
+        if isinstance(result, NumericalError):
+            log.warning("joint restart %d failed: %s", r, result)
+            failures.append(result)
+        elif best is None or result[2].final_nll < best[2].final_nll:
             best = result
     if best is None:
         raise NumericalError(

@@ -3,6 +3,7 @@ variant, the projected-gradient baseline, and joint hyperparameter search."""
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -586,6 +587,22 @@ class TestProjectedGradientBaseline:
 # ---------------------------------------------------------------------------
 
 
+@pytest.fixture()
+def one_cpu():
+    """Pin this process to one CPU, restored afterwards. Under one BLAS
+    thread joint restarts would otherwise run partly in forked processes,
+    whose calls a spy in this process does not see."""
+    if not hasattr(os, "sched_setaffinity"):
+        yield
+        return
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, cpus)
+
+
 class TestJointOptimize:
     """Alternating hyperparameter line search and noise updates."""
 
@@ -649,7 +666,7 @@ class TestJointOptimize:
         with pytest.raises(ConfigError):
             JointOptConfig(**kwargs)
 
-    def test_theta_gradients_use_kernel_grad_theta_matrices(self, monkeypatch):
+    def test_theta_gradients_use_kernel_grad_theta_matrices(self, monkeypatch, one_cpu):
         """Every theta gradient, built from the cached squared distances,
         sees bitwise the matrices kernel_grad_theta gives for the kernel
         and squared distances built afresh from X."""
@@ -669,7 +686,7 @@ class TestJointOptimize:
             reference = kernel_grad_theta(params, build_kernel_matrix(params, data.X), sq_dists(data.X))
             assert all(np.array_equal(m, r) for m, r in zip(matrices, reference))
 
-    def test_failed_theta_trials_are_rejected(self, monkeypatch):
+    def test_failed_theta_trials_are_rejected(self, monkeypatch, one_cpu):
         """A fit that fails at a theta trial makes that trial infinitely bad
         (without a floating-point warning): the search stays below the
         failing region and the trace still never rises."""
@@ -736,7 +753,7 @@ class TestJointOptimize:
         smallest = noiseopt._THETA_BOX_HALFWIDTHS[-1]
         assert np.all(np.abs(trials[-1].log_vector() - log_theta) <= smallest * (1 + 1e-12))
 
-    def test_no_fit_repeats_the_one_before(self, monkeypatch):
+    def test_no_fit_repeats_the_one_before(self, monkeypatch, one_cpu):
         """States cross the theta/sigma boundary: no factorization is of the
         matrix the one just before it factored. The spy sits on LAPACK's
         ``potrf``, which every fit, refit and jitter rung calls, so it sees
@@ -796,7 +813,7 @@ class TestJointOptimize:
         _, peak = peak_nn(lambda: joint_optimize(data, JointOptConfig(outer_rounds=3, restarts=1)), n)
         assert peak <= 16, f"peak {peak:.1f} N^2 doubles"
 
-    def test_squared_distances_built_once_per_call(self, monkeypatch):
+    def test_squared_distances_built_once_per_call(self, monkeypatch, one_cpu):
         """Theta trials reuse one squared-distance matrix: the count does not
         grow with the number of kernel matrices tried."""
         data = gen_example1(2)

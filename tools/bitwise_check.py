@@ -27,13 +27,15 @@ child hashes:
   lambda 0.1, p 1, on ``gen_example1`` 0-4 at the heuristic theta: the
   refit paths no benchmark workload runs.
 
-With one BLAS thread and more than one usable CPU, ``benchmark`` runs its
-cells in forked worker processes, so on such a machine the three sweep
-digests also compare a tree's worker output with another tree's in-process
-output (pin the check to one CPU with ``taskset -c 0`` to compare both
-in-process).
+With one BLAS thread and more than one usable CPU, ``joint_optimize`` runs
+its restarts and ``benchmark`` its cells in this process and forked copies
+of it, and on one usable CPU all in-process. The working tree's child
+therefore runs twice, with the CPUs this script may use and pinned to one
+of them, and every output must also agree between those two runs; on a
+machine with more than one CPU that compares fanned-out with in-process
+output.
 
-The script prints one md5 per output and tree, and exits 1 if any output
+The script prints one md5 per output and run, and exits 1 if any output
 differs (2 if a child fails).
 """
 
@@ -72,9 +74,11 @@ def _fit_digest(results) -> str:
     return _digest(*parts)
 
 
-def child(seed: int) -> None:
+def child(seed: int, one_cpu: bool) -> None:
     """Compute every output with the library on ``sys.path`` and print one
-    ``name md5`` line each."""
+    ``name md5`` line each, pinned to one CPU if ``one_cpu``."""
+    if one_cpu:
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
 
@@ -118,11 +122,11 @@ def child(seed: int) -> None:
         print(name, _fit_digest((params, *run(K, y)) for params, K, y in problems), flush=True)
 
 
-def _run_tree(src: Path, seed: int) -> dict[str, str]:
+def _run_tree(src: Path, seed: int, one_cpu: bool = False) -> dict[str, str]:
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     env.update({var: "1" for var in THREAD_VARS})
-    proc = subprocess.run([sys.executable, __file__, "--child", "--seed", str(seed)], env=env,
-                          cwd=src.parent, capture_output=True, text=True)
+    argv = [sys.executable, __file__, "--child", "--seed", str(seed)] + ["--one-cpu"] * one_cpu
+    proc = subprocess.run(argv, env=env, cwd=src.parent, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{proc.stderr}child on {src} exited {proc.returncode}")
     return dict(line.split() for line in proc.stdout.splitlines())
@@ -133,9 +137,10 @@ def main(argv=None) -> int:
     parser.add_argument("ref", nargs="?", help="git revision to compare the working tree with")
     parser.add_argument("--seed", type=int, default=0, help="workload run seed (default 0)")
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--one-cpu", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
-        child(args.seed)
+        child(args.seed, args.one_cpu)
         return 0
     if args.ref is None:
         parser.error("REF is required")
@@ -151,16 +156,17 @@ def main(argv=None) -> int:
         try:
             ref = _run_tree(Path(tmp) / "src", args.seed)
             work = _run_tree(ROOT / "src", args.seed)
+            work_one = _run_tree(ROOT / "src", args.seed, one_cpu=True)
         except RuntimeError as e:
             print(e, file=sys.stderr)
             return 2
 
     mismatches = 0
     for name in list(ref) + [name for name in work if name not in ref]:
-        same = ref.get(name) == work.get(name)
+        same = ref.get(name) == work.get(name) == work_one.get(name)
         mismatches += not same
         print(f"{name:16s} {args.ref}: {ref.get(name)}  working tree: {work.get(name)}  "
-              f"{'equal' if same else 'DIFFERENT'}")
+              f"on one CPU: {work_one.get(name)}  {'equal' if same else 'DIFFERENT'}")
     print("all outputs equal" if mismatches == 0 else f"{mismatches} output(s) differ")
     return 1 if mismatches else 0
 
