@@ -87,11 +87,13 @@ def fan_out(fn, items: list, name: str) -> list:
     """``[fn(item) for item in items]``, in forked processes where that is
     safe (see the module docstring).
 
-    An item that raises does not stop the others; once all have run, the
-    exception of the first such item is raised here, as the plain loop
-    would raise it. A child that dies (killed, or with a result that does
-    not pickle) raises ``OSError`` ("a ``name`` worker process died"), after
-    every other child is killed and reaped.
+    Either way the exception raised is that of the lowest-index item that
+    raised. In one process the items run in order and the first that
+    raises stops the rest, as in the plain loop; across processes every
+    item runs, and the exception is raised once all have. A child that
+    dies (killed, or with a result that does not pickle) raises
+    ``OSError`` ("a ``name`` worker process died"), after every other
+    child is killed and reaped.
     """
     global _in_task
     processes = _processes(len(items))

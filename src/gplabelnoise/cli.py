@@ -524,18 +524,13 @@ def _cmd_benchmark(args) -> int:
 
     levels_cols = [f"precision_at_{level!r}" for level in cfg["recall_levels"]]
     header = ["rate", "level", "r2", "auc", *levels_cols, *[f"mae_{mode}" for mode in CV_MODES], "error"]
-    rows = _sweep(functools.partial(_benchmark_cell, base, cfg=cfg, mult=mult), specs)
+    # each cell has its own seed and reads no other's result, so the rows
+    # are the same bytes in one process or many
+    rows = fan_out(functools.partial(_benchmark_cell, base, cfg=cfg, mult=mult), specs, "benchmark")
     lines = [",".join(header)] + [",".join(row) for row in rows]
     _write_text(cfg["out"], "\n".join(lines) + "\n")
     print(f"wrote {cfg['out']}: {len(specs)} cells")
     return EXIT_OK
-
-
-def _sweep(cell, specs: list[NoiseInjectionSpec]) -> list[list[str]]:
-    """``cell`` of every spec, in spec order, in forked processes where
-    ``fan_out`` allows. Each cell has its own seed and no cell reads
-    another's result, so the rows are the same bytes either way."""
-    return fan_out(cell, specs, "benchmark")
 
 
 def _benchmark_cell(base: Dataset, spec: NoiseInjectionSpec, cfg: dict, mult: MultUpdateConfig) -> list[str]:

@@ -127,8 +127,8 @@ class GprState:
     """Factorized regularized covariance plus the reads of it that are used.
 
     ``y`` is a read-only copy of the fitted labels, shared by the states
-    of one refitter, so readers can tell when ``alpha`` answers for the
-    labels they are given. ``chol`` is the one N x N array a state holds;
+    of one refitter; a reader given that array itself reads ``alpha``,
+    and solves for any other. ``chol`` is the one N x N array a state holds;
     ``logdet`` and ``kinv_diag`` are computed from it on first access and
     cached.
     """
@@ -153,13 +153,8 @@ class GprState:
         return _potrs(self.chol, b, lower=1)[0]
 
     def alpha_for(self, y) -> np.ndarray:
-        """Kt^-1 y, read from the cache when y equals the fitted labels."""
-        if y is self.y:
-            return self.alpha
-        y = np.asarray(y, dtype=float)
-        if y.shape == self.y.shape and (y == self.y).all():
-            return self.alpha
-        return self.solve(y)
+        """Kt^-1 y: the cached alpha when y is ``self.y``, a solve otherwise."""
+        return self.alpha if y is self.y else self.solve(y)
 
     @_cached
     def logdet(self) -> float:

@@ -240,7 +240,8 @@ def _fixed_point_stop(
     return None
 
 
-def _resolve_sigma_init(sigma_init, y: np.ndarray, n: int) -> np.ndarray:
+def _resolve_sigma_init(sigma_init, y: np.ndarray) -> np.ndarray:
+    n = y.shape[0]
     if sigma_init is None:
         v = _label_variance(y)
         return np.full(n, 0.1 * v if v > 0.0 else 1.0)
@@ -276,13 +277,15 @@ def _rel_change(new: np.ndarray, old: np.ndarray, scale: float) -> tuple[float, 
     return rel, float(np.maximum.reduce(new))
 
 
-def mult_update_step(state: GprState, y: np.ndarray, config: MultUpdateConfig) -> np.ndarray:
-    """One multiplicative update of the noise vector held by ``state``.
+def mult_update_step(state: GprState, config: MultUpdateConfig) -> np.ndarray:
+    """One multiplicative update of the noise vector held by ``state``, from
+    its cached alpha = Kt^-1 y.
 
-    Entries that land below the zero clip come back as exact zeros and stay
-    there on later steps. The state itself is not modified.
+    Entries that land below the zero clip (by default from ``state.y``)
+    come back as exact zeros and stay there on later steps. The state itself
+    is not modified.
     """
-    a = state.alpha_for(y)
+    a = state.alpha
     denom = state.kinv_diag
     if config.penalty_lambda > 0.0:
         # p = 1 at sigma = 0 relies on 0**0 == 1, which numpy guarantees
@@ -290,7 +293,7 @@ def mult_update_step(state: GprState, y: np.ndarray, config: MultUpdateConfig) -
             state.sigma, config.penalty_p - 1.0
         )
     new = state.sigma * (a * a) / denom
-    new[new < _resolve_zero_clip(config.zero_clip, y)] = 0.0
+    new[new < _resolve_zero_clip(config.zero_clip, state.y)] = 0.0
     return new
 
 
@@ -299,47 +302,44 @@ def optimize_sigma_matrix(
 ) -> tuple[np.ndarray, OptTrace]:
     """Run the multiplicative scheme on a precomputed kernel matrix."""
     config = config or MultUpdateConfig()
-    y = np.asarray(y, dtype=float)
-    sigma = _resolve_sigma_init(config.sigma_init, y, y.shape[0])
-    sigma, trace, _ = _mult_loop(np.asarray(K, dtype=float), y, sigma, config)
+    K, y = np.asarray(K, dtype=float), np.asarray(y, dtype=float)
+    # the start is an argument, not a local, so the loop can drop it
+    sigma, trace, _ = _mult_loop(K, fit_matrix(K, _resolve_sigma_init(config.sigma_init, y), y), config)
     return sigma, trace
 
 
 def _mult_loop(
-    K: np.ndarray, y: np.ndarray, sigma: np.ndarray, config: MultUpdateConfig, state=None, step=None
+    K: np.ndarray, state: GprState, config: MultUpdateConfig, step=None
 ) -> tuple[np.ndarray, OptTrace, GprState]:
-    """The multiplicative scheme from ``sigma``: final sigma, trace, last state.
+    """The multiplicative scheme from ``state``, the caller's fit of K:
+    final sigma, trace, last state.
 
-    A given ``state`` is the caller's fit of (K, sigma, y): the loop starts
-    from it and counts no fit for it; otherwise the first fit is a
-    ``fit_matrix`` call. Every later fit is a refit through one
-    ``_Refitter`` of K and the first fit's labels, so each step checks
-    only its sigma and diag(K) + sigma. Every fit is of K itself, so the
-    kernel that K came from stays with the caller. A step's state is
-    dropped before the refit, so beside K the loop holds one factor and,
-    while a step reads diag(Kt^-1), at most 3/4 of an N x N array of
-    workspace (a given state stays alive while the caller holds it).
-    ``step`` replaces ``mult_update_step``, which is looked up per call so
-    that a patched module attribute takes effect.
+    The start counts as one fit. Every later fit is a refit through one
+    ``_Refitter`` of K and ``state.y``, so each step checks only its sigma
+    and diag(K) + sigma. Every fit is of K itself, so the kernel that K
+    came from stays with the caller. A step's state is dropped before the
+    refit, so beside K the loop holds one factor and, while a step reads
+    diag(Kt^-1), at most 3/4 of an N x N array of workspace (the start
+    stays alive while the caller holds it). ``step`` replaces
+    ``mult_update_step``, which is looked up per call so that a patched
+    module attribute takes effect.
     """
     # unlike the public entry point, sigma may contain exact zeros here (warm
     # restarts inside the joint scheme); they are fixed points and stay put.
     # The zero clip is resolved once here instead of once per step.
-    config = replace(config, zero_clip=_resolve_zero_clip(config.zero_clip, y))
+    config = replace(config, zero_clip=_resolve_zero_clip(config.zero_clip, state.y))
     # The trace records the NLL; the stop rule watches the objective the
     # update minimizes, which a penalty adds to. Readers are given the
     # state's own copy of the labels, so they read its cached alpha.
-    evals = [1 if state is None else 0]
-    if state is None:
-        state = fit_matrix(K, sigma, y)
     refit = _Refitter(K, state.y)
-    nlls = [nll(state, state.y)]
+    sigma = state.sigma
+    nlls, evals = [nll(state, state.y)], [1]
     objective = nlls[0] + _penalty(sigma, config)
     stop = "max_iters"
     step = step or mult_update_step
     scale = float(np.maximum.reduce(sigma))
     for _ in range(config.max_iters):
-        new_sigma = step(state, state.y, config)
+        new_sigma = step(state, config)
         rel, scale = _rel_change(new_sigma, sigma, scale)
         del state  # one factor alive at a time: this step's goes before the refit
         state = refit(new_sigma)
@@ -372,20 +372,20 @@ def optimize_sigma_uniform_matrix(
     config = config or MultUpdateConfig()
     if config.penalty_lambda > 0.0:
         raise ConfigError("the uniform model does not support a penalty")
-    y = np.asarray(y, dtype=float)
-    sigma = _resolve_sigma_init(config.sigma_init, y, y.shape[0])
+    K, y = np.asarray(K, dtype=float), np.asarray(y, dtype=float)
+    sigma = _resolve_sigma_init(config.sigma_init, y)
     if np.ptp(sigma) != 0.0:
         raise ConfigError("sigma_init for the uniform model must be a scalar")
-    sigma, trace, _ = _mult_loop(np.asarray(K, dtype=float), y, sigma, config, step=_tied_step)
+    sigma, trace, _ = _mult_loop(K, fit_matrix(K, sigma, y), config, step=_tied_step)
     return sigma, trace
 
 
-def _tied_step(state: GprState, y: np.ndarray, config: MultUpdateConfig) -> np.ndarray:
+def _tied_step(state: GprState, config: MultUpdateConfig) -> np.ndarray:
     """The tied step: numerator and denominator of the per-label step summed
     over the labels, the zero clip applied, and the value broadcast to N."""
-    a = state.alpha_for(y)
+    a = state.alpha
     new = state.sigma[0] * float(a @ a) / float(np.sum(state.kinv_diag))
-    return np.full(state.n, 0.0 if new < config.zero_clip else new)
+    return np.full(state.n, 0.0 if new < _resolve_zero_clip(config.zero_clip, state.y) else new)
 
 
 def projected_gradient_baseline_matrix(
@@ -404,7 +404,7 @@ def projected_gradient_baseline_matrix(
     config = config or PgdConfig()
     K = np.asarray(K, dtype=float)
     y = np.asarray(y, dtype=float)
-    sigma = _resolve_sigma_init(config.sigma_init, y, y.shape[0])
+    sigma = _resolve_sigma_init(config.sigma_init, y)
 
     state = fit_matrix(K, sigma, y)
     refit = _Refitter(K, state.y)
@@ -513,7 +513,7 @@ def _joint_single_start(
     mult_config: MultUpdateConfig,
 ) -> tuple[KernelParams, np.ndarray, OptTrace]:
     K = rbf_from_sq_dists(KernelParams.from_log(log_theta), d2)
-    sigma = _resolve_sigma_init(mult_config.sigma_init, y, y.shape[0])
+    sigma = _resolve_sigma_init(mult_config.sigma_init, y)
     state = fit_matrix(K, sigma, y)
     nlls, evals = [nll(state, state.y)], [1]
     fits = 1  # every fit so far, theta trials after a block's last iteration included
@@ -527,9 +527,10 @@ def _joint_single_start(
             fits += trials
         # sigma's optimum moves with theta: run the scheme from the current
         # vector (its exact zeros are fixed points and simply stay)
-        sigma, trace, state = _mult_loop(K, y, state.sigma, mult_config, state)
+        sigma, trace, state = _mult_loop(K, state, mult_config)
         nlls.extend(trace.nll_per_iter[1:])
-        evals.extend(fits + trace.func_evals_per_iter[1:])
+        # the loop counts its start, a fit already counted here
+        evals.extend(fits - 1 + trace.func_evals_per_iter[1:])
         fits = evals[-1]
         stop = trace.stop_reason
 

@@ -86,13 +86,13 @@ def mult_loop(K, y, config: MultUpdateConfig, step=mult_update_step):
     ran it with a ``fit_matrix`` call per step: final sigma, trace, and the
     jitter of every fit."""
     config = replace(config, zero_clip=noiseopt._resolve_zero_clip(config.zero_clip, y))
-    sigma = noiseopt._resolve_sigma_init(config.sigma_init, y, y.shape[0])
+    sigma = noiseopt._resolve_sigma_init(config.sigma_init, y)
     state = fit_matrix(K, sigma, y)
     nlls, jitters = [nll(state, y)], [state.jitter]
     objective = nlls[0] + noiseopt._penalty(sigma, config)
     stop = "max_iters"
     for _ in range(config.max_iters):
-        new_sigma = step(state, y, config)
+        new_sigma = step(state, config)
         rel = rel_change(new_sigma, sigma)
         state = fit_matrix(K, new_sigma, y)
         nlls.append(nll(state, y))
@@ -109,7 +109,7 @@ def mult_loop(K, y, config: MultUpdateConfig, step=mult_update_step):
 def projected_gradient(K, y, config: PgdConfig):
     """The projected-gradient baseline with a ``fit_matrix`` call per trial:
     final sigma and trace."""
-    sigma = noiseopt._resolve_sigma_init(config.sigma_init, y, y.shape[0])
+    sigma = noiseopt._resolve_sigma_init(config.sigma_init, y)
     state = fit_matrix(K, sigma, y)
     value = nll(state, y)
     nlls, evals, evals_done = [value], [1], 1

@@ -209,7 +209,7 @@ class TestAcceptance:
             sigma = np.full(n, 0.1 * float(np.var(y)))
             for _ in range(3):
                 state = fit_matrix(np.diag(k), sigma, y)
-                new = mult_update_step(state, y, step_config)
+                new = mult_update_step(state, step_config)
                 ratio = (1.0 / new[interior] - 1.0 / star[interior]) / (
                     1.0 / sigma[interior] - 1.0 / star[interior]
                 )

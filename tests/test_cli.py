@@ -826,15 +826,15 @@ class TestBenchmark:
     def test_bad_setting_exits_1_without_output(self, setting, message, tmp_path, monkeypatch, capsys):
         """Every setting is checked before the first cell fits anything."""
         base = self._base(tmp_path, "--grid", "--n", "60", "--d", "2", "--rate", "0")
-        # every cell runs under the sweep, in this process or in workers it
-        # forks, so a sweep that never starts ran no cell in either
-        calls, sweep = [], cli._sweep
+        # every cell runs under the sweep's fan_out, in this process or in
+        # workers it forks, so a fan_out never called ran no cell in either
+        calls, fan_out = [], cli.fan_out
 
         def counting(*args, **kwargs):
             calls.append(1)
-            return sweep(*args, **kwargs)
+            return fan_out(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "_sweep", counting)
+        monkeypatch.setattr(cli, "fan_out", counting)
         out = tmp_path / "b.csv"
         assert (
             run("benchmark", "--data", str(base), "--rates", "0.1", "--levels", "0.5",

@@ -544,6 +544,18 @@ class TestOtherLabels:
         assert np.allclose(res.errors, a / np.diag(kinv), rtol=1e-9, atol=1e-12)
         assert np.allclose(res.stds, 1.0 / np.sqrt(np.diag(kinv)), rtol=1e-9)
 
+    def test_equal_copy_of_the_fitted_labels_reads_the_same_bytes(self):
+        """A copy of ``state.y`` is solved for, not matched to the cache,
+        and gives the bytes that the cached alpha gives."""
+        state = self._problem()[0]
+        copy = state.y.copy()
+        assert nll(state, copy) == nll(state, state.y)
+        assert grad_sigma(state, copy).tobytes() == grad_sigma(state, state.y).tobytes()
+        got, expected = loocv(state, copy), loocv(state, state.y)
+        assert got.errors.tobytes() == expected.errors.tobytes()
+        assert got.stds.tobytes() == expected.stds.tobytes()
+        assert got.kkt_residual == expected.kkt_residual
+
 
 class TestGradients:
     """Per-label noise gradient and hyperparameter gradient."""

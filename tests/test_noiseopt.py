@@ -64,20 +64,20 @@ class TestMultUpdateStep:
     def test_step_from_one_doubles(self):
         # k=1, sigma=1, y=2: alpha = 2/2, diag = 1/2  ->  1 * (1^2) / (1/2) = 2
         state = self._state(1.0, 1.0, 2.0)
-        new = mult_update_step(state, np.array([2.0]), MultUpdateConfig(zero_clip=0.0))
+        new = mult_update_step(state, MultUpdateConfig(zero_clip=0.0))
         assert new[0] == pytest.approx(2.0, rel=1e-12)
 
     def test_stationary_at_diagonal_solution(self):
         # sigma = y^2 - k = 3 is a fixed point
         state = self._state(1.0, 3.0, 2.0)
-        new = mult_update_step(state, np.array([2.0]), MultUpdateConfig(zero_clip=0.0))
+        new = mult_update_step(state, MultUpdateConfig(zero_clip=0.0))
         assert new[0] == pytest.approx(3.0, rel=1e-12)
 
     def test_penalty_shifts_the_fixed_point(self):
         # with lambda=1/2, p=1 the denominator at sigma=1 doubles: 1 stays put
         state = self._state(1.0, 1.0, 2.0)
         config = MultUpdateConfig(penalty_lambda=0.5, penalty_p=1.0, zero_clip=0.0)
-        new = mult_update_step(state, np.array([2.0]), config)
+        new = mult_update_step(state, config)
         assert new[0] == pytest.approx(1.0, rel=1e-12)
 
 
@@ -215,7 +215,7 @@ class TestOptimizeSigma:
         sigma = 0.1
         for _ in range(12):
             state = fit_matrix(K, np.array([sigma]), y)
-            new = float(mult_update_step(state, y, config)[0])
+            new = float(mult_update_step(state, config)[0])
             assert new < sigma, f"{new} !< {sigma}"
             sigma = new
         full = MultUpdateConfig(
@@ -232,7 +232,7 @@ class TestOptimizeSigma:
         sigma = 0.5
         for _ in range(5):
             state = fit_matrix(K, np.array([sigma]), y)
-            new = float(mult_update_step(state, y, config)[0])
+            new = float(mult_update_step(state, config)[0])
             ratio = (1.0 / new - 1.0 / 3.0) / (1.0 / sigma - 1.0 / 3.0)
             assert ratio == pytest.approx(0.25, abs=1e-12)
             sigma = new
@@ -946,7 +946,7 @@ class TestThetaBlockSolver:
 
 def _set_entry(value):
     """A step that returns the state's sigma with entry 3 set to ``value``."""
-    def step(state, y, config):
+    def step(state, config):
         sigma = state.sigma.copy()
         sigma[3] = value
         return sigma
@@ -979,7 +979,7 @@ class TestRefitFailure:
         pivot = expected.value.smallest_pivot
         assert pivot < 0.0
         # the loops start at K + 5 I, which factors, and step to sigma = 0
-        monkeypatch.setattr(noiseopt, "mult_update_step", lambda state, y, config: np.zeros(2))
+        monkeypatch.setattr(noiseopt, "mult_update_step", lambda state, config: np.zeros(2))
         with pytest.raises(NumericalError) as info:
             optimize_sigma_matrix(K, y, MultUpdateConfig(sigma_init=5.0))
         assert info.value.smallest_pivot == pivot
@@ -1102,10 +1102,10 @@ def test_label_rescale_scales_every_refit_step_exactly(problem):
     for scale in (1.0, c):
         K, y = _heuristic_problem(make_dataset(data.X, scale * data.y))
         refit = gpr._Refitter(K, y)
-        state = fit_matrix(K, noiseopt._resolve_sigma_init(None, y, data.n), y)
+        state = fit_matrix(K, noiseopt._resolve_sigma_init(None, y), y)
         sigmas = [state.sigma]
         for _ in range(steps):
-            sigmas.append(mult_update_step(state, state.y, MultUpdateConfig()))
+            sigmas.append(mult_update_step(state, MultUpdateConfig()))
             state = refit(sigmas[-1])
         runs.append(sigmas)
     for sigma, sigma_c in zip(*runs):
