@@ -20,11 +20,21 @@ with the caller, who passes them to ``predict_batch`` (Rasmussen and
 Williams, GPML, Algorithm 2.1).
 
 The factor path calls LAPACK directly: ``dpotrf`` for the Cholesky factor,
-``dpotrs`` for solves against it, ``dtrtri`` for the triangular inverse and
-``dpotri`` for the full inverse, each bound once at import. These are the
-routines, with the same arguments, that ``scipy.linalg.cholesky``/
-``cho_solve`` call, so factors and solves are bitwise the same, without
-SciPy's per-call wrapper cost (which dominates at N of a few dozen).
+``dpotrs`` for solves against it, ``dtrtri`` for the triangular inverse,
+``dpotri`` for the full inverse and ``dtrtrs`` for a prediction's
+triangular solve, each bound once at import. These are the routines, with
+the same arguments, that ``scipy.linalg.cholesky``/``cho_solve``/
+``solve_triangular`` call, so factors and solves are bitwise the same,
+without SciPy's per-call wrapper cost (which dominates at N of a few dozen).
+They and BLAS ``dtrmm`` are bound from SciPy's compiled modules
+``scipy.linalg._flapack`` and ``scipy.linalg._fblas``, loaded on their own
+and registered under their own names. Importing the ``scipy.linalg``
+package instead would load a dozen more compiled modules and SciPy's
+array-API layer, most of a cold start. A later ``import scipy.linalg``
+(``scipy.optimize`` makes one) reuses the registered modules, so its
+``get_lapack_funcs`` returns the very routines bound here. The package
+itself is imported only by ``cholesky_with_jitter`` once its ladder is
+exhausted, for the smallest eigenvalue it reports.
 
 The input checks those wrappers would make are made once per K and y, by
 ``fit_matrix``, which hands K and a read-only copy of y to a refitter
@@ -51,13 +61,17 @@ dropped; all tests and optimizers use the same convention.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import logging
 import math
+import os
+import sys
 import weakref
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+import scipy
 
 from .errors import EmptyDatasetError, InvalidInputError, NumericalError
 from .kernel import KernelParams, cross_kernel
@@ -76,10 +90,28 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-_potrf, _potrs, _trtri, _potri = scipy.linalg.get_lapack_funcs(
-    ("potrf", "potrs", "trtri", "potri"), dtype=np.float64
+
+def _compiled(name: str):
+    """SciPy's compiled module ``scipy.linalg.<name>``, loaded without its
+    package and registered under its own name, so that a later
+    ``import scipy.linalg`` reuses it; one already loaded is reused."""
+    fullname = f"scipy.linalg.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.machinery.PathFinder.find_spec(fullname, [os.path.join(scipy.__path__[0], "linalg")])
+        if spec is None:
+            raise ImportError(f"cannot find SciPy's compiled module {fullname}", name=fullname)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+    return module
+
+
+_flapack, _fblas = _compiled("_flapack"), _compiled("_fblas")
+_potrf, _potrs, _trtri, _potri, _trtrs = (
+    _flapack.dpotrf, _flapack.dpotrs, _flapack.dtrtri, _flapack.dpotri, _flapack.dtrtrs
 )
-(_trmm,) = scipy.linalg.get_blas_funcs(("trmm",), dtype=np.float64)
+_trmm = _fblas.dtrmm
 
 # Jitter ladder: first rung at 1e-10 * mean(diag K), then three escalations
 # of 10x each. sigma >= 0 keeps Kt positive definite in exact arithmetic, so
@@ -290,6 +322,8 @@ def cholesky_with_jitter(K: np.ndarray, sigma) -> tuple[np.ndarray, float]:
         del L
     Kt = K.copy()
     np.fill_diagonal(Kt, diag)
+    import scipy.linalg  # loaded on this failure path only (see the module docstring)
+
     pivot = float(np.min(scipy.linalg.eigvalsh(Kt)))
     raise NumericalError(
         f"covariance matrix not positive definite after jitter escalation "
@@ -404,7 +438,9 @@ def predict_batch(params: KernelParams, X, state: GprState, X_star) -> tuple[np.
     Ks = cross_kernel(params, X_star, X)
     means = Ks @ state.alpha
     # k' Kt^-1 k = |L^-1 k|^2: one triangular solve instead of two
-    V = scipy.linalg.solve_triangular(state.chol, Ks.T, lower=True, check_finite=False)
+    # dtrtrs, as scipy.linalg.solve_triangular calls it for a Fortran-ordered
+    # factor; info is 0: the factor's diagonal is positive
+    V = _trtrs(state.chol, Ks.T, lower=1)[0]
     quad = np.einsum("ij,ij->j", V, V)
     variances = params.signal_variance - quad
     low = variances < -1e-8

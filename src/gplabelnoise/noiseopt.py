@@ -489,6 +489,10 @@ def joint_optimize(
         except NumericalError as e:
             return e
 
+    if config.outer_rounds:
+        # loaded here, before any restart forks, rather than by each copy
+        import scipy.optimize
+
     best = None
     failures: list[NumericalError] = []
     for r, result in enumerate(fan_out(restart, starts, "joint restart")):
@@ -554,7 +558,7 @@ def _theta_block(
     it in log space, the box halved on each repeat, until a run lowers the
     NLL, meets no failing trial, or the half-width falls below 2**-10.
     """
-    import scipy.optimize  # loaded by the first theta block, not with the package
+    import scipy.optimize  # loaded by joint_optimize, not with the package
 
     sigma, y = state.sigma, state.y
     start = nll(state, y)

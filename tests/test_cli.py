@@ -75,21 +75,20 @@ class TestTopLevel:
         assert "0.1.0" in proc.stdout
 
     def test_start_up_loads_only_what_runs(self):
-        """A fresh interpreter importing the package and its CLI loads neither
-        scipy.stats nor scipy.optimize; the first joint fit loads the latter."""
-        code = (
-            "import json, sys\n"
-            "import gplabelnoise, gplabelnoise.cli\n"
-            "loaded = lambda: [m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules]\n"
-            "at_import = loaded()\n"
-            "gplabelnoise.joint_optimize(gplabelnoise.gen_example1(0))\n"
-            "print(json.dumps([at_import, loaded()]))\n"
-        )
-        proc = _child_python("-c", code)
-        assert proc.returncode == 0, proc.stderr
-        at_import, after_joint = json.loads(proc.stdout)
-        assert at_import == []
-        assert after_joint == ["scipy.optimize"]
+        """A fresh interpreter importing the package and its CLI loads none of
+        scipy.stats, scipy.optimize and scipy.linalg, nor does a sigma fit
+        and a prediction; the first joint fit loads scipy.optimize, and with
+        it scipy.linalg, whose LAPACK and BLAS routines are those gpr binds."""
+        stages, same = _start_up_stages()
+        assert stages == [[], [], ["scipy.optimize", "scipy.linalg"]]
+        assert all(same)
+
+    def test_scipy_linalg_imported_first_is_reused(self):
+        """Imported before the package, scipy.linalg's compiled LAPACK and
+        BLAS modules are the ones gpr binds from."""
+        stages, same = _start_up_stages("linalg-first")
+        assert stages == [["scipy.linalg"], ["scipy.linalg"], ["scipy.optimize", "scipy.linalg"]]
+        assert all(same)
 
     def test_only_benchmark_starts_processes(self, tmp_path):
         """With one BLAS thread, where a sweep would fan out, ``gen``,
@@ -111,6 +110,43 @@ class TestTopLevel:
         proc = _child_python("-c", code, *commands, blas_threads="1")
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == [[0, 0, 0, 0], False, False]
+
+
+_START_UP = """\
+import json, sys
+if sys.argv[1:] == ["linalg-first"]:
+    import scipy.linalg
+import gplabelnoise, gplabelnoise.cli
+from gplabelnoise import gpr
+loaded = lambda: [m for m in ("scipy.stats", "scipy.optimize", "scipy.linalg") if m in sys.modules]
+stages = [loaded()]
+data, params = gplabelnoise.gen_example1(0), gplabelnoise.KernelParams(1.0, 0.3)
+sigma, _ = gplabelnoise.optimize_sigma(params, data)
+state = gplabelnoise.fit_matrix(gplabelnoise.build_kernel_matrix(params, data.X), sigma, data.y_centered)
+gplabelnoise.predict_batch(params, data.X, state, data.X)
+stages.append(loaded())
+gplabelnoise.joint_optimize(data)
+stages.append(loaded())
+import numpy as np, scipy.linalg
+bound = [gpr._potrf, gpr._potrs, gpr._trtri, gpr._potri, gpr._trtrs, gpr._trmm]
+found = [*scipy.linalg.get_lapack_funcs(("potrf", "potrs", "trtri", "potri", "trtrs"), dtype=np.float64),
+         *scipy.linalg.get_blas_funcs(("trmm",), dtype=np.float64)]
+same = [a is b for a, b in zip(bound, found)]
+same += [sys.modules["scipy.linalg.lapack"]._flapack is gpr._flapack,
+         sys.modules["scipy.linalg.blas"]._fblas is gpr._fblas]
+print(json.dumps([stages, same]))
+"""
+
+
+def _start_up_stages(*argv):
+    """Which of scipy.stats, scipy.optimize and scipy.linalg a fresh
+    interpreter has loaded after importing the package and its CLI, after
+    a sigma fit and a prediction, and after a joint fit; and whether
+    ``scipy.linalg`` then finds each routine, and each compiled module,
+    that gpr binds."""
+    proc = _child_python("-c", _START_UP, *argv)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

@@ -12,6 +12,7 @@ from gplabelnoise import (
     KernelParams,
     NumericalError,
     build_kernel_matrix,
+    cross_kernel,
     fit_matrix,
     gen_gp,
     grad_sigma,
@@ -294,6 +295,22 @@ class TestLapackContract:
         expected = scipy.linalg.cho_solve((state.chol, True), b)
         assert np.array_equal(state.solve(b), expected)
         assert state.solve(b).shape == shape
+
+    @pytest.mark.parametrize(("d", "query"), [(2, (9, 2)), (1, (9,)), (2, (0, 2))], ids=["2-d", "1-d", "no-rows"])
+    def test_predict_batch_equals_scipy_solve_triangular(self, d, query):
+        """The variances' triangular solve is the ``dtrtrs`` call that
+        ``scipy.linalg.solve_triangular`` makes for a Fortran-ordered factor."""
+        rng = make_rng(57)
+        params = KernelParams(1.3, 0.4)
+        X = rng.random((25, d))
+        state = fit_matrix(build_kernel_matrix(params, X), 0.1 + rng.random(25), normals(rng, 25))
+        X_star = rng.random(query)
+        Ks = cross_kernel(params, X_star, X)
+        V = scipy.linalg.solve_triangular(state.chol, Ks.T, lower=True, check_finite=False)
+        mean, var = predict_batch(params, X, state, X_star)
+        assert np.array_equal(mean, Ks @ state.alpha)
+        assert np.array_equal(var, np.maximum(params.signal_variance - np.einsum("ij,ij->j", V, V), 0.0))
+        assert var.shape == query[:1]
 
     def test_solve_rejects_mismatched_rows(self):
         state = fit_matrix(np.eye(2), np.zeros(2), np.ones(2))
