@@ -31,10 +31,10 @@ They and BLAS ``dtrmm`` are bound from SciPy's compiled modules
 and registered under their own names. Importing the ``scipy.linalg``
 package instead would load a dozen more compiled modules and SciPy's
 array-API layer, most of a cold start. A later ``import scipy.linalg``
-(``scipy.optimize`` makes one) reuses the registered modules, so its
-``get_lapack_funcs`` returns the very routines bound here. The package
-itself is imported only by ``cholesky_with_jitter`` once its ladder is
-exhausted, for the smallest eigenvalue it reports.
+reuses the registered modules, so its ``get_lapack_funcs`` returns the
+very routines bound here. The package itself is imported only by
+``cholesky_with_jitter`` once its ladder is exhausted, for the smallest
+eigenvalue it reports.
 
 The input checks those wrappers would make are made once per K and y, by
 ``fit_matrix``, which hands K and a read-only copy of y to a refitter
@@ -91,14 +91,22 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 
-def _compiled(name: str):
-    """SciPy's compiled module ``scipy.linalg.<name>``, loaded without its
-    package and registered under its own name, so that a later
-    ``import scipy.linalg`` reuses it; one already loaded is reused."""
-    fullname = f"scipy.linalg.{name}"
+def _compiled(package: str, name: str):
+    """SciPy's compiled module ``scipy.<package>.<name>``, loaded without
+    its package and registered in ``sys.modules`` under its own name; one
+    already there is reused. That is how ``scipy.linalg._flapack`` and
+    ``_fblas`` load at import, and ``scipy.optimize._lbfgsb`` (for
+    ``noiseopt``'s L-BFGS-B) on the first joint fit.
+
+    A later import of the package reuses the registered module, since
+    SciPy's own ``from . import <name>`` falls back to ``sys.modules``. The
+    module never becomes an attribute of its package, though: when this
+    package was imported first, ``scipy.linalg._flapack`` or
+    ``scipy.optimize._lbfgsb`` raises ``AttributeError``."""
+    fullname = f"scipy.{package}.{name}"
     module = sys.modules.get(fullname)
     if module is None:
-        spec = importlib.machinery.PathFinder.find_spec(fullname, [os.path.join(scipy.__path__[0], "linalg")])
+        spec = importlib.machinery.PathFinder.find_spec(fullname, [os.path.join(scipy.__path__[0], package)])
         if spec is None:
             raise ImportError(f"cannot find SciPy's compiled module {fullname}", name=fullname)
         module = importlib.util.module_from_spec(spec)
@@ -107,7 +115,7 @@ def _compiled(name: str):
     return module
 
 
-_flapack, _fblas = _compiled("_flapack"), _compiled("_fblas")
+_flapack, _fblas = _compiled("linalg", "_flapack"), _compiled("linalg", "_fblas")
 _potrf, _potrs, _trtri, _potri, _trtrs = (
     _flapack.dpotrf, _flapack.dpotrs, _flapack.dtrtri, _flapack.dpotri, _flapack.dtrtrs
 )

@@ -16,10 +16,12 @@ is measured against.
 ``joint_optimize`` wraps the sigma scheme in a block-coordinate descent that
 also moves the kernel hyperparameters (L-BFGS-B in log space, with the
 analytic gradient) and restarts from seeded random log-space
-initializations. L-BFGS-B (Byrd, Lu, Nocedal and Zhu, 1995) runs as
-``scipy.optimize.fmin_l_bfgs_b``, ``minimize``'s solver and defaults without
-its per-call wrapper. Each block starts from the state the other block
-fitted last, so no (theta, sigma) pair is factored twice in a row.
+initializations. L-BFGS-B (Byrd, Lu, Nocedal and Zhu, 1995) is SciPy's
+compiled ``setulb``, driven by ``_lbfgsb`` with ``fmin_l_bfgs_b``'s loop
+and defaults, so its iterates are bitwise those of ``fmin_l_bfgs_b`` and
+the ``scipy.optimize`` package is never imported. Each block starts from
+the state the other block fitted last, so no (theta, sigma) pair is
+factored twice in a row.
 
 ``optimize_sigma`` is the dataset-level entry point; the others
 (``*_matrix``) take a precomputed kernel matrix so the schemes can run on
@@ -39,7 +41,7 @@ import numpy as np
 from ._fanout import fan_out
 from .data import Dataset
 from .errors import ConfigError, InvalidInputError, NumericalError
-from .gpr import GprState, _finite_nonnegative, _Refitter, fit_matrix, grad_sigma, grad_theta, loocv, nll
+from .gpr import GprState, _compiled, _finite_nonnegative, _Refitter, fit_matrix, grad_sigma, grad_theta, loocv, nll
 from .kernel import (
     KernelParams,
     _label_variance,
@@ -491,7 +493,7 @@ def joint_optimize(
 
     if config.outer_rounds:
         # loaded here, before any restart forks, rather than by each copy
-        import scipy.optimize
+        _compiled("optimize", "_lbfgsb")
 
     best = None
     failures: list[NumericalError] = []
@@ -558,8 +560,6 @@ def _theta_block(
     it in log space, the box halved on each repeat, until a run lowers the
     NLL, meets no failing trial, or the half-width falls below 2**-10.
     """
-    import scipy.optimize  # loaded by joint_optimize, not with the package
-
     sigma, y = state.sigma, state.y
     start = nll(state, y)
     start_params = KernelParams.from_log(log_theta)
@@ -602,17 +602,56 @@ def _theta_block(
     for halfwidth in _THETA_BOX_HALFWIDTHS:
         failed = False
         steps.clear()  # a run that is repeated recorded only the start
-        x = scipy.optimize.fmin_l_bfgs_b(
+        x = _lbfgsb(
             objective,
             log_theta,
-            bounds=list(zip(np.maximum(log_theta - halfwidth, -_LOG_THETA_BOUND),
-                            np.minimum(log_theta + halfwidth, _LOG_THETA_BOUND))),
-            maxiter=_THETA_MAX_STEPS,
-            callback=record,
-        )[0]
+            np.maximum(log_theta - halfwidth, -_LOG_THETA_BOUND),
+            np.minimum(log_theta + halfwidth, _LOG_THETA_BOUND),
+            _THETA_MAX_STEPS,
+            record,
+        )
         kept = evaluated.get(KernelParams.from_log(x))
         if not failed or (kept is not None and kept[0] < start):
             break
     if kept is None or kept[0] > start:
         return log_theta, K, state, steps, len(evaluated) - 1
     return (x, *fit_at(KernelParams.from_log(x)), steps, len(evaluated) - 1)
+
+
+def _lbfgsb(fun, x0, lower, upper, maxiter, callback) -> np.ndarray:
+    """L-BFGS-B on ``fun`` (returning value and gradient) from ``x0`` within
+    the finite box [lower, upper]: SciPy's compiled ``setulb`` in the
+    reverse-communication loop of ``fmin_l_bfgs_b``, with that function's
+    defaults (10 corrections, factr 1e7, pgtol 1e-5, 20 line-search steps).
+
+    ``fun`` is called at x0 clipped into the box, then at each point
+    ``setulb`` asks for that differs from the last one evaluated;
+    ``callback`` gets a copy of each iterate. The run stops after
+    ``maxiter`` iterations, or when ``setulb`` stops. Returns the last x.
+    """
+    setulb = _compiled("optimize", "_lbfgsb").setulb
+    n, m = len(x0), 10
+    x = np.clip(x0, lower, upper)
+    nbd = np.full(n, 2, np.int32)  # bounded below and above
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, np.int32)
+    task, ln_task, lsave = np.zeros(2, np.int32), np.zeros(2, np.int32), np.zeros(4, np.int32)
+    isave, dsave = np.zeros(44, np.int32), np.zeros(29)
+    last = x.copy()
+    f, g = fun(last)
+    iters = 0
+    while True:
+        # setulb gets a copy: g may be an array fun keeps
+        setulb(m, x, lower, upper, nbd, f, np.array(g, np.float64), 1e7, 1e-5,
+               wa, iwa, task, lsave, isave, dsave, 20, ln_task)
+        if task[0] == 3:  # f and g wanted at x
+            if not np.array_equal(x, last):
+                last = x.copy()
+                f, g = fun(last)
+        elif task[0] == 1:  # a new iterate
+            iters += 1
+            callback(x.copy())
+            if iters >= maxiter:
+                task[:] = 5, 504
+        else:
+            return x

@@ -4,7 +4,8 @@ Each is the direct formula for something the library computes another way:
 one kernel entry, all squared distances in one expression, the full-matrix
 sigma gradient, the closed-form noise optimum for a diagonal kernel, a
 fit from inputs instead of a kernel matrix, the two sigma loops with one
-``fit_matrix`` call per fit, and L-BFGS-B through ``scipy.optimize.minimize``.
+``fit_matrix`` call per fit, and L-BFGS-B through ``scipy.optimize``'s
+public ``fmin_l_bfgs_b`` and ``minimize``.
 None is read by the library itself.
 """
 
@@ -141,13 +142,15 @@ def projected_gradient(K, y, config: PgdConfig):
     return sigma, OptTrace(np.array(nlls), np.array(evals), stop)
 
 
-def lbfgsb_by_minimize(func, x0, bounds, maxiter, callback):
-    """``scipy.optimize.fmin_l_bfgs_b`` for an objective that returns its
-    gradient, with the arguments a theta block passes, run as
-    ``scipy.optimize.minimize(method="L-BFGS-B", jac=True)`` with 20
-    iterations and minimize's own defaults for everything else."""
-    assert maxiter == 20
-    res = scipy.optimize.minimize(func, x0, jac=True, method="L-BFGS-B", bounds=bounds,
-                                  options={"maxiter": 20}, callback=callback)
-    return res.x, res.fun, {"grad": res.jac, "task": res.message, "funcalls": res.nfev,
-                            "nit": res.nit, "warnflag": res.status}
+def lbfgsb_by_fmin(fun, x0, lower, upper, maxiter, callback):
+    """``noiseopt._lbfgsb`` as ``scipy.optimize.fmin_l_bfgs_b`` with its
+    defaults, for an objective that returns its gradient."""
+    return scipy.optimize.fmin_l_bfgs_b(fun, x0, bounds=list(zip(lower, upper)), maxiter=maxiter,
+                                        callback=callback)[0]
+
+
+def lbfgsb_by_minimize(fun, x0, lower, upper, maxiter, callback):
+    """``noiseopt._lbfgsb`` as ``scipy.optimize.minimize(method="L-BFGS-B",
+    jac=True)`` with minimize's own defaults besides ``maxiter``."""
+    return scipy.optimize.minimize(fun, x0, jac=True, method="L-BFGS-B", bounds=list(zip(lower, upper)),
+                                   options={"maxiter": maxiter}, callback=callback).x

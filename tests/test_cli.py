@@ -75,19 +75,28 @@ class TestTopLevel:
         assert "0.1.0" in proc.stdout
 
     def test_start_up_loads_only_what_runs(self):
-        """A fresh interpreter importing the package and its CLI loads none of
-        scipy.stats, scipy.optimize and scipy.linalg, nor does a sigma fit
-        and a prediction; the first joint fit loads scipy.optimize, and with
-        it scipy.linalg, whose LAPACK and BLAS routines are those gpr binds."""
+        """A fresh interpreter loads none of scipy.stats, scipy.optimize and
+        scipy.linalg when it imports the package and its CLI, runs a sigma
+        fit and a prediction, or runs a joint fit. The joint fit loads
+        scipy.optimize's compiled L-BFGS-B alone, which a later
+        scipy.optimize import reuses; and a later scipy.linalg import finds
+        the LAPACK and BLAS routines gpr binds."""
         stages, same = _start_up_stages()
-        assert stages == [[], [], ["scipy.optimize", "scipy.linalg"]]
+        assert stages == [[], [], []]
         assert all(same)
 
     def test_scipy_linalg_imported_first_is_reused(self):
         """Imported before the package, scipy.linalg's compiled LAPACK and
         BLAS modules are the ones gpr binds from."""
         stages, same = _start_up_stages("linalg-first")
-        assert stages == [["scipy.linalg"], ["scipy.linalg"], ["scipy.optimize", "scipy.linalg"]]
+        assert stages == [["scipy.linalg"], ["scipy.linalg"], ["scipy.linalg"]]
+        assert all(same)
+
+    def test_scipy_optimize_imported_first_is_reused(self):
+        """Imported before the package, scipy.optimize's compiled L-BFGS-B
+        is the module the joint fit drives."""
+        stages, same = _start_up_stages("optimize-first")
+        assert stages == [["scipy.optimize", "scipy.linalg"]] * 3
         assert all(same)
 
     def test_only_benchmark_starts_processes(self, tmp_path):
@@ -116,6 +125,8 @@ _START_UP = """\
 import json, sys
 if sys.argv[1:] == ["linalg-first"]:
     import scipy.linalg
+if sys.argv[1:] == ["optimize-first"]:
+    import scipy.optimize
 import gplabelnoise, gplabelnoise.cli
 from gplabelnoise import gpr
 loaded = lambda: [m for m in ("scipy.stats", "scipy.optimize", "scipy.linalg") if m in sys.modules]
@@ -125,13 +136,18 @@ sigma, _ = gplabelnoise.optimize_sigma(params, data)
 state = gplabelnoise.fit_matrix(gplabelnoise.build_kernel_matrix(params, data.X), sigma, data.y_centered)
 gplabelnoise.predict_batch(params, data.X, state, data.X)
 stages.append(loaded())
+lbfgsb = "scipy.optimize._lbfgsb"
+same = [(lbfgsb in sys.modules) == (sys.argv[1:] == ["optimize-first"])]
 gplabelnoise.joint_optimize(data)
 stages.append(loaded())
-import numpy as np, scipy.linalg
+same.append(lbfgsb in sys.modules)
+driven = gpr._compiled("optimize", "_lbfgsb")
+import numpy as np, scipy.linalg, scipy.optimize
+same += [sys.modules[lbfgsb] is driven, scipy.optimize._lbfgsb_py._lbfgsb is driven]
 bound = [gpr._potrf, gpr._potrs, gpr._trtri, gpr._potri, gpr._trtrs, gpr._trmm]
 found = [*scipy.linalg.get_lapack_funcs(("potrf", "potrs", "trtri", "potri", "trtrs"), dtype=np.float64),
          *scipy.linalg.get_blas_funcs(("trmm",), dtype=np.float64)]
-same = [a is b for a, b in zip(bound, found)]
+same += [a is b for a, b in zip(bound, found)]
 same += [sys.modules["scipy.linalg.lapack"]._flapack is gpr._flapack,
          sys.modules["scipy.linalg.blas"]._fblas is gpr._fblas]
 print(json.dumps([stages, same]))
@@ -141,9 +157,12 @@ print(json.dumps([stages, same]))
 def _start_up_stages(*argv):
     """Which of scipy.stats, scipy.optimize and scipy.linalg a fresh
     interpreter has loaded after importing the package and its CLI, after
-    a sigma fit and a prediction, and after a joint fit; and whether
-    ``scipy.linalg`` then finds each routine, and each compiled module,
-    that gpr binds."""
+    a sigma fit and a prediction, and after a joint fit; and whether each
+    of these holds: SciPy's compiled L-BFGS-B is loaded before the joint
+    fit only if ``scipy.optimize`` was imported first; after it, both
+    ``sys.modules`` and, once imported, ``scipy.optimize`` hold the module
+    ``noiseopt`` drives; ``scipy.linalg`` finds each routine, and each
+    compiled module, that gpr binds."""
     proc = _child_python("-c", _START_UP, *argv)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)

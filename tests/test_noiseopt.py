@@ -7,7 +7,6 @@ import os
 
 import numpy as np
 import pytest
-import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -808,7 +807,7 @@ class TestJointOptimize:
         n = 200
         data = inject_noise(gen_gp(KernelParams(1.0, 0.3), n, d=2, seed=0),
                             NoiseInjectionSpec(rate=0.1, level=1.0))
-        # warm-up, so that loading scipy.optimize is not counted
+        # warm-up, so that loading SciPy's compiled L-BFGS-B is not counted
         joint_optimize(gen_example1(0), JointOptConfig(outer_rounds=1, restarts=1))
         _, peak = peak_nn(lambda: joint_optimize(data, JointOptConfig(outer_rounds=3, restarts=1)), n)
         assert peak <= 16, f"peak {peak:.1f} N^2 doubles"
@@ -922,26 +921,75 @@ class TestRefitsMatchFitMatrix:
         _assert_same_run(projected_gradient_baseline_matrix(K, y), oracles.projected_gradient(K, y, PgdConfig()))
 
 
+def _recorded(solver, points):
+    """``solver`` with every point it hands the objective or the callback
+    appended to ``points``."""
+    def run(fun, x0, lower, upper, maxiter, callback):
+        def objective(x):
+            points.append(("objective", x.tobytes()))
+            return fun(x)
+
+        def record(x):
+            points.append(("callback", x.tobytes()))
+            callback(x)
+
+        return solver(objective, x0, lower, upper, maxiter, record)
+    return run
+
+
 class TestThetaBlockSolver:
-    """The theta blocks call ``scipy.optimize.fmin_l_bfgs_b``; with
-    ``scipy.optimize.minimize(method="L-BFGS-B")`` in its place
-    (``oracles.lbfgsb_by_minimize``) every joint fit is bitwise the same."""
+    """The theta blocks run ``noiseopt._lbfgsb``, SciPy's compiled
+    ``setulb`` in ``fmin_l_bfgs_b``'s loop. With the public
+    ``fmin_l_bfgs_b`` or ``minimize(method="L-BFGS-B")`` in its place
+    (``oracles``) every joint fit is bitwise the same, and the objective
+    and the callback see the same points in the same order: with every
+    fit succeeding, and with fits above a length scale of 1.0 or 0.3
+    failing, which makes blocks retry in shrinking boxes."""
 
+    @pytest.mark.parametrize("cut", [math.inf, 1.0, 0.3])
     @pytest.mark.parametrize("seed", range(5))
-    def test_joint_fit_as_with_minimize(self, seed, monkeypatch):
-        data = gen_example1(seed)
-        params, sigma, trace = joint_optimize(data)
-        calls = []
+    def test_joint_fit_as_with_scipy(self, seed, cut, monkeypatch, one_cpu):
+        rbf = noiseopt.rbf_from_sq_dists
 
-        def reference(*args, **kwargs):
-            calls.append(1)
-            return oracles.lbfgsb_by_minimize(*args, **kwargs)
+        def failing_kernel(params, d2):
+            if params.length_scale > cut:
+                raise NumericalError("length scale above the cut-off")
+            return rbf(params, d2)
 
-        monkeypatch.setattr(scipy.optimize, "fmin_l_bfgs_b", reference)
-        params_o, sigma_o, trace_o = joint_optimize(data)
-        assert calls
-        assert params.log_vector().tobytes() == params_o.log_vector().tobytes()
-        _assert_same_run((sigma, trace), (sigma_o, trace_o))
+        monkeypatch.setattr(noiseopt, "rbf_from_sq_dists", failing_kernel)
+        data, lbfgsb = gen_example1(seed), noiseopt._lbfgsb
+        runs = []
+        for solver in (lbfgsb, oracles.lbfgsb_by_fmin, oracles.lbfgsb_by_minimize):
+            points = []
+            monkeypatch.setattr(noiseopt, "_lbfgsb", _recorded(solver, points))
+            runs.append((joint_optimize(data), points))
+        (params, sigma, trace), points = runs[0]
+        assert any(kind == "callback" for kind, _ in points)
+        for (params_o, sigma_o, trace_o), points_o in runs[1:]:
+            assert points == points_o
+            assert params.log_vector().tobytes() == params_o.log_vector().tobytes()
+            _assert_same_run((sigma, trace), (sigma_o, trace_o))
+
+    @pytest.mark.parametrize("maxiter", [1, 5, 100])
+    def test_lbfgsb_as_scipy_on_rosenbrock(self, maxiter):
+        """No theta block on these fits reaches the iteration cap, so
+        ``_lbfgsb`` alone runs the Rosenbrock function from a start outside
+        the box: stopped after 1 or 5 iterations, or converged within 100, it
+        returns the same bytes and visits the same points as the oracles."""
+        def rosenbrock(x):
+            r = x[1] - x[0] ** 2
+            return 100.0 * r**2 + (1.0 - x[0]) ** 2, np.array([-400.0 * x[0] * r - 2.0 * (1.0 - x[0]), 200.0 * r])
+
+        x0, lower, upper = np.array([-1.2, 3.0]), np.full(2, -2.0), np.full(2, 2.0)
+        runs = []
+        for solver in (noiseopt._lbfgsb, oracles.lbfgsb_by_fmin, oracles.lbfgsb_by_minimize):
+            points = []
+            x = _recorded(solver, points)(rosenbrock, x0, lower, upper, maxiter, lambda x: None)
+            runs.append((x.tobytes(), points))
+        assert runs[0][1][0] == ("objective", np.array([-1.2, 2.0]).tobytes())
+        assert runs[0] == runs[1] == runs[2]
+        iterations = sum(kind == "callback" for kind, _ in runs[0][1])
+        assert (iterations == maxiter) if maxiter < 100 else (iterations < maxiter)
 
 
 def _set_entry(value):
