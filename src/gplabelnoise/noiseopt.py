@@ -10,8 +10,10 @@ optional penalty lambda * ||sigma||_p^p enters through the denominator as
 lambda * p * sigma_i^(p-1). The shared-variance (homoscedastic) model is the
 same loop with every sigma_i tied to one value: summing numerator and
 denominator over the labels gives sigma <- sigma * (a . a) / tr(Ktilde^-1).
-A projected-gradient loop is kept as the baseline the multiplicative scheme
-is measured against.
+Projected gradient with backtracking is kept as the baseline the
+multiplicative scheme is measured against. The three steps are proposals to
+one driver, ``_drive``, which owns the refits, their count, the trace and
+the stop test.
 
 ``joint_optimize`` wraps the sigma scheme in a block-coordinate descent that
 also moves the kernel hyperparameters (L-BFGS-B in log space, with the
@@ -21,7 +23,7 @@ compiled ``setulb``, driven by ``_lbfgsb`` with ``fmin_l_bfgs_b``'s loop
 and defaults, so its iterates are bitwise those of ``fmin_l_bfgs_b`` and
 the ``scipy.optimize`` package is never imported. Each block starts from
 the state the other block fitted last, so no (theta, sigma) pair is
-factored twice in a row.
+factored twice in a row, and appends its rows to the restart's one trace.
 
 ``optimize_sigma`` is the dataset-level entry point; the others
 (``*_matrix``) take a precomputed kernel matrix so the schemes can run on
@@ -255,9 +257,10 @@ def _resolve_sigma_init(sigma_init, y: np.ndarray) -> np.ndarray:
     return arr.copy()
 
 
-def _penalty(sigma: np.ndarray, config: MultUpdateConfig) -> float:
-    """lambda * ||sigma||_p^p, the term the penalized update adds to the NLL."""
-    if config.penalty_lambda == 0.0:
+def _penalty(sigma: np.ndarray, config: MultUpdateConfig | PgdConfig) -> float:
+    """lambda * ||sigma||_p^p, the term the penalized update adds to the NLL
+    (none for the projected-gradient baseline)."""
+    if getattr(config, "penalty_lambda", 0.0) == 0.0:
         return 0.0
     return config.penalty_lambda * float(np.sum(np.power(sigma, config.penalty_p)))
 
@@ -305,56 +308,87 @@ def optimize_sigma_matrix(
     """Run the multiplicative scheme on a precomputed kernel matrix."""
     config = config or MultUpdateConfig()
     K, y = np.asarray(K, dtype=float), np.asarray(y, dtype=float)
-    # the start is an argument, not a local, so the loop can drop it
-    sigma, trace, _ = _mult_loop(K, fit_matrix(K, _resolve_sigma_init(config.sigma_init, y), y), config)
+    # the start is an argument, not a local, so the driver can drop it
+    sigma, trace, _ = _drive(K, fit_matrix(K, _resolve_sigma_init(config.sigma_init, y), y), config,
+                             mult_update_step)
     return sigma, trace
 
 
-def _mult_loop(
-    K: np.ndarray, state: GprState, config: MultUpdateConfig, step=None
-) -> tuple[np.ndarray, OptTrace, GprState]:
-    """The multiplicative scheme from ``state``, the caller's fit of K:
+class _Record:
+    """A trace being written: its NLL rows, the fits counted at each row,
+    and every fit counted so far (trials after the last row included). The
+    first row is a start, counted as one fit."""
+
+    def __init__(self, start_nll: float):
+        self.nlls, self.evals, self.fits = [start_nll], [1], 1
+
+    def row(self, value: float) -> None:
+        self.nlls.append(value)
+        self.evals.append(self.fits)
+
+
+def _drive(K: np.ndarray, state: GprState, config: MultUpdateConfig | PgdConfig, propose,
+           record: _Record | None = None) -> tuple[np.ndarray, OptTrace, GprState | None]:
+    """The sigma method ``propose`` from ``state``, the caller's fit of K:
     final sigma, trace, last state.
 
-    The start counts as one fit. Every later fit is a refit through one
-    ``_Refitter`` of K and ``state.y``, so each step checks only its sigma
-    and diag(K) + sigma. Every fit is of K itself, so the kernel that K
-    came from stays with the caller. A step's state is dropped before the
-    refit, so beside K the loop holds one factor and, while a step reads
-    diag(Kt^-1), at most 3/4 of an N x N array of workspace (the start
-    stays alive while the caller holds it). ``step`` replaces
-    ``mult_update_step``, which is looked up per call so that a patched
-    module attribute takes effect.
+    ``propose(state, config)`` returns a stop reason, the sigma of a step
+    that is always taken (a map, such as ``mult_update_step``), or an
+    iterator of candidate sigmas, of which the first whose objective is no
+    higher than the current one is taken; when none is, the run stops with
+    ``nll_tol`` and the last state is None. The driver owns the rest. The
+    trace continues ``record``, or starts a new one at ``state``. Every
+    candidate is a counted refit through one ``_Refitter`` of K and
+    ``state.y``, so each checks only its sigma and diag(K) + sigma, and the
+    kernel that K came from stays with the caller. The objective is the NLL
+    plus any penalty, and ``_fixed_point_stop`` ends the run. A state is
+    dropped before the next refit, whether it is the current one or a
+    rejected trial's, so beside K the loop holds one factor and, while a
+    proposal reads diag(Kt^-1), at most 3/4 of an N x N array of workspace
+    (the start stays alive while the caller holds it).
     """
-    # unlike the public entry point, sigma may contain exact zeros here (warm
-    # restarts inside the joint scheme); they are fixed points and stay put.
-    # The zero clip is resolved once here instead of once per step.
-    config = replace(config, zero_clip=_resolve_zero_clip(config.zero_clip, state.y))
-    # The trace records the NLL; the stop rule watches the objective the
-    # update minimizes, which a penalty adds to. Readers are given the
-    # state's own copy of the labels, so they read its cached alpha.
+    if isinstance(config, MultUpdateConfig):
+        # sigma may contain exact zeros here (warm restarts inside the joint
+        # scheme); they are fixed points and stay put. The zero clip is
+        # resolved once here instead of once per step.
+        config = replace(config, zero_clip=_resolve_zero_clip(config.zero_clip, state.y))
+    # Readers are given the state's own copy of the labels, so they read
+    # its cached alpha.
     refit = _Refitter(K, state.y)
     sigma = state.sigma
-    nlls, evals = [nll(state, state.y)], [1]
-    objective = nlls[0] + _penalty(sigma, config)
-    stop = "max_iters"
-    step = step or mult_update_step
+    value = nll(state, state.y)
+    if record is None:
+        record = _Record(value)
+    objective = value + _penalty(sigma, config)
     scale = float(np.maximum.reduce(sigma))
+    stop = "max_iters"
     for _ in range(config.max_iters):
-        new_sigma = step(state, config)
-        rel, scale = _rel_change(new_sigma, sigma, scale)
-        del state  # one factor alive at a time: this step's goes before the refit
-        state = refit(new_sigma)
-        value = nll(state, state.y)
-        previous, objective = objective, value + _penalty(new_sigma, config)
-        reason = _fixed_point_stop(rel, previous, objective, config)
-        nlls.append(value)
-        evals.append(evals[-1] + 1)
-        sigma = new_sigma
+        proposal = propose(state, config)
+        if isinstance(proposal, str):
+            stop = proposal
+            break
+        descent = not isinstance(proposal, np.ndarray)
+        for candidate in proposal if descent else (proposal,):
+            state = None  # one factor alive at a time: the last one goes before the refit
+            state = refit(candidate)
+            record.fits += 1
+            value = nll(state, state.y)
+            new_objective = value + _penalty(candidate, config)
+            if not descent or new_objective <= objective:
+                break
+        else:
+            # every candidate raised the objective: at its round-off floor,
+            # which is as converged as it gets
+            stop, state = "nll_tol", None
+            break
+        rel, scale = _rel_change(candidate, sigma, scale)
+        reason = _fixed_point_stop(rel, objective, new_objective, config)
+        record.row(value)
+        sigma, objective = candidate, new_objective
         if reason is not None:
             stop = reason
             break
-    return sigma, OptTrace(np.array(nlls), np.array(evals), stop), state
+    return sigma, OptTrace(np.array(record.nlls), np.array(record.evals), stop), state
 
 
 def optimize_sigma(
@@ -378,7 +412,7 @@ def optimize_sigma_uniform_matrix(
     sigma = _resolve_sigma_init(config.sigma_init, y)
     if np.ptp(sigma) != 0.0:
         raise ConfigError("sigma_init for the uniform model must be a scalar")
-    sigma, trace, _ = _mult_loop(K, fit_matrix(K, sigma, y), config, step=_tied_step)
+    sigma, trace, _ = _drive(K, fit_matrix(K, sigma, y), config, _tied_step)
     return sigma, trace
 
 
@@ -404,50 +438,24 @@ def projected_gradient_baseline_matrix(
     with the multiplicative scheme's trace.
     """
     config = config or PgdConfig()
-    K = np.asarray(K, dtype=float)
-    y = np.asarray(y, dtype=float)
-    sigma = _resolve_sigma_init(config.sigma_init, y)
-
-    state = fit_matrix(K, sigma, y)
-    refit = _Refitter(K, state.y)
-    value = nll(state, state.y)
-    nlls = [value]
-    evals_done = 1
-    evals = [1]
+    K, y = np.asarray(K, dtype=float), np.asarray(y, dtype=float)
     eta = config.step_size
-    stop = "max_iters"
-    scale = float(np.maximum.reduce(sigma))
-    for _ in range(config.max_iters):
+
+    def propose(state: GprState, config: PgdConfig):
         if loocv(state, state.y).kkt_residual <= config.tol_grad:
-            stop = "grad_tol"
-            break
-        g = grad_sigma(state, state.y)
+            return "grad_tol"
+        return halvings(state.sigma, grad_sigma(state, state.y))
+
+    def halvings(sigma: np.ndarray, g: np.ndarray):
+        nonlocal eta
         trial = eta
-        accepted = False
         for _ in range(config.max_halvings + 1):
-            cand = np.maximum(sigma - trial * g, 0.0)
-            cand_state = refit(cand)
-            cand_value = nll(cand_state, cand_state.y)
-            evals_done += 1
-            if cand_value <= value:
-                accepted = True
-                break
+            eta = trial * 2.0  # the next step's size, should this trial be taken
+            yield np.maximum(sigma - trial * g, 0.0)
             trial *= 0.5
-        if not accepted:
-            # no decrease at ~1e-12 of the base step: we are at the roundoff
-            # floor of the objective, which is as converged as it gets
-            stop = "nll_tol"
-            break
-        rel, scale = _rel_change(cand, sigma, scale)
-        reason = _fixed_point_stop(rel, value, cand_value, config)
-        sigma, state, value = cand, cand_state, cand_value
-        nlls.append(value)
-        evals.append(evals_done)
-        eta = trial * 2.0
-        if reason is not None:
-            stop = reason
-            break
-    return sigma, OptTrace(np.array(nlls), np.array(evals), stop)
+
+    sigma, trace, _ = _drive(K, fit_matrix(K, _resolve_sigma_init(config.sigma_init, y), y), config, propose)
+    return sigma, trace
 
 
 def joint_optimize(
@@ -519,46 +527,34 @@ def _joint_single_start(
     mult_config: MultUpdateConfig,
 ) -> tuple[KernelParams, np.ndarray, OptTrace]:
     K = rbf_from_sq_dists(KernelParams.from_log(log_theta), d2)
-    sigma = _resolve_sigma_init(mult_config.sigma_init, y)
-    state = fit_matrix(K, sigma, y)
-    nlls, evals = [nll(state, state.y)], [1]
-    fits = 1  # every fit so far, theta trials after a block's last iteration included
-
+    state = fit_matrix(K, _resolve_sigma_init(mult_config.sigma_init, y), y)
+    record = _Record(nll(state, state.y))
     for round_ in range(config.outer_rounds + 1):
         if round_ > 0:
-            log_theta, K, state, steps, trials = _theta_block(log_theta, K, state, d2)
-            for value, n in steps:
-                nlls.append(value)
-                evals.append(fits + n)
-            fits += trials
+            log_theta, K, state = _theta_block(log_theta, K, state, d2, record)
         # sigma's optimum moves with theta: run the scheme from the current
         # vector (its exact zeros are fixed points and simply stay)
-        sigma, trace, state = _mult_loop(K, state, mult_config)
-        nlls.extend(trace.nll_per_iter[1:])
-        # the loop counts its start, a fit already counted here
-        evals.extend(fits - 1 + trace.func_evals_per_iter[1:])
-        fits = evals[-1]
-        stop = trace.stop_reason
-
-    return KernelParams.from_log(log_theta), sigma, OptTrace(np.array(nlls), np.array(evals), stop)
+        sigma, trace, state = _drive(K, state, mult_config, mult_update_step, record)
+    return KernelParams.from_log(log_theta), sigma, trace
 
 
 def _theta_block(
-    log_theta: np.ndarray, K: np.ndarray, state: GprState, d2: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, GprState, list[tuple[float, int]], int]:
+    log_theta: np.ndarray, K: np.ndarray, state: GprState, d2: np.ndarray, record: _Record
+) -> tuple[np.ndarray, np.ndarray, GprState]:
     """L-BFGS-B on log theta from ``state``, the fit of (K, sigma) under
     ``log_theta``, at fixed sigma.
 
     Returns the log theta, K and state kept (the start unless the result's
-    NLL is no higher), one (NLL, trials so far) pair per iteration that left
-    the start, and the number of trials fitted (the result is refitted,
+    NLL is no higher). Appends to ``record`` one row per iteration that left
+    the start and counts every trial fitted in it (the result is refitted,
     uncounted, when it is not the latest trial). A trial is a ``fit_matrix``
     call given ``state.y``, which it shares rather than checks again. A
-    trial whose fit fails is infinitely bad. L-BFGS-B's line search barely
-    backs off from such a trial, so a run that met one and did not lower
-    the NLL is repeated from the start inside a box of half-width 1 around
-    it in log space, the box halved on each repeat, until a run lowers the
-    NLL, meets no failing trial, or the half-width falls below 2**-10.
+    trial whose fit fails is infinitely bad and not counted. L-BFGS-B's line
+    search barely backs off from such a trial, so a run that met one and did
+    not lower the NLL is repeated from the start inside a box of half-width
+    1 around it in log space, the box halved on each repeat, until a run
+    lowers the NLL, meets no failing trial, or the half-width falls below
+    2**-10.
     """
     sigma, y = state.sigma, state.y
     start = nll(state, y)
@@ -569,7 +565,7 @@ def _theta_block(
     # first evaluation, so that refits nothing.
     evaluated = {start_params: (start, grad_theta(state, y, kernel_grad_theta(start_params, K, d2)))}
     latest = (start_params, K, state)
-    steps: list[tuple[float, int]] = []
+    rows = len(record.nlls)
 
     def fit_at(params: KernelParams) -> tuple[np.ndarray, GprState]:
         nonlocal latest
@@ -590,32 +586,33 @@ def _theta_block(
             failed = True
             return math.inf, np.zeros_like(x)
         evaluated[params] = value, grad_theta(trial, trial.y, kernel_grad_theta(params, trial_K, d2))
+        record.fits += 1
         return evaluated[params]
 
-    def record(x: np.ndarray) -> None:
+    def on_iteration(x: np.ndarray) -> None:
         # called once per iteration, at an iterate already evaluated; also
         # after a first line search that failed, at the start, which adds no row
         params = KernelParams.from_log(x)
         if params != start_params:
-            steps.append((evaluated[params][0], len(evaluated) - 1))
+            record.row(evaluated[params][0])
 
     for halfwidth in _THETA_BOX_HALFWIDTHS:
         failed = False
-        steps.clear()  # a run that is repeated recorded only the start
+        del record.nlls[rows:], record.evals[rows:]  # the rows of a run that is repeated go
         x = _lbfgsb(
             objective,
             log_theta,
             np.maximum(log_theta - halfwidth, -_LOG_THETA_BOUND),
             np.minimum(log_theta + halfwidth, _LOG_THETA_BOUND),
             _THETA_MAX_STEPS,
-            record,
+            on_iteration,
         )
         kept = evaluated.get(KernelParams.from_log(x))
         if not failed or (kept is not None and kept[0] < start):
             break
     if kept is None or kept[0] > start:
-        return log_theta, K, state, steps, len(evaluated) - 1
-    return (x, *fit_at(KernelParams.from_log(x)), steps, len(evaluated) - 1)
+        return log_theta, K, state
+    return (x, *fit_at(KernelParams.from_log(x)))
 
 
 def _lbfgsb(fun, x0, lower, upper, maxiter, callback) -> np.ndarray:

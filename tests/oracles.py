@@ -83,9 +83,9 @@ def rel_change(new, old) -> float:
 
 
 def mult_loop(K, y, config: MultUpdateConfig, step=mult_update_step):
-    """The multiplicative scheme from ``config``'s start, as ``_mult_loop``
-    ran it with a ``fit_matrix`` call per step: final sigma, trace, and the
-    jitter of every fit."""
+    """The multiplicative scheme from ``config``'s start, as ``noiseopt``'s
+    driver runs it with ``mult_update_step`` but a ``fit_matrix`` call per
+    step: final sigma, trace, and the jitter of every fit."""
     config = replace(config, zero_clip=noiseopt._resolve_zero_clip(config.zero_clip, y))
     sigma = noiseopt._resolve_sigma_init(config.sigma_init, y)
     state = fit_matrix(K, sigma, y)

@@ -31,6 +31,7 @@ from gplabelnoise import (
     kernel_grad_theta,
     make_dataset,
     mult_update_step,
+    nll,
     optimize_sigma,
     optimize_sigma_matrix,
     optimize_sigma_uniform_matrix,
@@ -255,16 +256,23 @@ class TestOptimizeSigma:
         assert np.array_equal(s1, s2)
         assert t1.final_nll == t2.final_nll
 
-    def test_holds_one_factor_per_step(self):
-        """Beside the caller's K the loop holds one factor: a step's state is
-        dropped before the refit, and diag(Kt^-1) adds at most 3/4 of an
-        N x N array of triangular-inverse workspace (holding the old factor
-        through the refit peaked at 2.15 N^2 at this size)."""
+    @pytest.mark.parametrize(
+        "run",
+        [optimize_sigma_matrix, optimize_sigma_uniform_matrix, projected_gradient_baseline_matrix],
+    )
+    def test_holds_one_factor_per_step(self, run):
+        """Beside the caller's K each sigma loop holds one factor: a state,
+        the current one or a rejected trial's, is dropped before the next
+        refit, and diag(Kt^-1) adds at most 3/4 of an N x N array of
+        triangular-inverse workspace (holding the old factor through the
+        refit peaked at 2.15 N^2 at this size, and the projected-gradient
+        baseline holding its accepted state and last trial through a refit
+        at 3.04 N^2)."""
         n = 400
         data = inject_noise(gen_gp(KernelParams(1.0, 0.3), n, d=2, seed=0),
                             NoiseInjectionSpec(rate=0.1, level=1.0))
         K = build_kernel_matrix(KernelParams(1.0, 0.3), data.X)
-        (_, trace), peak = peak_nn(lambda: optimize_sigma_matrix(K, data.y_centered), n)
+        (_, trace), peak = peak_nn(lambda: run(K, data.y_centered), n)
         assert trace.iters > 1
         assert peak <= 1.75 + 64 * 1024 / (8 * n * n), f"peak {peak:.3f} N^2 doubles"
 
@@ -616,6 +624,20 @@ class TestJointOptimize:
         sigma_only, _ = optimize_sigma(heuristic, data)
         assert np.allclose(sigma, sigma_only, rtol=0.0, atol=1e-12)
 
+    def test_zero_outer_rounds_count_the_start_once(self):
+        """Without a theta block a restart at the heuristic is the
+        multiplicative scheme on that kernel, trace columns included: the
+        loop continues the restart's record, whose start is one fit."""
+        for seed in range(20):
+            data = gen_example1(seed)
+            _, sigma, trace = joint_optimize(data, JointOptConfig(outer_rounds=0, restarts=1))
+            K = build_kernel_matrix(heuristic_params(data.X, data.y), data.X)
+            sigma_only, trace_only = optimize_sigma_matrix(K, data.y_centered)
+            assert np.array_equal(sigma, sigma_only), seed
+            assert np.array_equal(trace.nll_per_iter, trace_only.nll_per_iter), seed
+            assert np.array_equal(trace.func_evals_per_iter, trace_only.func_evals_per_iter), seed
+            assert trace.stop_reason == trace_only.stop_reason, seed
+
     def test_improves_on_fixed_hyperparameters(self):
         data = gen_example1(0)
         heuristic = heuristic_params(data.X, data.y_centered)
@@ -730,12 +752,13 @@ class TestJointOptimize:
         """When every trial but the start fails, the retries stop after the
         smallest box and the block keeps its start, having fitted nothing.
         L-BFGS-B still calls back once at the start; that adds no row, so
-        the block records no step."""
+        the block appends no row to the record it is given."""
         data = gen_example1(0)
         params = heuristic_params(data.X, data.y)
         d2 = kernel.sq_dists(data.X)
         K = kernel.rbf_from_sq_dists(params, d2)
         state = fit_matrix(K, np.full(data.n, 0.1), data.y_centered)
+        record = noiseopt._Record(nll(state, state.y))
         trials = []
 
         def failing_kernel(params, d2):
@@ -744,9 +767,9 @@ class TestJointOptimize:
 
         monkeypatch.setattr(noiseopt, "rbf_from_sq_dists", failing_kernel)
         log_theta = params.log_vector()
-        kept, kept_K, kept_state, steps, fits = noiseopt._theta_block(log_theta, K, state, d2)
+        kept, kept_K, kept_state = noiseopt._theta_block(log_theta, K, state, d2, record)
         assert np.array_equal(kept, log_theta) and kept_K is K and kept_state is state
-        assert fits == 0 and steps == []
+        assert record.nlls == [nll(state, state.y)] and record.evals == [1] and record.fits == 1
         assert len(trials) >= len(noiseopt._THETA_BOX_HALFWIDTHS)
         # the last retries stay inside the smallest box
         smallest = noiseopt._THETA_BOX_HALFWIDTHS[-1]

@@ -25,7 +25,13 @@ child hashes:
   every trace column of ``projected_gradient_baseline_matrix``,
   ``optimize_sigma_uniform_matrix`` and ``optimize_sigma_matrix`` at
   lambda 0.1, p 1, on ``gen_example1`` 0-4 at the heuristic theta: the
-  refit paths no benchmark workload runs.
+  refit paths no benchmark workload runs;
+- ``stop-reasons``: the same of the stop exits those do not reach, on the
+  same problems: ``optimize_sigma_matrix`` at lambda 0.5, p 2
+  (``nll_increase``) and at ``max_iters=3``, and
+  ``projected_gradient_baseline_matrix`` at ``tol_grad=1.0``
+  (``grad_tol``) and at ``max_halvings=0`` (``nll_tol`` with no decrease
+  found).
 
 With one BLAS thread and more than one usable CPU, ``joint_optimize`` runs
 its restarts and ``benchmark`` its cells in this process and forked copies
@@ -120,6 +126,12 @@ def child(seed: int, one_cpu: bool) -> None:
                       ("uniform-matrix", gpl.optimize_sigma_uniform_matrix),
                       ("penalized-matrix", lambda K, y: gpl.optimize_sigma_matrix(K, y, penalty))):
         print(name, _fit_digest((params, *run(K, y)) for params, K, y in problems), flush=True)
+    exits = ((gpl.optimize_sigma_matrix, gpl.MultUpdateConfig(penalty_lambda=0.5, penalty_p=2.0)),
+             (gpl.optimize_sigma_matrix, gpl.MultUpdateConfig(max_iters=3)),
+             (gpl.projected_gradient_baseline_matrix, gpl.PgdConfig(tol_grad=1.0)),
+             (gpl.projected_gradient_baseline_matrix, gpl.PgdConfig(max_halvings=0)))
+    print("stop-reasons", _fit_digest((params, *run(K, y, config)) for run, config in exits
+                                      for params, K, y in problems), flush=True)
 
 
 def _run_tree(src: Path, seed: int, one_cpu: bool = False) -> dict[str, str]:
