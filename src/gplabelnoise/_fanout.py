@@ -1,14 +1,12 @@
 """Map a function over items in this process and forked copies of it.
 
-``fan_out`` is how independent pieces of work (the restarts of a joint fit,
-the cells of a ``benchmark`` sweep) use the CPUs that a single-threaded
-BLAS leaves idle. It forks only where that is safe and oversubscribes no
-CPU: on Linux, from a process that runs one OS thread and is no daemonic
-``multiprocessing`` worker, with more than one usable CPU and more than one
-item, and never from inside an item of another fan-out. One thread means no
-other thread holds a lock the fork would copy, and a single-threaded BLAS; a
-multi-threaded BLAS already keeps the CPUs busy, and forked copies of it
-would fight over them.
+``fan_out`` is how the cells of a ``benchmark`` sweep use the CPUs that a
+single-threaded BLAS leaves idle. It forks only where that is safe and
+oversubscribes no CPU: on Linux, from a process that runs one OS thread and
+is no daemonic ``multiprocessing`` worker, with more than one usable CPU
+and more than one item. One thread means no other thread holds a lock the
+fork would copy, and a single-threaded BLAS; a multi-threaded BLAS already
+keeps the CPUs busy, and forked copies of it would fight over them.
 
 Each item runs ``fn`` exactly as it would in a plain loop, in a copy of the
 same memory, so results do not depend on the process count. The caller runs
@@ -28,14 +26,10 @@ import pickle
 import signal
 import sys
 
-# true while this process runs the items of a fan-out, so that an item that
-# maps again does so in-process
-_in_task = False
-
 
 def _processes(items: int) -> int:
     """Processes to map ``items`` items in; 1 maps them here."""
-    if items < 2 or _in_task or not sys.platform.startswith("linux"):
+    if items < 2 or not sys.platform.startswith("linux"):
         return 1
     # a multiprocessing worker has the module loaded; reading it from
     # sys.modules keeps every other process from loading it
@@ -95,7 +89,6 @@ def fan_out(fn, items: list, name: str) -> list:
     ``OSError`` ("a ``name`` worker process died"), after every other
     child is killed and reaped.
     """
-    global _in_task
     processes = _processes(len(items))
     if processes == 1:
         return [fn(item) for item in items]
@@ -103,7 +96,6 @@ def fan_out(fn, items: list, name: str) -> list:
     queue = os.memfd_create("fan-out-queue")
     os.pwrite(queue, processes.to_bytes(8, "little"), 0)
     children, pipes = [], []  # unreaped child pids, and the read ends of their pipes
-    _in_task = True
     try:
         for first in range(1, processes):
             read_end, write_end = os.pipe()
@@ -127,7 +119,6 @@ def fan_out(fn, items: list, name: str) -> list:
                 raise OSError(f"a {name} worker process died ({how})")
             outcomes.update(pickle.loads(sent))
     finally:
-        _in_task = False
         for fd in [queue, *pipes]:
             os.close(fd)
         for pid in children:

@@ -101,8 +101,8 @@ class TestTopLevel:
 
     def test_only_benchmark_starts_processes(self, tmp_path):
         """With one BLAS thread, where a sweep would fan out, ``gen``,
-        ``fit``, ``detect`` and ``compare-optimizers`` reap no child and
-        never load ``multiprocessing``."""
+        ``fit`` (``--joint`` too), ``detect`` and ``compare-optimizers`` reap
+        no child and never load ``multiprocessing``."""
         code = (
             "import contextlib, io, json, resource, sys\n"
             "from gplabelnoise import cli\n"
@@ -114,11 +114,12 @@ class TestTopLevel:
         )
         data, report = tmp_path / "ex.csv", tmp_path / "fit.json"
         commands = [f"gen --example1 --out {data}", f"fit --data {data} --out {report}",
+                    f"fit --data {data} --joint --out {tmp_path / 'joint.json'}",
                     f"detect --report {report} --out {tmp_path / 'flags.json'}",
                     f"compare-optimizers --data {data} --max-iters 20 --out {tmp_path / 'cmp.csv'}"]
         proc = _child_python("-c", code, *commands, blas_threads="1")
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == [[0, 0, 0, 0], False, False]
+        assert json.loads(proc.stdout) == [[0, 0, 0, 0, 0], False, False]
 
 
 _START_UP = """\
@@ -1010,109 +1011,14 @@ class TestBenchmarkWorkers:
         assert not result["children_left"]
 
 
-# A fresh interpreter that runs ``fit --joint`` on a ``gen --example1``
-# dataset and prints what the tests below read, as ``_SWEEP_CHILD`` does for
-# a sweep, plus which injected restart failures ran in a child. argv: work
-# directory, CPU affinity ("one" or "all"), injection ("none"; "fail" in
-# restarts 1 and 3, wherever they run; "die" in restart 1, which always
-# starts in a child when there is one).
-_JOINT_CHILD = """
-import contextlib, io, json, os, resource, signal, sys
-from gplabelnoise import NumericalError, cli, noiseopt
-
-work, affinity, inject = sys.argv[1:]
-if affinity == "one":
-    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-parent = os.getpid()
-fan_out, single_start = noiseopt.fan_out, noiseopt._joint_single_start
-restart = None  # the index of the restart this process runs
-
-def indexing(fn, items, name):
-    def run(indexed):
-        global restart
-        restart, item = indexed
-        return fn(item)
-    return fan_out(run, list(enumerate(items)), name)
-
-def injecting(*args):
-    if inject == "fail" and restart in (1, 3):
-        where = "caller" if os.getpid() == parent else "child"
-        open(f"failed-{restart}-{where}", "w").close()
-        raise NumericalError("injected failure")
-    if inject == "die" and restart == 1 and os.getpid() != parent:
-        os.kill(os.getpid(), signal.SIGKILL)
-    return single_start(*args)
-
-noiseopt.fan_out, noiseopt._joint_single_start = indexing, injecting
-os.chdir(work)  # the report names its data file; relative names compare across runs
-data, out = "ex.csv", "fit.json"
-with contextlib.redirect_stdout(io.StringIO()):
-    assert cli.main(["gen", "--example1", "--seed", "3", "--out", data]) == 0
-threads = len(os.listdir("/proc/self/task"))
-cpu = lambda: sum(resource.getrusage(resource.RUSAGE_CHILDREN)[:2])
-before = cpu()
-err = io.StringIO()
-with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-    code = cli.main(["fit", "--data", data, "--joint", "--out", out])
-threads_after = len(os.listdir("/proc/self/task"))
-try:
-    os.waitpid(-1, os.WNOHANG)
-    children_left = True
-except ChildProcessError:
-    children_left = False
-report = open(out).read() if os.path.exists(out) else None
-print(json.dumps({"code": code, "report": report, "stderr": err.getvalue(), "reaped": cpu() > before,
-                  "children_left": children_left, "threads": threads, "threads_after": threads_after,
-                  "failed": sorted(name for name in os.listdir() if name.startswith("failed-"))}))
-"""
-
-
-@needs_two_cpus
-class TestJointRestartWorkers:
-    """With one BLAS thread and more than one usable CPU, the restarts of a
-    joint fit run in this process and forked children; the caller keeps
-    the winner choice and the warnings. Fresh interpreters, as in
-    ``TestBenchmarkWorkers``."""
-
-    def test_children_write_the_bytes_of_the_in_process_fit(self, tmp_path):
-        serial = _script_child(_JOINT_CHILD, tmp_path, "one")
-        fanned = _script_child(_JOINT_CHILD, tmp_path, "all")
-        assert serial["code"] == fanned["code"] == 0
-        assert not serial["reaped"] and fanned["reaped"]
-        assert fanned["report"] == serial["report"]
-        assert not fanned["children_left"]
-        assert fanned["threads"] == fanned["threads_after"] == 1
-
-    def test_failing_restarts_are_dropped_in_restart_order(self, tmp_path):
-        serial = _script_child(_JOINT_CHILD, tmp_path, "one", "fail")
-        fanned = _script_child(_JOINT_CHILD, tmp_path, "all", "fail")
-        assert serial["code"] == fanned["code"] == 0
-        assert serial["failed"] == ["failed-1-caller", "failed-3-caller"]
-        assert "failed-1-child" in fanned["failed"] and len(fanned["failed"]) == 2
-        warnings = ["joint restart 1 failed: injected failure", "joint restart 3 failed: injected failure"]
-        assert fanned["stderr"].splitlines() == serial["stderr"].splitlines() == warnings
-        assert fanned["report"] == serial["report"]
-
-    def test_a_dying_restart_ends_the_fit_with_exit_2(self, tmp_path):
-        result = _script_child(_JOINT_CHILD, tmp_path, "all", "die")
-        assert result["code"] == 2
-        assert result["stderr"].startswith("error: a joint restart worker process died (killed by signal 9)")
-        assert result["report"] is None
-        assert not result["children_left"]
-
-
-# Calls ``fan_out`` directly and prints the caller's pid and: each outer
-# item's pid with the pids of a fan-out inside it; what a fan-out whose
-# items 1 and 3 raise raised; the results of 400 short items, each of which
-# appends its index and pid to a file. argv as for the scripts above.
+# Calls ``fan_out`` directly and prints what a fan-out whose items 1 and 3
+# raise raised, and the results of 400 short items, each of which appends
+# its index and pid to a file. argv as for the scripts above.
 _FAN_OUT_CHILD = """
 import json, os, sys, time
 from gplabelnoise._fanout import fan_out
 
 os.chdir(sys.argv[1])
-
-def outer(item):
-    return os.getpid(), fan_out(lambda inner: os.getpid(), [0, 1, 2], "inner")
 
 def failing(item):
     if item in (1, 3):
@@ -1134,23 +1040,18 @@ def record(item):
 
 results = fan_out(record, list(range(400)), "record")
 ran = [line.split() for line in open("ran").read().splitlines()]
-print(json.dumps({"caller": os.getpid(), "outer": fan_out(outer, [0, 1], "outer"), "raised": raised,
-                  "results": results, "ran": sorted(int(item) for item, _ in ran),
+print(json.dumps({"raised": raised, "results": results, "ran": sorted(int(item) for item, _ in ran),
                   "processes": len({pid for _, pid in ran})}))
 """
 
 
 @needs_two_cpus
-def test_fan_out_runs_each_item_once_and_never_nests(tmp_path):
-    """Item 1 runs in a child, and a fan-out inside either item runs all its
-    items in that item's process. The first failing item's exception is
-    raised, as a plain loop would raise it. Over 400 short items that both
-    processes take from the shared queue, every item runs exactly once and
-    the results come back in item order."""
+def test_fan_out_runs_each_item_once(tmp_path):
+    """The first failing item's exception is raised, as a plain loop would
+    raise it. Over 400 short items that both processes take from the shared
+    queue, every item runs exactly once and the results come back in item
+    order."""
     result = _script_child(_FAN_OUT_CHILD, tmp_path, "all")
-    (first, inner_first), (second, inner_second) = result["outer"]
-    assert first == result["caller"] != second
-    assert inner_first == [first] * 3 and inner_second == [second] * 3
     assert result["raised"] == "item 1"
     assert result["results"] == result["ran"] == list(range(400))
     assert result["processes"] == 2

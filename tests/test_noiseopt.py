@@ -2,8 +2,8 @@
 variant, the projected-gradient baseline, and joint hyperparameter search."""
 
 import json
+import logging
 import math
-import os
 
 import numpy as np
 import pytest
@@ -594,22 +594,6 @@ class TestProjectedGradientBaseline:
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture()
-def one_cpu():
-    """Pin this process to one CPU, restored afterwards. Under one BLAS
-    thread joint restarts would otherwise run partly in forked processes,
-    whose calls a spy in this process does not see."""
-    if not hasattr(os, "sched_setaffinity"):
-        yield
-        return
-    cpus = os.sched_getaffinity(0)
-    os.sched_setaffinity(0, {min(cpus)})
-    try:
-        yield
-    finally:
-        os.sched_setaffinity(0, cpus)
-
-
 class TestJointOptimize:
     """Alternating hyperparameter line search and noise updates."""
 
@@ -687,7 +671,7 @@ class TestJointOptimize:
         with pytest.raises(ConfigError):
             JointOptConfig(**kwargs)
 
-    def test_theta_gradients_use_kernel_grad_theta_matrices(self, monkeypatch, one_cpu):
+    def test_theta_gradients_use_kernel_grad_theta_matrices(self, monkeypatch):
         """Every theta gradient, built from the cached squared distances,
         sees bitwise the matrices kernel_grad_theta gives for the kernel
         and squared distances built afresh from X."""
@@ -707,7 +691,7 @@ class TestJointOptimize:
             reference = kernel_grad_theta(params, build_kernel_matrix(params, data.X), sq_dists(data.X))
             assert all(np.array_equal(m, r) for m, r in zip(matrices, reference))
 
-    def test_failed_theta_trials_are_rejected(self, monkeypatch, one_cpu):
+    def test_failed_theta_trials_are_rejected(self, monkeypatch):
         """A fit that fails at a theta trial makes that trial infinitely bad
         (without a floating-point warning): the search stays below the
         failing region and the trace still never rises."""
@@ -775,7 +759,7 @@ class TestJointOptimize:
         smallest = noiseopt._THETA_BOX_HALFWIDTHS[-1]
         assert np.all(np.abs(trials[-1].log_vector() - log_theta) <= smallest * (1 + 1e-12))
 
-    def test_no_fit_repeats_the_one_before(self, monkeypatch, one_cpu):
+    def test_no_fit_repeats_the_one_before(self, monkeypatch):
         """States cross the theta/sigma boundary: no factorization is of the
         matrix the one just before it factored. The spy sits on LAPACK's
         ``potrf``, which every fit, refit and jitter rung calls, so it sees
@@ -835,7 +819,7 @@ class TestJointOptimize:
         _, peak = peak_nn(lambda: joint_optimize(data, JointOptConfig(outer_rounds=3, restarts=1)), n)
         assert peak <= 16, f"peak {peak:.1f} N^2 doubles"
 
-    def test_squared_distances_built_once_per_call(self, monkeypatch, one_cpu):
+    def test_squared_distances_built_once_per_call(self, monkeypatch):
         """Theta trials reuse one squared-distance matrix: the count does not
         grow with the number of kernel matrices tried."""
         data = gen_example1(2)
@@ -857,6 +841,29 @@ class TestJointOptimize:
         # one for the heuristic length scale, one shared by every restart
         assert counts["sq_dists"] == 2
         assert counts["kernels"] > 10 * restarts
+
+    def test_failing_restarts_are_dropped_in_restart_order(self, monkeypatch, caplog):
+        """Restarts that fail numerically are warned about in restart order
+        and dropped; the winner is the better of those that finished."""
+        single_start, results = noiseopt._joint_single_start, []
+
+        def injecting(*args):
+            if len(results) in (1, 3):
+                results.append(None)
+                raise NumericalError("injected failure")
+            results.append(single_start(*args))
+            return results[-1]
+
+        monkeypatch.setattr(noiseopt, "_joint_single_start", injecting)
+        with caplog.at_level(logging.WARNING, logger="gplabelnoise.noiseopt"):
+            params, sigma, trace = joint_optimize(gen_example1(3))
+        assert caplog.messages == ["joint restart 1 failed: injected failure",
+                                   "joint restart 3 failed: injected failure"]
+        assert len(results) == 4
+        best = min(results[0], results[2], key=lambda result: result[2].final_nll)
+        assert params == best[0] and np.array_equal(sigma, best[1])
+        assert trace.final_nll == best[2].final_nll
+        assert np.array_equal(trace.nll_per_iter, best[2].nll_per_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -971,7 +978,7 @@ class TestThetaBlockSolver:
 
     @pytest.mark.parametrize("cut", [math.inf, 1.0, 0.3])
     @pytest.mark.parametrize("seed", range(5))
-    def test_joint_fit_as_with_scipy(self, seed, cut, monkeypatch, one_cpu):
+    def test_joint_fit_as_with_scipy(self, seed, cut, monkeypatch):
         rbf = noiseopt.rbf_from_sq_dists
 
         def failing_kernel(params, d2):
