@@ -1,4 +1,4 @@
-"""Map a function over items in this process and forked copies of it.
+"""Map a function over items in a pool of forked worker processes.
 
 ``fan_out`` is how the cells of a ``benchmark`` sweep use the CPUs that a
 single-threaded BLAS leaves idle. It forks only where that is safe and
@@ -8,23 +8,20 @@ and more than one item. One thread means no other thread holds a lock the
 fork would copy, and a single-threaded BLAS; a multi-threaded BLAS already
 keeps the CPUs busy, and forked copies of it would fight over them.
 
-Each item runs ``fn`` exactly as it would in a plain loop, in a copy of the
-same memory, so results do not depend on the process count. The caller runs
-item 0 and each of up to min(items, usable CPUs) - 1 children starts with
-its own item (child k item k); every process then takes the next item
-nobody has started, so a slow item does not leave a CPU idle. A child pipes
-its pickled results, or the exceptions its items raised, back to the caller
-and leaves by ``os._exit``. The caller reaps every child before returning,
-also when it raises.
+The pool is the standard library's ``ProcessPoolExecutor`` with the fork
+start method. In CPython 3.11 it forks every worker before it starts its
+own manager thread, so each fork still comes from a one-thread process;
+Python 3.10's order has not been checked. Each item runs ``fn`` exactly as
+it would in a plain loop, in a copy of the same memory, so results do not
+depend on the process count. ``multiprocessing`` and ``concurrent.futures``
+are imported only where a pool starts, so no other command loads them.
 """
 
 from __future__ import annotations
 
-import fcntl
 import os
-import pickle
-import signal
 import sys
+import time
 
 
 def _processes(items: int) -> int:
@@ -39,96 +36,34 @@ def _processes(items: int) -> int:
     return min(items, len(os.sched_getaffinity(0)))
 
 
-def _next_item(queue: int) -> int:
-    """Take the index of the next item nobody has started from the counter
-    in the file ``queue``. The lock is POSIX's, which a process that dies
-    releases."""
-    fcntl.lockf(queue, fcntl.LOCK_EX)
-    try:
-        index = int.from_bytes(os.pread(queue, 8, 0), "little")
-        os.pwrite(queue, (index + 1).to_bytes(8, "little"), 0)
-    finally:
-        fcntl.lockf(queue, fcntl.LOCK_UN)
-    return index
-
-
-def _run_share(fn, items, first: int, queue: int) -> dict:
-    """Item index -> (True, result) or (False, exception) for ``first`` and
-    every item this process takes after it."""
-    outcomes = {}
-    index = first
-    while index < len(items):
-        try:
-            outcomes[index] = True, fn(items[index])
-        except Exception as e:
-            outcomes[index] = False, e
-        index = _next_item(queue)
-    return outcomes
-
-
-def _child(fn, items, first: int, queue: int, pipe: int):
-    status = 1
-    try:
-        sent = pickle.dumps(_run_share(fn, items, first, queue))
-        with open(pipe, "wb") as out:
-            out.write(sent)
-        status = 0
-    finally:
-        os._exit(status)
-
-
 def fan_out(fn, items: list, name: str) -> list:
-    """``[fn(item) for item in items]``, in forked processes where that is
-    safe (see the module docstring).
+    """``[fn(item) for item in items]``, in forked worker processes where
+    that is safe (see the module docstring).
 
     Either way the exception raised is that of the lowest-index item that
     raised. In one process the items run in order and the first that
-    raises stops the rest, as in the plain loop; across processes every
-    item runs, and the exception is raised once all have. A child that
-    dies (killed, or with a result that does not pickle) raises
-    ``OSError`` ("a ``name`` worker process died"), after every other
-    child is killed and reaped.
+    raises stops the rest, as in the plain loop; in the pool every item
+    runs, and the exception is raised once all have. A worker that dies
+    raises ``OSError`` ("a ``name`` worker process died") once the pool
+    has stopped and joined the others.
     """
     processes = _processes(len(items))
     if processes == 1:
         return [fn(item) for item in items]
 
-    queue = os.memfd_create("fan-out-queue")
-    os.pwrite(queue, processes.to_bytes(8, "little"), 0)
-    children, pipes = [], []  # unreaped child pids, and the read ends of their pipes
-    try:
-        for first in range(1, processes):
-            read_end, write_end = os.pipe()
-            pipes.append(read_end)
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _child(fn, items, first, queue, write_end)  # never returns
-            finally:
-                os.close(write_end)
-            children.append(pid)
-        outcomes = _run_share(fn, items, 0, queue)
-        for pid, read_end in zip(list(children), pipes):
-            with open(read_end, "rb", closefd=False) as pipe:
-                sent = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            children.remove(pid)
-            if status != 0 or not sent:
-                code = os.waitstatus_to_exitcode(status)
-                how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
-                raise OSError(f"a {name} worker process died ({how})")
-            outcomes.update(pickle.loads(sent))
-    finally:
-        for fd in [queue, *pipes]:
-            os.close(fd)
-        for pid in children:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
-    results = []
-    for index in range(len(items)):
-        ok, value = outcomes[index]
-        if not ok:
-            raise value
-        results.append(value)
-    return results
+    try:
+        with ProcessPoolExecutor(processes, mp_context=multiprocessing.get_context("fork")) as pool:
+            return list(pool.map(fn, items))
+    except BrokenProcessPool as e:
+        raise OSError(f"a {name} worker process died") from e
+    finally:
+        # a joined thread can stay in the task list for a few ms after
+        # join() returns; wait (at most 1 s) for the pool's threads to
+        # leave, so that a fan-out called next finds one thread and forks
+        deadline = time.monotonic() + 1.0
+        while len(os.listdir("/proc/self/task")) > 1 and time.monotonic() < deadline:
+            time.sleep(1e-4)

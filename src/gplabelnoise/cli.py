@@ -73,7 +73,6 @@ from .noiseopt import (
     optimize_sigma_uniform_matrix,
     projected_gradient_baseline_matrix,
 )
-from .rng import _check_seed
 
 __all__ = ["main"]
 
@@ -517,8 +516,6 @@ def _cmd_benchmark(args) -> int:
     mult = _mult_config(cfg)
     specs = [NoiseInjectionSpec(rate=rate, level=level, seed=cfg["seed"] + cell)
              for cell, (rate, level) in enumerate(itertools.product(cfg["rates"], cfg["levels"]))]
-    for spec in specs:
-        _check_seed(spec.seed)
     _check_recall_levels(cfg["recall_levels"])
     _check_folds(cfg["folds"], base.n)
 

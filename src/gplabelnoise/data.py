@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ConfigError, EmptyDatasetError, InvalidInputError, ParseError
 from .gpr import fit_matrix
 from .kernel import KernelParams, _label_variance, build_kernel_matrix
-from .rng import choose_subset, make_rng, normals
+from .rng import _check_seed, choose_subset, make_rng, normals
 
 __all__ = [
     "LabelTruth",
@@ -105,6 +105,7 @@ class NoiseInjectionSpec:
             raise ConfigError(f"noise rate must be in [0, 1], got {self.rate}")
         if not 0.0 <= self.level < math.inf:
             raise ConfigError(f"noise level must be non-negative and finite, got {self.level}")
+        _check_seed(self.seed)
 
     def corrupted_count(self, n: int) -> int:
         # round-half-up, so the count is exact for every rate/N combination

@@ -52,7 +52,7 @@ from .kernel import (
     rbf_from_sq_dists,
     sq_dists,
 )
-from .rng import make_rng
+from .rng import _check_seed, make_rng
 
 __all__ = [
     "MultUpdateConfig",
@@ -163,6 +163,7 @@ class JointOptConfig:
     def __post_init__(self):
         _check_count("outer_rounds", self.outer_rounds, 0)
         _check_count("restarts", self.restarts, 1)
+        _check_seed(self.restart_seed)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,8 @@ reimplemented in other languages, from the seed alone:
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .errors import ConfigError
@@ -30,6 +32,8 @@ def make_rng(seed: int) -> np.random.Generator:
 
 
 def _check_seed(seed: int) -> None:
+    if not isinstance(seed, numbers.Integral):
+        raise ConfigError(f"seed must be an integer, got {seed!r}")
     if not 0 <= seed < 2**64:
         raise ConfigError(f"seed must lie in [0, 2**64), got {seed!r}")
 

@@ -102,7 +102,8 @@ class TestTopLevel:
     def test_only_benchmark_starts_processes(self, tmp_path):
         """With one BLAS thread, where a sweep would fan out, ``gen``,
         ``fit`` (``--joint`` too), ``detect`` and ``compare-optimizers`` reap
-        no child and never load ``multiprocessing``."""
+        no child and never load ``multiprocessing`` or
+        ``concurrent.futures``."""
         code = (
             "import contextlib, io, json, resource, sys\n"
             "from gplabelnoise import cli\n"
@@ -110,7 +111,8 @@ class TestTopLevel:
             "before = cpu()\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    codes = [cli.main(argv.split()) for argv in sys.argv[1:]]\n"
-            "print(json.dumps([codes, cpu() > before, 'multiprocessing' in sys.modules]))\n"
+            "print(json.dumps([codes, cpu() > before, 'multiprocessing' in sys.modules,\n"
+            "                  'concurrent.futures' in sys.modules]))\n"
         )
         data, report = tmp_path / "ex.csv", tmp_path / "fit.json"
         commands = [f"gen --example1 --out {data}", f"fit --data {data} --out {report}",
@@ -119,7 +121,7 @@ class TestTopLevel:
                     f"compare-optimizers --data {data} --max-iters 20 --out {tmp_path / 'cmp.csv'}"]
         proc = _child_python("-c", code, *commands, blas_threads="1")
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == [[0, 0, 0, 0, 0], False, False]
+        assert json.loads(proc.stdout) == [[0, 0, 0, 0, 0], False, False, False]
 
 
 _START_UP = """\
@@ -1012,15 +1014,27 @@ class TestBenchmarkWorkers:
 
 
 # Calls ``fan_out`` directly and prints what a fan-out whose items 1 and 3
-# raise raised, and the results of 400 short items, each of which appends
-# its index and pid to a file. argv as for the scripts above.
+# raise raised and which of its items ran, whether items 0 and 1 of a
+# two-item fan-out met (each waits up to 20 s for the other's marker
+# file), and the results of 400 short items, each of which appends its
+# index to a file. argv as for the scripts above.
 _FAN_OUT_CHILD = """
 import json, os, sys, time
 from gplabelnoise._fanout import fan_out
 
 os.chdir(sys.argv[1])
 
+def logging_to(path):
+    log = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+    return lambda item: os.write(log, f"{item}\\n".encode())
+
+def ran(path):
+    return sorted(int(item) for item in open(path).read().split())
+
+log_failing = logging_to("failing")
+
 def failing(item):
+    log_failing(item)
     if item in (1, 3):
         raise ValueError(f"item {item}")
     return item
@@ -1031,30 +1045,40 @@ try:
 except ValueError as e:
     raised = str(e)
 
-log = os.open("ran", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+def meet(item):
+    open(f"here-{item}", "w").close()
+    deadline = time.monotonic() + 20.0
+    while not os.path.exists(f"here-{1 - item}"):
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.001)
+    return True
+
+met = fan_out(meet, [0, 1], "meet")
+log_record = logging_to("record")
 
 def record(item):
-    os.write(log, f"{item} {os.getpid()}\\n".encode())
+    log_record(item)
     time.sleep(0.0005)
     return item
 
 results = fan_out(record, list(range(400)), "record")
-ran = [line.split() for line in open("ran").read().splitlines()]
-print(json.dumps({"raised": raised, "results": results, "ran": sorted(int(item) for item, _ in ran),
-                  "processes": len({pid for _, pid in ran})}))
+print(json.dumps({"raised": raised, "failing_ran": ran("failing"), "met": met,
+                  "results": results, "ran": ran("record")}))
 """
 
 
 @needs_two_cpus
 def test_fan_out_runs_each_item_once(tmp_path):
     """The first failing item's exception is raised, as a plain loop would
-    raise it. Over 400 short items that both processes take from the shared
-    queue, every item runs exactly once and the results come back in item
-    order."""
+    raise it, once every item has run. Two items run at the same time, in
+    two processes. Over 400 short items, every item runs exactly once and
+    the results come back in item order."""
     result = _script_child(_FAN_OUT_CHILD, tmp_path, "all")
     assert result["raised"] == "item 1"
+    assert result["failing_ran"] == list(range(5))
+    assert result["met"] == [True, True]
     assert result["results"] == result["ran"] == list(range(400))
-    assert result["processes"] == 2
 
 
 class TestCompareOptimizers:

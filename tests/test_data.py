@@ -64,7 +64,7 @@ class TestRngHelpers:
         assert choose_subset(make_rng(3), 5, 0).shape == (0,)
         assert np.array_equal(choose_subset(make_rng(3), 5, 5), np.arange(5))
 
-    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2.9, "3"])
     def test_seed_outside_the_key_range_rejected(self, seed):
         with pytest.raises(ConfigError):
             make_rng(seed)
@@ -303,6 +303,8 @@ class TestInjectNoise:
             dict(rate=-0.1, level=1.0),
             dict(rate=0.5, level=-1.0),
             dict(rate=0.5, level=float("nan")),
+            # seed 2.9 used to inject exactly the noise of seed 2
+            *(dict(rate=0.3, level=1.0, seed=seed) for seed in (-1, 2**64, 2.9, "3")),
         ],
     )
     def test_bad_spec_rejected(self, kwargs):

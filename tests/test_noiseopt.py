@@ -665,7 +665,9 @@ class TestJointOptimize:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [dict(outer_rounds=-1), dict(restarts=0)],
+        # restart_seed -1 used to construct and fail only inside joint_optimize
+        [dict(outer_rounds=-1), dict(restarts=0),
+         *(dict(restart_seed=seed) for seed in (-1, 2**64, 2.9, "3"))],
     )
     def test_bad_configuration_rejected(self, kwargs):
         with pytest.raises(ConfigError):

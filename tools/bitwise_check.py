@@ -34,12 +34,12 @@ child hashes:
   found).
 
 With one BLAS thread and more than one usable CPU, ``benchmark`` runs its
-cells in this process and forked copies of it, and on one usable CPU all
+cells in a pool of forked worker processes, and on one usable CPU all
 in-process; ``joint_optimize`` runs its restarts in-process either way. The
 working tree's child therefore runs twice, with the CPUs this script may
 use and pinned to one of them, and every output must also agree between
 those two runs; on a machine with more than one CPU that compares the
-forked cells of ``cli-sweep``, ``criterion-11`` and ``joint-sweep`` with
+pooled cells of ``cli-sweep``, ``criterion-11`` and ``joint-sweep`` with
 in-process ones.
 
 The script prints one md5 per output and run, and exits 1 if any output
