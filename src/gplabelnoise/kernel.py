@@ -128,8 +128,14 @@ def rbf_from_sq_dists(params: KernelParams, d2: np.ndarray) -> np.ndarray:
 
 
 def build_kernel_matrix(params: KernelParams, X) -> np.ndarray:
-    """N x N prior covariance matrix of the training inputs."""
-    return rbf_from_sq_dists(params, sq_dists(X))
+    """N x N prior covariance matrix of the training inputs.
+
+    Returned as the transpose view of the bit-symmetric result, so it is
+    Fortran-ordered: a fit copies it into LAPACK's order without
+    transposing it. ``rbf_from_sq_dists`` stays row-major, as the joint
+    fit's theta gradient reads that order.
+    """
+    return rbf_from_sq_dists(params, sq_dists(X)).T
 
 
 def cross_kernel(params: KernelParams, A, B) -> np.ndarray:

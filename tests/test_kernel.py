@@ -99,6 +99,14 @@ class TestKernelMatrices:
         K = build_kernel_matrix(params, X)
         assert np.array_equal(K, K.T)
 
+    def test_fortran_ordered_and_the_kernel_expression(self):
+        """The Gram matrix is laid out column-major, as a fit copies it, and
+        is bitwise the kernel of the squared distances."""
+        X, params = self._instance(n=30, d=3)
+        K = build_kernel_matrix(params, X)
+        assert K.flags.f_contiguous
+        assert np.array_equal(K, rbf_from_sq_dists(params, sq_dists(X)))
+
     def test_matches_pointwise_evaluation(self):
         X, params = self._instance(n=6)
         K = build_kernel_matrix(params, X)
