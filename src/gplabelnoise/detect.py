@@ -134,7 +134,7 @@ def precision_at_recall(scores, truth, levels) -> dict[float, float]:
         raise UndefinedMetricError("precision@recall needs at least one corrupted label")
 
     points = []  # (recall, precision), recall non-decreasing
-    for v in np.unique(scores)[::-1]:
+    for v in sorted(set(scores.tolist()), reverse=True):  # np.unique would import numpy.ma
         flagged = scores >= v
         tp = int(np.sum(truth & flagged))
         points.append((tp / n_pos, tp / int(np.sum(flagged))))

@@ -37,13 +37,13 @@ very routines bound here. The package itself is imported only by
 eigenvalue it reports.
 
 The input checks those wrappers would make are made once per K and y, by
-``fit_matrix``, which hands K and a read-only copy of y to a refitter
-(``_Refitter``). A loop that refits one K, such as a sigma iteration,
-builds its refitter from its first fit's K and ``state.y``, and
-``fit_matrix`` shares rather than re-checks a ``state.y`` it is given. Each
-fit checks sigma in one pass (``_check_sigma``: one ``np.minimum.reduce``,
-one ``np.maximum.reduce``, and diag(K) + sigma bounded by max diag(K) plus
-that max), O(N); ``cholesky_with_jitter`` and ``detect.flag_noisy`` use it.
+``fit_matrix``, which hands K and its own read-only copy of y to a refitter
+(``_Refitter``). Fits that need no such check refit with the ``state.y`` of
+the fit they start from: a sigma loop's steps on its one K, and the joint
+fit's theta trials on kernels finite by construction. Each fit checks sigma
+in one pass (``_check_sigma``: one ``np.minimum.reduce``, one
+``np.maximum.reduce``, and diag(K) + sigma bounded by max diag(K) plus that
+max), O(N); ``cholesky_with_jitter`` and ``detect.flag_noisy`` use it.
 
 Above order 64 the triangular inverse is recursive blocked inversion
 (Elmroth, Gustavson, Jonsson and Kagstrom, SIAM Review 2004): L is halved,
@@ -67,7 +67,6 @@ import logging
 import math
 import os
 import sys
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,9 +132,6 @@ _JITTER_STEPS = (1e-10, 1e-9, 1e-8, 1e-7)
 # keeping dtrtri up to 128 is 1.2-1.6x slower at N=100-200.
 _TRTRI_MAX_N = 64
 
-# each fit's read-only copy of its labels (state.y), checked when made, by id
-_LABELS: weakref.WeakValueDictionary[int, np.ndarray] = weakref.WeakValueDictionary()
-
 
 class _cached:
     """``functools.cached_property`` without its lock.
@@ -166,11 +162,11 @@ class _cached:
 class GprState:
     """Factorized regularized covariance plus the reads of it that are used.
 
-    ``y`` is a read-only copy of the fitted labels, shared by the states
-    of one refitter; a reader given that array itself reads ``alpha``,
-    and solves for any other. ``chol`` is the one N x N array a state holds;
-    ``logdet`` and ``kinv_diag`` are computed from it on first access and
-    cached.
+    ``y`` is the read-only copy of the labels one ``fit_matrix`` call
+    checked, shared by the states refitted from that fit; a reader given
+    that array itself reads ``alpha``, and solves for any other. ``chol`` is
+    the one N x N array a state holds; ``logdet`` and ``kinv_diag`` are
+    computed from it on first access and cached.
     """
 
     sigma: np.ndarray
@@ -401,14 +397,14 @@ class _Refitter:
 def fit_matrix(K: np.ndarray, sigma, y) -> GprState:
     """Factorize K + diag(sigma) and cache alpha = Kt^-1 y.
 
-    The first fit of a refitter of K and y: it checks K and y (a fit's
-    ``state.y`` is shared, not checked again), then sigma and the
-    finiteness of diag(K) + sigma. Kt is one Fortran-ordered copy of K
-    with sigma on its diagonal, and LAPACK factors it in place, so a fit
-    holds one N x N array: the factor. Only when that factorization fails
-    is the failed attempt released and the jitter ladder
-    (``cholesky_with_jitter``) run on K and sigma, which starts at its
-    first jittered rung and holds one rung at a time. Nothing is inverted
+    The first fit of a refitter of K and y: it checks K and y, whatever
+    array y is, keeps a read-only copy of y as ``state.y``, then checks
+    sigma and the finiteness of diag(K) + sigma. Kt is one Fortran-ordered
+    copy of K with sigma on its diagonal, and LAPACK factors it in place,
+    so a fit holds one N x N array: the factor. Only when that
+    factorization fails is the failed attempt released and the jitter
+    ladder (``cholesky_with_jitter``) run on K and sigma, which starts at
+    its first jittered rung and holds one rung at a time. Nothing is inverted
     here; ``GprState.logdet`` and ``kinv_diag`` are computed from the
     factor by their first reader, so a state read only by ``nll`` costs a
     factorization and one solve. O(N^3), fine at the targeted scale.
@@ -421,14 +417,12 @@ def fit_matrix(K: np.ndarray, sigma, y) -> GprState:
     """
     K = _checked_matrix(K)
     n = K.shape[0]
-    if not (_LABELS.get(id(y)) is y and y.shape == (n,) and not y.flags.writeable):
-        y = np.array(y, dtype=float)  # a copy
-        if y.shape != (n,):
-            raise InvalidInputError(f"y must have shape ({n},), got {y.shape}")
-        if not np.isfinite(y).all():
-            raise InvalidInputError("y entries must be finite")
-        y.flags.writeable = False
-        _LABELS[id(y)] = y
+    y = np.array(y, dtype=float)  # a copy
+    if y.shape != (n,):
+        raise InvalidInputError(f"y must have shape ({n},), got {y.shape}")
+    if not np.isfinite(y).all():
+        raise InvalidInputError("y entries must be finite")
+    y.flags.writeable = False
     return _Refitter(K, y)(sigma)
 
 

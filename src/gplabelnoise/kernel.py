@@ -128,13 +128,8 @@ def rbf_from_sq_dists(params: KernelParams, d2: np.ndarray) -> np.ndarray:
 
 
 def build_kernel_matrix(params: KernelParams, X) -> np.ndarray:
-    """N x N prior covariance matrix of the training inputs.
-
-    Returned as the transpose view of the bit-symmetric result, so it is
-    Fortran-ordered: a fit copies it into LAPACK's order without
-    transposing it. ``rbf_from_sq_dists`` stays row-major, as the joint
-    fit's theta gradient reads that order.
-    """
+    """N x N prior covariance matrix of the training inputs, Fortran-ordered
+    (the transpose of the symmetric result) so that fits copy it straight."""
     return rbf_from_sq_dists(params, sq_dists(X)).T
 
 
@@ -184,8 +179,9 @@ def heuristic_params(X, y) -> KernelParams:
     rejects an empty or non-finite X; y must hold one label per row of X,
     with a finite variance. The peak is that of ``sq_dists``, two N x N
     arrays: the upper triangle is selected through a boolean mask (N^2
-    bytes), and the distance matrix is released before the median copies
-    the N(N-1)/2 selected distances.
+    bytes), and the distance matrix is released before the median of the
+    N(N-1)/2 selected distances is taken in place: ``np.median``'s value,
+    without its copy or its import of ``numpy.ma``.
     """
     d2 = sq_dists(X)
     n = d2.shape[0]
@@ -200,7 +196,9 @@ def heuristic_params(X, y) -> KernelParams:
     else:
         d = d2[np.less.outer(np.arange(n), np.arange(n))]  # row-major upper triangle
         del d2
-        ell = float(np.median(np.sqrt(d, out=d)))
+        middle = (d.shape[0] - 1) // 2, d.shape[0] // 2  # one index twice for an odd count
+        d.partition(middle)
+        ell = float((np.sqrt(d[middle[0]]) + np.sqrt(d[middle[1]])) / 2.0)
         if not np.isfinite(ell) or ell <= 0.0:
             ell = 1.0
     return KernelParams(signal_variance=s2, length_scale=ell)

@@ -535,14 +535,15 @@ def _theta_block(
     Returns the log theta, K and state kept (the start unless the result's
     NLL is no higher). Appends to ``record`` one row per iteration that left
     the start and counts every trial fitted in it (the result is refitted,
-    uncounted, when it is not the latest trial). A trial is a ``fit_matrix``
-    call given ``state.y``, which it shares rather than checks again. A
-    trial whose fit fails is infinitely bad and not counted. L-BFGS-B's line
-    search barely backs off from such a trial, so a run that met one and did
-    not lower the NLL is repeated from the start inside a box of half-width
-    1 around it in log space, the box halved on each repeat, until a run
-    lowers the NLL, meets no failing trial, or the half-width falls below
-    2**-10.
+    uncounted, when it is not the latest trial). A trial refits its own
+    kernel with ``state.y`` and checks only sigma, as a sigma step does: a
+    kernel of checked distances with log parameters inside
+    +-``_LOG_THETA_BOUND`` is finite, in [0, e**200]. A trial whose fit
+    fails is infinitely bad and not counted. L-BFGS-B's line search barely
+    backs off from such a trial, so a run that met one and did not lower the
+    NLL is repeated from the start inside a box of half-width 1 around it in
+    log space, the box halved on each repeat, until a run lowers the NLL,
+    meets no failing trial, or the half-width falls below 2**-10.
     """
     sigma, y = state.sigma, state.y
     start = nll(state, y)
@@ -559,7 +560,7 @@ def _theta_block(
         nonlocal latest
         if latest[0] != params:
             trial_K = rbf_from_sq_dists(params, d2)
-            latest = (params, trial_K, fit_matrix(trial_K, sigma, y))
+            latest = (params, trial_K, _Refitter(trial_K, y)(sigma))
         return latest[1:]
 
     def objective(x: np.ndarray) -> tuple[float, np.ndarray]:

@@ -990,6 +990,25 @@ class TestBenchmarkWorkers:
         assert not fanned["children_left"]
         assert fanned["threads"] == fanned["threads_after"] == 1
 
+    @pytest.mark.parametrize("extra", [(), ("--joint",)], ids=["plain", "joint"])
+    def test_a_cell_loads_no_masked_arrays(self, extra, tmp_path):
+        """A worker is forked from a caller that ran no cell, so what a first
+        cell imports, every worker of every sweep imports again. A cell
+        calls neither ``np.median`` nor ``np.unique``, which import
+        ``numpy.ma``; here one cell runs in a fresh interpreter."""
+        code = ("import contextlib, io, json, sys\n"
+                "from gplabelnoise import cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    codes = [cli.main(argv.split()) for argv in sys.argv[1:]]\n"
+                "print(json.dumps([codes, 'numpy.ma' in sys.modules]))\n")
+        base = tmp_path / "base.csv"
+        commands = [f"gen --grid --n 12 --rate 0 --seed 1 --out {base}",
+                    f"benchmark --data {base} --rates 0.25 --levels 1.0 --folds 3 {' '.join(extra)} "
+                    f"--out {tmp_path / 'sweep.csv'}"]
+        proc = _child_python("-c", code, *commands)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [[0, 0], False]
+
     def test_a_multithreaded_blas_keeps_the_sweep_in_process(self, tmp_path):
         result = _sweep_child(tmp_path, "all", blas_threads=None)
         if result["threads"] < 2:

@@ -147,29 +147,32 @@ class TestFit:
         with pytest.raises(InvalidInputError):
             fit_matrix(K, np.ones(y.shape[0]), y)
 
-    def test_a_fitted_states_labels_are_shared(self):
-        """Labels that are a fit's ``state.y`` go into the next fit as they
-        are; any other labels, read-only ones included, are copied."""
+    def test_a_fit_copies_another_fits_labels(self):
+        """Every fit holds its own read-only copy of its labels, also when
+        they are another fit's ``state.y``."""
         K = build_kernel_matrix(KernelParams(1.0, 0.5), np.array([[0.0], [1.0]]))
         y = np.array([1.0, -1.0])
         y.flags.writeable = False
         first = fit_matrix(K, np.ones(2), y)
         assert first.y is not y and not first.y.flags.writeable
-        assert fit_matrix(2.0 * K, np.zeros(2), first.y).y is first.y
+        second = fit_matrix(2.0 * K, np.zeros(2), first.y)
+        assert second.y is not first.y and not second.y.flags.writeable
+        assert np.array_equal(second.y, first.y)
 
-    @pytest.mark.parametrize("relabel", ["read-only", "mutated", "other size"])
+    @pytest.mark.parametrize("relabel", ["read-only", "mutated", "re-frozen", "other size"])
     def test_labels_not_a_fits_own_are_checked(self, relabel):
-        """Sharing needs the very array a fit made, still read-only and of
-        the matrix's size: read-only NaN labels, a state's labels changed
-        after its fit and labels of another size are rejected."""
+        """A fit checks whatever labels it is given: read-only NaN labels, a
+        state's labels set to NaN after its fit (made read-only again or
+        not) and labels of another size are rejected."""
         first = fit_matrix(np.eye(2), np.ones(2), np.array([1.0, -1.0]))
         K, y = np.eye(2), first.y
         if relabel == "read-only":
             y = np.array([1.0, np.nan])
             y.flags.writeable = False
-        elif relabel == "mutated":
+        elif relabel in ("mutated", "re-frozen"):
             y.flags.writeable = True
             y[0] = np.nan
+            y.flags.writeable = relabel == "mutated"
         else:
             K = np.eye(3)
         with pytest.raises(InvalidInputError, match="^y "):

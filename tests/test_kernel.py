@@ -1,5 +1,10 @@
 """Tests for the RBF kernel: pointwise values, matrices, gradients, heuristics."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,6 +22,8 @@ from gplabelnoise.kernel import _sq_dists, rbf_from_sq_dists, sq_dists
 from gplabelnoise.rng import make_rng, normals
 from memtrace import peak_nn
 from oracles import eval_kernel, sq_dists_one_einsum
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # ---------------------------------------------------------------------------
 # parameter container
@@ -313,10 +320,32 @@ class TestHeuristicParams:
         """The peak is that of the squared distances, two N x N arrays plus
         the subtraction's buffer: the upper triangle is picked by a boolean
         mask (N^2 / 8 doubles), not by two N^2 / 2 index arrays, and the
-        distance matrix is released before the median copies the picked
-        half."""
+        distance matrix is released before the median of the picked half
+        is taken."""
         n = 400
         rng = make_rng(27)
         X, y = rng.random((n, 2)), normals(rng, n)
         _, peak = peak_nn(lambda: heuristic_params(X, y), n)
         assert peak <= 2 + 256 * 1024 / (8 * n * n), f"peak {peak:.3f} N^2 doubles"
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 59, 160, 200, 1000])
+    def test_length_scale_is_numpys_median_bitwise(self, n):
+        """The median is taken in place, and is ``np.median``'s value bit for
+        bit on odd and even counts of distances (n(n-1)/2 of them), with
+        ties (points on an integer grid) and without."""
+        rng = make_rng(50 + n)
+        for X in (rng.random((n, 2)), rng.integers(0, 5, (n, 1)).astype(float)):
+            d2 = sq_dists(X)
+            expected = float(np.median(np.sqrt(d2[np.triu_indices(n, 1)])))
+            assert heuristic_params(X, np.arange(float(n))).length_scale == expected
+
+    def test_median_loads_no_masked_arrays(self):
+        """``np.median`` imports ``numpy.ma`` on first use; the heuristic
+        does not, so a process that only fits never loads it."""
+        code = ("import sys, numpy as np, gplabelnoise as gpl\n"
+                "gpl.heuristic_params(np.arange(10.0).reshape(5, 2), np.arange(5.0))\n"
+                "print('numpy.ma' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False"]

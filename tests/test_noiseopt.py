@@ -761,6 +761,32 @@ class TestJointOptimize:
         smallest = noiseopt._THETA_BOX_HALFWIDTHS[-1]
         assert np.all(np.abs(trials[-1].log_vector() - log_theta) <= smallest * (1 + 1e-12))
 
+    def test_theta_trials_share_the_starts_labels(self, monkeypatch):
+        """Every trial of a theta block is a refit with the start's
+        ``state.y``, the labels its restart's ``fit_matrix`` call checked;
+        none is copied or checked again."""
+        data = gen_example1(0)
+        params = heuristic_params(data.X, data.y)
+        d2 = kernel.sq_dists(data.X)
+        K = kernel.rbf_from_sq_dists(params, d2)
+        state = fit_matrix(K, np.full(data.n, 0.1), data.y_centered)
+        trials = []
+
+        class Recording(noiseopt._Refitter):
+            __slots__ = ()
+
+            def __call__(self, sigma):
+                trials.append(super().__call__(sigma))
+                return trials[-1]
+
+        monkeypatch.setattr(noiseopt, "_Refitter", Recording)
+        monkeypatch.setattr(noiseopt, "fit_matrix", _failing_fit)
+        record = noiseopt._Record(nll(state, state.y))
+        kept, _, kept_state = noiseopt._theta_block(params.log_vector(), K, state, d2, record)
+        assert not np.array_equal(kept, params.log_vector())
+        assert len(trials) >= record.fits - 1 > 1
+        assert all(trial.y is state.y for trial in trials) and kept_state.y is state.y
+
     def test_no_fit_repeats_the_one_before(self, monkeypatch):
         """States cross the theta/sigma boundary: no factorization is of the
         matrix the one just before it factored. The spy sits on LAPACK's

@@ -135,14 +135,34 @@ def child(seed: int, one_cpu: bool) -> None:
                                       for params, K, y in problems), flush=True)
 
 
-def _run_tree(src: Path, seed: int, one_cpu: bool = False) -> dict[str, str]:
+def export_src(ref: str, dest: str) -> Path:
+    """Export ``src/`` of git revision ``ref`` into the directory ``dest``
+    with ``git archive`` and return the exported ``src``; RuntimeError
+    carries git's message when ``ref`` cannot be exported."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", ref, "src"],
+                             capture_output=True)
+    if archive.returncode != 0:
+        raise RuntimeError(archive.stderr.decode())
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(dest, filter="data")
+    return Path(dest) / "src"
+
+
+def run_child(script: str, src: Path, args: list[str]) -> str:
+    """Standard output of ``script --child ARGS``, run with one BLAS thread
+    and the library imported from ``src``; RuntimeError when it fails."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     env.update({var: "1" for var in THREAD_VARS})
-    argv = [sys.executable, __file__, "--child", "--seed", str(seed)] + ["--one-cpu"] * one_cpu
-    proc = subprocess.run(argv, env=env, cwd=src.parent, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, script, "--child", *args], env=env, cwd=src.parent,
+                          capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{proc.stderr}child on {src} exited {proc.returncode}")
-    return dict(line.split() for line in proc.stdout.splitlines())
+    return proc.stdout
+
+
+def _run_tree(src: Path, seed: int, one_cpu: bool = False) -> dict[str, str]:
+    stdout = run_child(__file__, src, ["--seed", str(seed)] + ["--one-cpu"] * one_cpu)
+    return dict(line.split() for line in stdout.splitlines())
 
 
 def main(argv=None) -> int:
@@ -159,15 +179,8 @@ def main(argv=None) -> int:
         parser.error("REF is required")
 
     with tempfile.TemporaryDirectory() as tmp:
-        archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", args.ref, "src"],
-                                 capture_output=True)
-        if archive.returncode != 0:
-            sys.stderr.write(archive.stderr.decode())
-            return 2
-        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
-            tar.extractall(tmp, filter="data")
         try:
-            ref = _run_tree(Path(tmp) / "src", args.seed)
+            ref = _run_tree(export_src(args.ref, tmp), args.seed)
             work = _run_tree(ROOT / "src", args.seed)
             work_one = _run_tree(ROOT / "src", args.seed, one_cpu=True)
         except RuntimeError as e:

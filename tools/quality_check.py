@@ -1,0 +1,188 @@
+#!/usr/bin/env python3
+"""Compare the answers of the working tree's fits with a git revision's.
+
+Run from anywhere inside the repository:
+
+    python3 tools/quality_check.py REF
+
+``src/`` of ``REF`` is exported and each tree runs one child process, as
+``tools/bitwise_check.py`` does (one BLAS thread, the library from that
+tree, the problem definitions from the working tree's
+``perfbench/workloads.py``). The child is pinned to one CPU, so the sweep's
+cells run in its own process. It fits:
+
+- ``example1-joint``: the 20 ``joint_optimize`` fits of that workload;
+- ``gp1000-fit``: the ``optimize_sigma`` fit of the N=1000 draw;
+- ``cli-sweep cell``: the 4 ``optimize_sigma`` fits of the in-process
+  ``benchmark`` sweep's cells on the N=200 base;
+- ``cli-sweep fold``: the 20 per-label ``optimize_sigma_matrix`` fits of
+  those cells' 5-fold ``cv_mae``.
+
+For each fit it reports the final NLL, the KKT residual of sigma >= 0
+(``loocv(state, state.y).kkt_residual`` of a fit at the returned sigma),
+the iterations, ``func_evals``, the stop reason, and the AUC of sigma
+against the corrupted labels where the fit's dataset records them.
+
+The rule. The check fails (exit 1) when either holds:
+
+- a fit's final NLL exceeds ``REF``'s on the same fit by more than
+  1e-6 * max(1, |NLL at REF|);
+- more fits have a KKT residual above 1e-3 than at ``REF``.
+
+It also prints, per group and in all, the ratio of summed ``func_evals``
+(working tree over ``REF``) and, where AUC exists, the change in median
+AUC; these are readings, not gates. A change that takes a new path may end
+at a different KKT point, so every fit whose NLL rises is listed. Exit 2
+when a child fails or the two trees do not fit the same items.
+"""
+
+from __future__ import annotations
+
+import argparse
+import collections
+import json
+import os
+import statistics
+import sys
+import tempfile
+from pathlib import Path
+
+from bitwise_check import ROOT, export_src, run_child
+
+NLL_RTOL = 1e-6
+KKT_TOL = 1e-3
+FIELDS = ("nll", "residual", "iters", "func_evals", "stop")
+
+
+def child(seed: int) -> None:
+    """Fit every item with the library on ``sys.path`` and print one JSON
+    object per fit."""
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    import gplabelnoise as gpl
+    import gplabelnoise.cli as cli
+    import gplabelnoise.detect as detect
+
+    def emit(group, item, K, y, sigma, trace, corrupted=None):
+        state = gpl.fit_matrix(K, sigma, y)
+        print(json.dumps({
+            "group": group, "item": item, "nll": trace.final_nll,
+            "residual": gpl.loocv(state, state.y).kkt_residual, "iters": trace.iters,
+            "func_evals": trace.func_evals, "stop": trace.stop_reason,
+            "auc": None if corrupted is None else gpl.roc_auc(sigma, corrupted),
+        }), flush=True)
+
+    for name, workload in (("example1-joint", workloads.Example1Joint()),
+                           ("gp1000-fit", workloads.Gp1000Fit())):
+        workload.setup(seed, workloads.PROBLEM_SETS["reference"])
+        for item in workload.items():
+            params, sigma, trace = workload.call(item)
+            data = workload.datasets[item]
+            emit(name, item, gpl.build_kernel_matrix(params, data.X), data.y_centered, sigma, trace,
+                 data.truth.corrupted)
+
+    cells, folds = [], []
+    cell_fit, fold_fit = cli.optimize_sigma, detect.optimize_sigma_matrix
+
+    def record_cell(params, data, config=None):
+        sigma, trace = cell_fit(params, data, config)
+        cells.append((gpl.build_kernel_matrix(params, data.X), data.y_centered, sigma, trace,
+                      data.truth.corrupted))
+        return sigma, trace
+
+    def record_fold(K, y, config=None):
+        sigma, trace = fold_fit(K, y, config)
+        folds.append((K, y, sigma, trace))
+        return sigma, trace
+
+    cli.optimize_sigma, detect.optimize_sigma_matrix = record_cell, record_fold
+    with tempfile.TemporaryDirectory() as work:
+        sweep = workloads.CliSweep(work)
+        sweep.setup(seed, workloads.PROBLEM_SETS["reference"])
+        del cells[:], folds[:]  # the warm-up sweep's fits
+        code, _ = sweep.call(0)
+    if code != 0:
+        raise SystemExit(f"the sweep exited {code}")
+    for item, fit in enumerate(cells):
+        emit("cli-sweep cell", item, *fit)
+    for item, fit in enumerate(folds):
+        emit("cli-sweep fold", item, *fit)
+
+
+def _run_tree(src: Path, seed: int) -> dict[tuple[str, int], dict]:
+    fits = [json.loads(line) for line in run_child(__file__, src, ["--seed", str(seed)]).splitlines()]
+    return {(fit["group"], fit["item"]): fit for fit in fits}
+
+
+def _summary(fits: list[dict]) -> str:
+    nlls, residuals = [f["nll"] for f in fits], [f["residual"] for f in fits]
+    iters = [f["iters"] for f in fits]
+    stops = collections.Counter(f["stop"] for f in fits)
+    aucs = [f["auc"] for f in fits if f["auc"] is not None]
+    auc = f"  median AUC {statistics.median(aucs):.4f}" if aucs else ""
+    return (f"median NLL {statistics.median(nlls):.3f}  residual > {KKT_TOL:g} on "
+            f"{sum(r > KKT_TOL for r in residuals)}/{len(fits)} (median {statistics.median(residuals):.3g})  "
+            f"iterations median {statistics.median(iters):g}, max {max(iters)}, sum {sum(iters)}  "
+            f"func_evals {sum(f['func_evals'] for f in fits)}  stops "
+            + ", ".join(f"{k} {v}" for k, v in sorted(stops.items())) + auc)
+
+
+def compare(ref: dict, work: dict, ref_name: str) -> int:
+    """Print the comparison and return the exit status."""
+    if ref.keys() != work.keys():
+        print(f"the trees fit different items: {sorted(ref.keys() ^ work.keys())}", file=sys.stderr)
+        return 2
+    groups = list(dict.fromkeys(group for group, _ in ref))
+    for group in groups + ["all"]:
+        keys = [key for key in ref if group in (key[0], "all")]
+        r, w = [ref[k] for k in keys], [work[k] for k in keys]
+        print(f"{group}:\n  {ref_name:>12}: {_summary(r)}\n  {'working tree':>12}: {_summary(w)}")
+        ratio = sum(f["func_evals"] for f in w) / sum(f["func_evals"] for f in r)
+        line = f"  func_evals ratio {ratio:.4f}"
+        r_auc, w_auc = ([f["auc"] for f in fits if f["auc"] is not None] for fits in (r, w))
+        if r_auc:
+            line += f"  median AUC delta {statistics.median(w_auc) - statistics.median(r_auc):+.4f}"
+        print(line)
+
+    differing = [key for key in ref if any(ref[key][f] != work[key][f] for f in FIELDS)]
+    print(f"fits differing in NLL, residual, iterations, func_evals or stop reason: {len(differing)}")
+    for key in differing:
+        r, w = ref[key], work[key]
+        print(f"  {key[0]} {key[1]}: " + "  ".join(f"{f} {r[f]!r} -> {w[f]!r}" for f in FIELDS if r[f] != w[f]))
+
+    rises = [key for key in ref
+             if work[key]["nll"] - ref[key]["nll"] > NLL_RTOL * max(1.0, abs(ref[key]["nll"]))]
+    for key in rises:
+        print(f"NLL rises: {key[0]} {key[1]}: {ref[key]['nll']!r} -> {work[key]['nll']!r}")
+    above = [sum(fits[key]["residual"] > KKT_TOL for key in fits) for fits in (ref, work)]
+    print(f"residual > {KKT_TOL:g}: {above[0]} fits at {ref_name}, {above[1]} in the working tree")
+    failed = bool(rises) or above[1] > above[0]
+    print("FAIL" if failed else "pass")
+    return 1 if failed else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("ref", nargs="?", help="git revision to compare the working tree with")
+    parser.add_argument("--seed", type=int, default=0, help="workload run seed (default 0)")
+    parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.child:
+        child(args.seed)
+        return 0
+    if args.ref is None:
+        parser.error("REF is required")
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            ref = _run_tree(export_src(args.ref, tmp), args.seed)
+            work = _run_tree(ROOT / "src", args.seed)
+        except RuntimeError as e:
+            print(e, file=sys.stderr)
+            return 2
+    return compare(ref, work, args.ref)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
