@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ConfigError, EmptyDatasetError, InvalidInputError, ParseError
 from .gpr import fit_matrix
 from .kernel import KernelParams, _label_variance, build_kernel_matrix
-from .rng import _check_seed, choose_subset, make_rng, normals
+from .rng import _check_count, _check_seed, choose_subset, make_rng, normals
 
 __all__ = [
     "LabelTruth",
@@ -136,9 +136,9 @@ def gen_heteroscedastic(name: str, n: int, n_corrupt: int, seed: int) -> Dataset
     """
     if name not in ("goldberg", "le"):
         raise ConfigError(f"unknown generator {name!r}; expected 'goldberg' or 'le'")
-    if n < 1:
-        raise ConfigError(f"n must be at least 1, got {n}")
-    if n_corrupt > n or n_corrupt < 0:
+    _check_count("n", n, 1)
+    _check_count("n_corrupt", n_corrupt, 0)
+    if n_corrupt > n:
         raise ConfigError(f"n_corrupt must lie in [0, {n}], got {n_corrupt}")
     rng = make_rng(seed)
     if name == "goldberg":
@@ -170,10 +170,8 @@ def gen_gp(
     that does not factor as it is (e.g. a long length scale) takes the
     smallest rung of the jitter ladder that does.
     """
-    if n < 1:
-        raise ConfigError(f"n must be at least 1, got {n}")
-    if d < 1:
-        raise ConfigError(f"d must be at least 1, got {d}")
+    _check_count("n", n, 1)
+    _check_count("d", d, 1)
     if not (math.isfinite(base_noise_std) and base_noise_std >= 0.0):
         raise ConfigError(f"base_noise_std must be finite and non-negative, got {base_noise_std}")
     rng = make_rng(seed)
@@ -263,7 +261,8 @@ def read_dataset(path) -> Dataset:
     if header != _header(d, with_truth):
         raise ParseError(f"malformed header {lines[0]!r}", line=1)
 
-    rows = [ln for ln in lines[1:] if ln != ""]
+    # (file line number, text): numbered before blank lines are skipped
+    rows = [(no, ln) for no, ln in enumerate(lines[1:], start=2) if ln != ""]
     if not rows:
         raise EmptyDatasetError(f"{path}: no data rows")
     n = len(rows)
@@ -271,8 +270,7 @@ def read_dataset(path) -> Dataset:
     y = np.empty(n)
     eps = np.zeros(n)
     corrupted = np.zeros(n, dtype=bool)
-    for i, row in enumerate(rows):
-        line_no = i + 2
+    for i, (line_no, row) in enumerate(rows):
         cells = row.split(",")
         if len(cells) != len(header):
             raise ParseError(

@@ -23,8 +23,8 @@ from .data import Dataset
 from .errors import ConfigError, InvalidInputError, NumericalError, UndefinedMetricError
 from .gpr import _check_sigma, fit_matrix, predict_batch
 from .kernel import KernelParams, build_kernel_matrix
-from .noiseopt import MultUpdateConfig, _check_count, optimize_sigma_matrix, optimize_sigma_uniform_matrix
-from .rng import make_rng
+from .noiseopt import MultUpdateConfig, optimize_sigma_matrix, optimize_sigma_uniform_matrix
+from .rng import _check_count, make_rng
 
 __all__ = [
     "DetectionReport",

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -52,7 +51,7 @@ from .kernel import (
     rbf_from_sq_dists,
     sq_dists,
 )
-from .rng import _check_seed, make_rng
+from .rng import _check_count, _check_seed, make_rng
 
 __all__ = [
     "MultUpdateConfig",
@@ -88,11 +87,6 @@ def _check_sigma_init(sigma_init) -> None:
         _finite_nonnegative(sigma_init) and np.all(np.asarray(sigma_init) > 0.0)
     ):
         raise ConfigError("sigma_init entries must be positive and finite")
-
-
-def _check_count(name: str, value, least: int) -> None:
-    if not (isinstance(value, numbers.Integral) and value >= least):
-        raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,11 @@ def _check_seed(seed: int) -> None:
         raise ConfigError(f"seed must lie in [0, 2**64), got {seed!r}")
 
 
+def _check_count(name: str, value, least: int) -> None:
+    if not (isinstance(value, numbers.Integral) and value >= least):
+        raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def normals(rng: np.random.Generator, size, std: float = 1.0) -> np.ndarray:
     """Seeded N(0, std^2) draws via the Box-Muller transform.
 

@@ -192,6 +192,8 @@ class TestGenHeteroscedastic:
             ("goldberg", 10, 11),  # more corrupt than points
             ("goldberg", 10, -1),  # negative count
             ("goldberg", 0, 0),    # no points
+            ("le", 10, 2.5),       # fractional count
+            ("le", 10.0, 2),       # float size
         ],
     )
     def test_bad_arguments_rejected(self, name, n, n_corrupt):
@@ -243,12 +245,13 @@ class TestGenGp:
     @pytest.mark.parametrize(
         "kwargs",
         [dict(d=0), dict(d=-1), dict(base_noise_std=-1.0), dict(base_noise_std=float("nan")),
-         dict(base_noise_std=float("inf"))],
-        ids=["d-zero", "d-negative", "noise-negative", "noise-nan", "noise-inf"],
+         dict(base_noise_std=float("inf")), dict(n=2.5), dict(d=1.5), dict(n=float("nan"))],
+        ids=["d-zero", "d-negative", "noise-negative", "noise-nan", "noise-inf", "n-fractional",
+             "d-fractional", "n-nan"],
     )
     def test_bad_arguments_rejected(self, kwargs):
         with pytest.raises(ConfigError):
-            gen_gp(KernelParams(1.0, 0.5), 8, seed=0, **kwargs)
+            gen_gp(KernelParams(1.0, 0.5), **{"n": 8, "seed": 0, **kwargs})
 
     def test_base_noise_without_finite_labels_is_invalid_input(self):
         # 1e308 times some of the 50 unit draws overflows
@@ -495,6 +498,13 @@ class TestReadDatasetErrors:
         bad = tmp_path / "bad.csv"
         bad.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match="non-numeric x0 'abc'") as info:
+            read_dataset(bad)
+        assert "line 4" in str(info.value)
+
+    def test_line_numbers_count_blank_lines(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("x0,y\n0.1,1.0\n\n0.2,abc\n")
+        with pytest.raises(ParseError, match="non-numeric label 'abc'") as info:
             read_dataset(bad)
         assert "line 4" in str(info.value)
 

@@ -6,11 +6,10 @@ Run from anywhere inside the repository:
     python3 tools/bitwise_check.py REF
 
 ``src/`` of ``REF`` (any commit-ish, e.g. ``HEAD~1``) is exported with
-``git archive`` into a temporary directory, and the working tree's ``src/``
-is used as it stands. Each tree runs the same child process, with one BLAS
-thread, which imports the library from that tree and the benchmark's
-problem definitions (``perfbench/workloads.py``) from the working tree. The
-child hashes:
+``git archive`` into a temporary directory. Both trees run in this process
+with one BLAS thread: the working tree's package as ``gplabelnoise``,
+``REF``'s as ``gplabelnoise_ref``, each with its own copy of the problem
+definitions in ``perfbench/workloads.py`` bound to it. It hashes:
 
 - ``example1-joint``: log theta, sigma and every trace column of
   ``joint_optimize`` on the 20 ``gen_example1`` datasets;
@@ -33,17 +32,13 @@ child hashes:
   (``grad_tol``) and at ``max_halvings=0`` (``nll_tol`` with no decrease
   found).
 
-With one BLAS thread and more than one usable CPU, ``benchmark`` runs its
-cells in a pool of forked worker processes, and on one usable CPU all
-in-process; ``joint_optimize`` runs its restarts in-process either way. The
-working tree's child therefore runs twice, with the CPUs this script may
-use and pinned to one of them, and every output must also agree between
-those two runs; on a machine with more than one CPU that compares the
-pooled cells of ``cli-sweep``, ``criterion-11`` and ``joint-sweep`` with
-in-process ones.
-
-The script prints one md5 per output and run, and exits 1 if any output
-differs (2 if a child fails).
+Each output runs for ``REF`` and then the working tree, first with the
+CPUs this script may use and then pinned to one. With one BLAS thread and
+more than one usable CPU, ``benchmark`` runs its cells in forked worker
+processes, and on one CPU in-process, so all four runs of an output must
+agree. It prints one md5 per output, tree and affinity, and exits 1 if any
+output differs, 2 if ``REF`` cannot be exported or a tree fails to load or
+run.
 """
 
 from __future__ import annotations
@@ -51,16 +46,19 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import importlib.util
 import io
 import os
 import subprocess
 import sys
 import tarfile
 import tempfile
+import traceback
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+WORKLOADS = ("example1-joint", "gp1000-fit", "cli-sweep")
 
 
 def _digest(*parts) -> str:
@@ -72,67 +70,19 @@ def _digest(*parts) -> str:
 
 def _fit_digest(results) -> str:
     """md5 over (params, sigma, trace) results, each array by its bytes."""
-    import numpy as np
-
     parts = []
     for params, sigma, trace in results:
-        parts += [np.asarray(params.log_vector()).tobytes(), np.asarray(sigma).tobytes(),
+        parts += [params.log_vector().tobytes(), sigma.tobytes(),
                   trace.nll_per_iter.tobytes(), trace.func_evals_per_iter.tobytes(), trace.stop_reason]
     return _digest(*parts)
 
 
-def child(seed: int, one_cpu: bool) -> None:
-    """Compute every output with the library on ``sys.path`` and print one
-    ``name md5`` line each, pinned to one CPU if ``one_cpu``."""
-    if one_cpu:
-        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    import workloads
-
-    import gplabelnoise as gpl
-    import gplabelnoise.cli as cli
-
-    with tempfile.TemporaryDirectory() as work:
-        for name, workload in (("example1-joint", workloads.Example1Joint()),
-                               ("gp1000-fit", workloads.Gp1000Fit())):
-            workload.setup(seed, workloads.PROBLEM_SETS["reference"])
-            print(name, _fit_digest(workload.call(item) for item in workload.items()), flush=True)
-
-        sweep = workloads.CliSweep(work)
-        sweep.setup(seed, workloads.PROBLEM_SETS["reference"])
-        code, csv = sweep.call(0)
-        print("cli-sweep", _digest(code, csv), flush=True)
-
-        base, out = os.path.join(work, "base.csv"), os.path.join(work, "c11.csv")
-        with contextlib.redirect_stdout(io.StringIO()):
-            codes = (cli.main(["gen", "--grid", "--n", "40", "--rate", "0", "--seed", "5", "--out", base]),
-                     cli.main(["benchmark", "--data", base, "--rates", "0.1,0.3", "--levels", "0.5,1.0",
-                               "--seed", "5", "--out", out]))
-        print("criterion-11", _digest(codes, Path(base).read_bytes(), Path(out).read_bytes()), flush=True)
-
-        base, out = os.path.join(work, "joint-base.csv"), os.path.join(work, "joint.csv")
-        with contextlib.redirect_stdout(io.StringIO()):
-            codes = (cli.main(["gen", "--grid", "--n", "30", "--rate", "0", "--seed", "2", "--out", base]),
-                     cli.main(["benchmark", "--data", base, "--joint", "--folds", "3", "--seed", "2",
-                               "--out", out]))
-        print("joint-sweep", _digest(codes, Path(base).read_bytes(), Path(out).read_bytes()), flush=True)
-
-    problems = []
-    for seed in range(5):
-        data = gpl.gen_example1(seed)
-        params = gpl.heuristic_params(data.X, data.y)
-        problems.append((params, gpl.build_kernel_matrix(params, data.X), data.y_centered))
-    penalty = gpl.MultUpdateConfig(penalty_lambda=0.1, penalty_p=1.0)
-    for name, run in (("pgd-matrix", gpl.projected_gradient_baseline_matrix),
-                      ("uniform-matrix", gpl.optimize_sigma_uniform_matrix),
-                      ("penalized-matrix", lambda K, y: gpl.optimize_sigma_matrix(K, y, penalty))):
-        print(name, _fit_digest((params, *run(K, y)) for params, K, y in problems), flush=True)
-    exits = ((gpl.optimize_sigma_matrix, gpl.MultUpdateConfig(penalty_lambda=0.5, penalty_p=2.0)),
-             (gpl.optimize_sigma_matrix, gpl.MultUpdateConfig(max_iters=3)),
-             (gpl.projected_gradient_baseline_matrix, gpl.PgdConfig(tol_grad=1.0)),
-             (gpl.projected_gradient_baseline_matrix, gpl.PgdConfig(max_halvings=0)))
-    print("stop-reasons", _fit_digest((params, *run(K, y, config)) for run, config in exits
-                                      for params, K, y in problems), flush=True)
+def workload_digest(name: str, outputs) -> str:
+    """md5 over the outputs of workload ``name``'s calls, in call order: the
+    sweep's exit code and CSV bytes, or each fit's ``_fit_digest`` parts."""
+    if name == "cli-sweep":
+        return _digest(*(part for output in outputs for part in output))
+    return _fit_digest(outputs)
 
 
 def export_src(ref: str, dest: str) -> Path:
@@ -148,54 +98,126 @@ def export_src(ref: str, dest: str) -> Path:
     return Path(dest) / "src"
 
 
-def run_child(script: str, src: Path, args: list[str]) -> str:
-    """Standard output of ``script --child ARGS``, run with one BLAS thread
-    and the library imported from ``src``; RuntimeError when it fails."""
-    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
-    env.update({var: "1" for var in THREAD_VARS})
-    proc = subprocess.run([sys.executable, script, "--child", *args], env=env, cwd=src.parent,
-                          capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise RuntimeError(f"{proc.stderr}child on {src} exited {proc.returncode}")
-    return proc.stdout
+def load_tree(src: Path, name: str):
+    """Import the package ``src/gplabelnoise`` and its ``cli`` module under
+    the package name ``name`` and return the package."""
+    package = src / "gplabelnoise"
+    spec = importlib.util.spec_from_file_location(name, package / "__init__.py",
+                                                  submodule_search_locations=[str(package)])
+    tree = importlib.util.module_from_spec(spec)
+    sys.modules[name] = tree
+    spec.loader.exec_module(tree)
+    importlib.import_module(f"{name}.cli")
+    return tree
 
 
-def _run_tree(src: Path, seed: int, one_cpu: bool = False) -> dict[str, str]:
-    stdout = run_child(__file__, src, ["--seed", str(seed)] + ["--one-cpu"] * one_cpu)
-    return dict(line.split() for line in stdout.splitlines())
+def load_trees(ref: str, dest: str):
+    """``(REF's package, the working tree's)``: ``REF``'s ``src/`` exported
+    into ``dest``, both loaded with one BLAS thread. The working tree is
+    ``gplabelnoise``, so ``perfbench/workloads.py`` can import it."""
+    ref_src = export_src(ref, dest)
+    os.environ.update(dict.fromkeys(THREAD_VARS, "1"))  # read when numpy loads
+    work = load_tree(ROOT / "src", "gplabelnoise")
+    return load_tree(ref_src, "gplabelnoise_ref"), work
+
+
+def load_workloads(tree):
+    """A copy of ``perfbench/workloads.py`` whose ``gpl`` and
+    ``gplabelnoise`` are ``tree``; the file is executed as it stands."""
+    spec = importlib.util.spec_from_file_location(f"{tree.__name__}_workloads",
+                                                  ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    workloads.gpl = workloads.gplabelnoise = tree
+    return workloads
+
+
+def setup_workloads(tree, seed: int, tmp: str) -> dict:
+    """The benchmark's three workloads on ``tree``, set up at run seed
+    ``seed`` on the reference problem set. The sweep's files go in a new
+    directory under ``tmp``."""
+    workloads = load_workloads(tree)
+    work = tempfile.mkdtemp(dir=tmp)
+    made = dict(zip(WORKLOADS, (workloads.Example1Joint(), workloads.Gp1000Fit(),
+                                workloads.CliSweep(work))))
+    for workload in made.values():
+        workload.setup(seed, workloads.PROBLEM_SETS["reference"])
+    return made
+
+
+def outputs(tree, seed: int, tmp: str) -> dict:
+    """The nine outputs of ``tree``, each a call that computes its md5; the
+    files they write go under ``tmp``."""
+    workloads = setup_workloads(tree, seed, tmp)
+    work = Path(workloads["cli-sweep"].workdir)
+
+    def workload(name, w):
+        return lambda: workload_digest(name, map(w.call, w.items()))
+
+    def commands(stem, gen, benchmark):
+        base, out = work / f"{stem}-base.csv", work / f"{stem}.csv"
+
+        def run():
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                codes = (tree.cli.main(["gen", "--grid", *gen, "--rate", "0", "--out", str(base)]),
+                         tree.cli.main(["benchmark", "--data", str(base), *benchmark, "--out", str(out)]))
+            return _digest(codes, base.read_bytes(), out.read_bytes())
+        return run
+
+    problems = []
+    for k in range(5):
+        data = tree.gen_example1(k)
+        params = tree.heuristic_params(data.X, data.y)
+        problems.append((params, tree.build_kernel_matrix(params, data.X), data.y_centered))
+
+    def fits(*calls):
+        return lambda: _fit_digest((params, *run(K, y, *config)) for run, *config in calls
+                                   for params, K, y in problems)
+
+    return {
+        **{name: workload(name, w) for name, w in workloads.items()},
+        "criterion-11": commands("c11", ["--n", "40", "--seed", "5"],
+                                 ["--rates", "0.1,0.3", "--levels", "0.5,1.0", "--seed", "5"]),
+        "joint-sweep": commands("joint", ["--n", "30", "--seed", "2"], ["--joint", "--folds", "3", "--seed", "2"]),
+        "pgd-matrix": fits((tree.projected_gradient_baseline_matrix,)),
+        "uniform-matrix": fits((tree.optimize_sigma_uniform_matrix,)),
+        "penalized-matrix": fits((tree.optimize_sigma_matrix, tree.MultUpdateConfig(penalty_lambda=0.1,
+                                                                                   penalty_p=1.0))),
+        "stop-reasons": fits(
+            (tree.optimize_sigma_matrix, tree.MultUpdateConfig(penalty_lambda=0.5, penalty_p=2.0)),
+            (tree.optimize_sigma_matrix, tree.MultUpdateConfig(max_iters=3)),
+            (tree.projected_gradient_baseline_matrix, tree.PgdConfig(tol_grad=1.0)),
+            (tree.projected_gradient_baseline_matrix, tree.PgdConfig(max_halvings=0))),
+    }
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("ref", nargs="?", help="git revision to compare the working tree with")
+    parser.add_argument("ref", help="git revision to compare the working tree with")
     parser.add_argument("--seed", type=int, default=0, help="workload run seed (default 0)")
-    parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
-    parser.add_argument("--one-cpu", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.child:
-        child(args.seed, args.one_cpu)
-        return 0
-    if args.ref is None:
-        parser.error("REF is required")
 
+    cpus = os.sched_getaffinity(0)
+    runs = {"all CPUs": cpus, "one CPU": {min(cpus)}}
     with tempfile.TemporaryDirectory() as tmp:
         try:
-            ref = _run_tree(export_src(args.ref, tmp), args.seed)
-            work = _run_tree(ROOT / "src", args.seed)
-            work_one = _run_tree(ROOT / "src", args.seed, one_cpu=True)
-        except RuntimeError as e:
-            print(e, file=sys.stderr)
+            trees = dict(zip((args.ref, "working tree"), load_trees(args.ref, tmp)))
+            calls = {label: outputs(tree, args.seed, tmp) for label, tree in trees.items()}
+            rows = {name: [] for name in calls["working tree"]}  # md5s by affinity, then tree
+            for affinity in runs.values():
+                os.sched_setaffinity(0, affinity)
+                for name, row in rows.items():
+                    row += [calls[label][name]() for label in trees]
+        except Exception:
+            traceback.print_exc()
             return 2
 
-    mismatches = 0
-    for name in list(ref) + [name for name in work if name not in ref]:
-        same = ref.get(name) == work.get(name) == work_one.get(name)
-        mismatches += not same
-        print(f"{name:16s} {args.ref}: {ref.get(name)}  working tree: {work.get(name)}  "
-              f"on one CPU: {work_one.get(name)}  {'equal' if same else 'DIFFERENT'}")
-    print("all outputs equal" if mismatches == 0 else f"{mismatches} output(s) differ")
-    return 1 if mismatches else 0
-
+    print(f"{'':16s} " + "  ".join(f"{label}, {run}"[:32].ljust(32) for run in runs for label in trees))
+    differ = [name for name, row in rows.items() if len(set(row)) > 1]
+    for name, row in rows.items():
+        print(f"{name:16s} " + "  ".join(row) + ("  DIFFERENT" if name in differ else "  equal"))
+    print(f"{len(differ)} output(s) differ: {', '.join(differ)}" if differ else "all outputs equal")
+    return 1 if differ else 0
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -5,11 +5,9 @@ Run from anywhere inside the repository:
 
     python3 tools/quality_check.py REF
 
-``src/`` of ``REF`` is exported and each tree runs one child process, as
-``tools/bitwise_check.py`` does (one BLAS thread, the library from that
-tree, the problem definitions from the working tree's
-``perfbench/workloads.py``). The child is pinned to one CPU, so the sweep's
-cells run in its own process. It fits:
+``src/`` of ``REF`` is exported and both trees run in this process, loaded
+as ``tools/bitwise_check.py`` loads them, pinned to one CPU so that the
+sweep's cells run in it. For each tree it fits:
 
 - ``example1-joint``: the 20 ``joint_optimize`` fits of that workload;
 - ``gp1000-fit``: the ``optimize_sigma`` fit of the N=1000 draw;
@@ -33,87 +31,71 @@ It also prints, per group and in all, the ratio of summed ``func_evals``
 (working tree over ``REF``) and, where AUC exists, the change in median
 AUC; these are readings, not gates. A change that takes a new path may end
 at a different KKT point, so every fit whose NLL rises is listed. Exit 2
-when a child fails or the two trees do not fit the same items.
+when ``REF`` cannot be exported, a tree fails to load or run, or the two
+trees do not fit the same items.
 """
 
 from __future__ import annotations
 
 import argparse
 import collections
-import json
 import os
 import statistics
 import sys
 import tempfile
-from pathlib import Path
+import traceback
 
-from bitwise_check import ROOT, export_src, run_child
+from bitwise_check import load_trees, setup_workloads
 
 NLL_RTOL = 1e-6
 KKT_TOL = 1e-3
 FIELDS = ("nll", "residual", "iters", "func_evals", "stop")
 
 
-def child(seed: int) -> None:
-    """Fit every item with the library on ``sys.path`` and print one JSON
-    object per fit."""
-    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    import workloads
+def fits(tree, seed: int, tmp: str) -> dict[tuple[str, int], dict]:
+    """Every fit of ``tree``'s workloads at run seed ``seed``, by (group,
+    item); the sweep's files go under ``tmp``."""
+    workloads = setup_workloads(tree, seed, tmp)
+    found = {}
 
-    import gplabelnoise as gpl
-    import gplabelnoise.cli as cli
-    import gplabelnoise.detect as detect
+    def record(group, K, y, sigma, trace, corrupted=None):
+        state = tree.fit_matrix(K, sigma, y)
+        found[group, sum(g == group for g, _ in found)] = {
+            "nll": float(trace.final_nll), "residual": float(tree.loocv(state, state.y).kkt_residual),
+            "iters": trace.iters, "func_evals": trace.func_evals, "stop": trace.stop_reason,
+            "auc": None if corrupted is None else float(tree.roc_auc(sigma, corrupted)),
+        }
 
-    def emit(group, item, K, y, sigma, trace, corrupted=None):
-        state = gpl.fit_matrix(K, sigma, y)
-        print(json.dumps({
-            "group": group, "item": item, "nll": trace.final_nll,
-            "residual": gpl.loocv(state, state.y).kkt_residual, "iters": trace.iters,
-            "func_evals": trace.func_evals, "stop": trace.stop_reason,
-            "auc": None if corrupted is None else gpl.roc_auc(sigma, corrupted),
-        }), flush=True)
-
-    for name, workload in (("example1-joint", workloads.Example1Joint()),
-                           ("gp1000-fit", workloads.Gp1000Fit())):
-        workload.setup(seed, workloads.PROBLEM_SETS["reference"])
+    for name in ("example1-joint", "gp1000-fit"):
+        workload = workloads[name]
         for item in workload.items():
             params, sigma, trace = workload.call(item)
             data = workload.datasets[item]
-            emit(name, item, gpl.build_kernel_matrix(params, data.X), data.y_centered, sigma, trace,
-                 data.truth.corrupted)
+            record(name, tree.build_kernel_matrix(params, data.X), data.y_centered, sigma, trace,
+                   data.truth.corrupted)
 
-    cells, folds = [], []
+    cli, detect = tree.cli, tree.detect
     cell_fit, fold_fit = cli.optimize_sigma, detect.optimize_sigma_matrix
 
     def record_cell(params, data, config=None):
         sigma, trace = cell_fit(params, data, config)
-        cells.append((gpl.build_kernel_matrix(params, data.X), data.y_centered, sigma, trace,
-                      data.truth.corrupted))
+        record("cli-sweep cell", tree.build_kernel_matrix(params, data.X), data.y_centered, sigma, trace,
+               data.truth.corrupted)
         return sigma, trace
 
     def record_fold(K, y, config=None):
         sigma, trace = fold_fit(K, y, config)
-        folds.append((K, y, sigma, trace))
+        record("cli-sweep fold", K, y, sigma, trace)
         return sigma, trace
 
     cli.optimize_sigma, detect.optimize_sigma_matrix = record_cell, record_fold
-    with tempfile.TemporaryDirectory() as work:
-        sweep = workloads.CliSweep(work)
-        sweep.setup(seed, workloads.PROBLEM_SETS["reference"])
-        del cells[:], folds[:]  # the warm-up sweep's fits
-        code, _ = sweep.call(0)
+    try:
+        code, _ = workloads["cli-sweep"].call(0)
+    finally:
+        cli.optimize_sigma, detect.optimize_sigma_matrix = cell_fit, fold_fit
     if code != 0:
-        raise SystemExit(f"the sweep exited {code}")
-    for item, fit in enumerate(cells):
-        emit("cli-sweep cell", item, *fit)
-    for item, fit in enumerate(folds):
-        emit("cli-sweep fold", item, *fit)
-
-
-def _run_tree(src: Path, seed: int) -> dict[tuple[str, int], dict]:
-    fits = [json.loads(line) for line in run_child(__file__, src, ["--seed", str(seed)]).splitlines()]
-    return {(fit["group"], fit["item"]): fit for fit in fits}
+        raise RuntimeError(f"the sweep exited {code}")
+    return found
 
 
 def _summary(fits: list[dict]) -> str:
@@ -165,21 +147,15 @@ def compare(ref: dict, work: dict, ref_name: str) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("ref", nargs="?", help="git revision to compare the working tree with")
+    parser.add_argument("ref", help="git revision to compare the working tree with")
     parser.add_argument("--seed", type=int, default=0, help="workload run seed (default 0)")
-    parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.child:
-        child(args.seed)
-        return 0
-    if args.ref is None:
-        parser.error("REF is required")
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     with tempfile.TemporaryDirectory() as tmp:
         try:
-            ref = _run_tree(export_src(args.ref, tmp), args.seed)
-            work = _run_tree(ROOT / "src", args.seed)
-        except RuntimeError as e:
-            print(e, file=sys.stderr)
+            ref, work = (fits(tree, args.seed, tmp) for tree in load_trees(args.ref, tmp))
+        except Exception:
+            traceback.print_exc()
             return 2
     return compare(ref, work, args.ref)
 
