@@ -17,12 +17,17 @@ call is timed with ``time.perf_counter``, and its output is hashed as
 first call on the item and with the other tree's.
 
 Per workload it prints the ratio of summed per-item minimum times (working
-tree over ``REF``), with a 95% percentile bootstrap interval from 2,000
-resamples: over items for ``example1-joint``, over paired rounds for the
-one-item workloads. Beside it stand each tree's summed ``func_evals`` over
-one pass where the calls return a trace, so that a faster iteration is not
-confused with a shorter path. It also prints ``nproc``, the affinity, the
-BLAS thread variables and ``/proc/loadavg`` before and after the rounds.
+tree over ``REF``). For ``example1-joint`` a 95% percentile bootstrap
+interval over its 20 items, from 2,000 resamples, stands beside it. A
+one-item workload gets no interval, since a bootstrap of a minimum over
+rounds never falls below the sample's minimum; it gets the median and range
+of the per-round ratios of the two back-to-back calls instead, a reading of
+the spread and not a confidence interval. Beside these stand each tree's
+summed ``func_evals`` over one pass where the calls return a trace, so that
+a faster iteration is not confused with a shorter path. It also prints
+``nproc``, the affinity, the BLAS thread variables and ``/proc/loadavg``
+before and after the rounds. The workloads are set up at run seed 0, as the
+benchmark's first run is.
 
 Nothing is gated: times, ratios and differing bytes are readings. The exit
 status is 2 when ``REF`` cannot be exported or a tree fails to load or run,
@@ -34,6 +39,7 @@ from __future__ import annotations
 import argparse
 import os
 import random
+import statistics
 import sys
 import tempfile
 import time
@@ -50,25 +56,27 @@ def _loadavg() -> str:
     return Path("/proc/loadavg").read_text().strip()
 
 
-def _ratio(ref: list[list[float]], work: list[list[float]], rng: random.Random) -> tuple[float, float, float]:
-    """Summed per-item minimum of ``work`` over that of ``ref`` (times by
-    round, then item), and its 95% bootstrap interval: over items, or over
-    paired rounds when there is one item."""
+def _spread(ref: list[list[float]], work: list[list[float]], rng: random.Random) -> str:
+    """The spread of the ratio of ``work`` to ``ref`` (times by round, then
+    item): a 95% bootstrap interval over items, or for one item the median
+    and range of the per-round ratios."""
+    if len(ref[0]) == 1:
+        ratios = sorted(w[0] / r[0] for r, w in zip(ref, work))
+        return f"per-round ratios: median {statistics.median(ratios):.3f}, range [{ratios[0]:.3f}, {ratios[-1]:.3f}]"
     rounds, items = range(len(ref)), range(len(ref[0]))
+    samples = sorted(_ratio(ref, work, rounds, rng.choices(items, k=len(items))) for _ in range(RESAMPLES))
+    return f"95% bootstrap interval over items [{samples[int(0.025 * RESAMPLES)]:.3f}, {samples[int(0.975 * RESAMPLES) - 1]:.3f}]"
 
-    def ratio(rounds, items):
-        return (sum(min(work[r][i] for r in rounds) for i in items)
-                / sum(min(ref[r][i] for r in rounds) for i in items))
 
-    samples = sorted(ratio(rounds, rng.choices(items, k=len(items))) if len(items) > 1
-                     else ratio(rng.choices(rounds, k=len(rounds)), items) for _ in range(RESAMPLES))
-    return ratio(rounds, items), samples[int(0.025 * RESAMPLES)], samples[int(0.975 * RESAMPLES) - 1]
+def _ratio(ref, work, rounds, items) -> float:
+    """Summed per-item minimum of ``work`` over that of ``ref``."""
+    return (sum(min(work[r][i] for r in rounds) for i in items)
+            / sum(min(ref[r][i] for r in rounds) for i in items))
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("ref", help="git revision to compare the working tree with")
-    parser.add_argument("--seed", type=int, default=0, help="workload run seed (default 0)")
     args = parser.parse_args(argv)
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
@@ -78,7 +86,7 @@ def main(argv=None) -> int:
             print(f"nproc {os.cpu_count()}  affinity {sorted(os.sched_getaffinity(0))}  "
                   + "  ".join(f"{var}={os.environ.get(var)}" for var in THREAD_VARS))
             print(f"loadavg before: {_loadavg()}")
-            workloads = {label: setup_workloads(tree, args.seed, tmp) for label, tree in trees.items()}
+            workloads = {label: setup_workloads(tree, 0, tmp) for label, tree in trees.items()}
             items = {name: workloads["working tree"][name].items() for name in WORKLOADS}
             # by (workload, tree): times by round and item; first digest and func_evals by item
             times = {(name, label): [[] for _ in range(ROUNDS)] for name in WORKLOADS for label in trees}
@@ -104,12 +112,13 @@ def main(argv=None) -> int:
 
     ref, work = trees
     print(f"{ROUNDS} rounds; {ref} first in even rounds, the working tree in odd ones; ratio = working tree / {ref}")
-    print(f"{'workload':15s} {'items':>5s} {ref[:12]:>12s} {'working tree':>12s}  ratio  95% interval     "
-          f"{'func_evals':>19s}  bytes")
+    print(f"{'workload':15s} {'items':>5s} {ref[:12]:>12s} {'working tree':>12s}  ratio  "
+          f"{'spread':52s} {'func_evals':>19s}  bytes")
     rng = random.Random(0)
     for name in WORKLOADS:
         mins = [sum(min(col) for col in zip(*times[name, label])) for label in trees]
-        ratio, low, high = _ratio(times[name, ref], times[name, work], rng)
+        ratio = _ratio(times[name, ref], times[name, work], range(ROUNDS), range(len(items[name])))
+        spread = _spread(times[name, ref], times[name, work], rng)
         e = evals[name, ref] + evals[name, work]
         counts = "-" if None in e else f"{sum(evals[name, ref])} / {sum(evals[name, work])}"
         between = sum(a != b for a, b in zip(first[name, ref], first[name, work]))
@@ -118,7 +127,7 @@ def main(argv=None) -> int:
             f"DIFFERENT: {between} item(s) between trees; repeats differ {repeats[0]} ({ref}), "
             f"{repeats[1]} (working tree)")
         print(f"{name:15s} {len(items[name]):5d} {mins[0]:11.4f}s {mins[1]:11.4f}s  {ratio:.3f}  "
-              f"[{low:.3f}, {high:.3f}]  {counts:>19s}  {same}")
+              f"{spread:52s} {counts:>19s}  {same}")
     return 0
 
 
