@@ -76,9 +76,6 @@ _MONOTONE_SLACK = 1e-10
 # constant) and overflows double precision; it bounds the theta search
 _LOG_THETA_BOUND = 200.0
 _THETA_MAX_STEPS = 20  # L-BFGS-B iterations per theta block
-# log-space half-widths of the box around a theta block's start: the whole
-# range first, then the shrinking boxes of the retries after failing trials
-_THETA_BOX_HALFWIDTHS = (math.inf,) + tuple(2.0**-k for k in range(11))
 _RESTART_SPREAD = 2.0  # log-space halfwidth of the box random restarts draw from
 
 
@@ -523,21 +520,18 @@ def _joint_single_start(
 def _theta_block(
     log_theta: np.ndarray, K: np.ndarray, state: GprState, d2: np.ndarray, record: _Record
 ) -> tuple[np.ndarray, np.ndarray, GprState]:
-    """L-BFGS-B on log theta from ``state``, the fit of (K, sigma) under
-    ``log_theta``, at fixed sigma.
+    """One L-BFGS-B run on log theta inside +-``_LOG_THETA_BOUND``, from
+    ``state``, the fit of (K, sigma) under ``log_theta``, at fixed sigma.
 
-    Returns the log theta, K and state kept (the start unless the result's
-    NLL is no higher). Appends to ``record`` one row per iteration that left
-    the start and counts every trial fitted in it (the result is refitted,
+    Returns the log theta, K and state kept: the run's result if it was
+    evaluated and its NLL is no higher than the start's, else the caller's
+    own objects. Appends to ``record`` one row per iteration that left the
+    start and counts every trial fitted in it (the result is refitted,
     uncounted, when it is not the latest trial). A trial refits its own
     kernel with ``state.y`` and checks only sigma, as a sigma step does: a
-    kernel of checked distances with log parameters inside
-    +-``_LOG_THETA_BOUND`` is finite, in [0, e**200]. A trial whose fit
-    fails is infinitely bad and not counted. L-BFGS-B's line search barely
-    backs off from such a trial, so a run that met one and did not lower the
-    NLL is repeated from the start inside a box of half-width 1 around it in
-    log space, the box halved on each repeat, until a run lowers the NLL,
-    meets no failing trial, or the half-width falls below 2**-10.
+    kernel of checked distances with log parameters inside the box is
+    finite, in [0, e**200]. A trial whose fit fails is infinitely bad and
+    not counted.
     """
     sigma, y = state.sigma, state.y
     start = nll(state, y)
@@ -548,7 +542,6 @@ def _theta_block(
     # first evaluation, so that refits nothing.
     evaluated = {start_params: (start, grad_theta(state, y, kernel_grad_theta(start_params, K, d2)))}
     latest = (start_params, K, state)
-    rows = len(record.nlls)
 
     def fit_at(params: KernelParams) -> tuple[np.ndarray, GprState]:
         nonlocal latest
@@ -558,7 +551,6 @@ def _theta_block(
         return latest[1:]
 
     def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
-        nonlocal failed
         try:
             params = KernelParams.from_log(x)
             if params in evaluated:
@@ -566,7 +558,6 @@ def _theta_block(
             trial_K, trial = fit_at(params)
             value = nll(trial, trial.y)
         except (NumericalError, InvalidInputError):
-            failed = True
             return math.inf, np.zeros_like(x)
         evaluated[params] = value, grad_theta(trial, trial.y, kernel_grad_theta(params, trial_K, d2))
         record.fits += 1
@@ -579,20 +570,9 @@ def _theta_block(
         if params != start_params:
             record.row(evaluated[params][0])
 
-    for halfwidth in _THETA_BOX_HALFWIDTHS:
-        failed = False
-        del record.nlls[rows:], record.evals[rows:]  # the rows of a run that is repeated go
-        x = _lbfgsb(
-            objective,
-            log_theta,
-            np.maximum(log_theta - halfwidth, -_LOG_THETA_BOUND),
-            np.minimum(log_theta + halfwidth, _LOG_THETA_BOUND),
-            _THETA_MAX_STEPS,
-            on_iteration,
-        )
-        kept = evaluated.get(KernelParams.from_log(x))
-        if not failed or (kept is not None and kept[0] < start):
-            break
+    bound = np.full(len(log_theta), _LOG_THETA_BOUND)
+    x = _lbfgsb(objective, log_theta, -bound, bound, _THETA_MAX_STEPS, on_iteration)
+    kept = evaluated.get(KernelParams.from_log(x))
     if kept is None or kept[0] > start:
         return log_theta, K, state
     return (x, *fit_at(KernelParams.from_log(x)))

@@ -52,3 +52,25 @@ def test_a_workloads_copy_calls_the_package_it_is_bound_to(tools, copy):
     assert type(workload.datasets[0]) is copy.Dataset
     assert type(params) is copy.KernelParams and type(trace) is copy.OptTrace
     assert type(trace) is not gpl.OptTrace
+
+
+def test_sweep_fits_hooks_each_fit_of_a_sweep_and_restores_them(tools, copy, tmp_path, monkeypatch):
+    """``sweep_fits``, through which ``quality_check.py`` and ``ab_time.py``
+    record and time the sweep's fits, sees every cell and fold fit of an
+    in-process sweep in the order the sweep makes them, and puts the
+    package's functions back."""
+    monkeypatch.setattr(sys.modules[f"{COPY}._fanout"], "_processes", lambda items: 1)
+    cli, detect = copy.cli, copy.detect
+    originals = cli.optimize_sigma, detect.optimize_sigma_matrix
+    kinds = []
+
+    def hook(kind, fit, *args):
+        kinds.append(kind)
+        return fit(*args)
+
+    base, out = str(tmp_path / "base.csv"), str(tmp_path / "bench.csv")
+    assert cli.main(["gen", "--grid", "--n", "20", "--rate", "0", "--out", base]) == 0
+    with tools.sweep_fits(copy, hook):
+        assert cli.main(["benchmark", "--data", base, "--folds", "2", "--out", out]) == 0
+    assert kinds == ["cell", "fold", "fold"] * 4
+    assert (cli.optimize_sigma, detect.optimize_sigma_matrix) == originals

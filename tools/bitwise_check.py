@@ -145,6 +145,22 @@ def setup_workloads(tree, seed: int, tmp: str) -> dict:
     return made
 
 
+@contextlib.contextmanager
+def sweep_fits(tree, hook):
+    """While open, each fit of ``tree``'s ``benchmark`` sweep, a cell's
+    ``cli.optimize_sigma`` call or a fold's ``detect.optimize_sigma_matrix``
+    call, runs as ``hook(kind, fit, *args)`` with ``kind`` "cell" or
+    "fold"; the functions are restored on exit."""
+    cli, detect = tree.cli, tree.detect
+    cell_fit, fold_fit = cli.optimize_sigma, detect.optimize_sigma_matrix
+    cli.optimize_sigma = lambda *args: hook("cell", cell_fit, *args)
+    detect.optimize_sigma_matrix = lambda *args: hook("fold", fold_fit, *args)
+    try:
+        yield
+    finally:
+        cli.optimize_sigma, detect.optimize_sigma_matrix = cell_fit, fold_fit
+
+
 def outputs(tree, seed: int, tmp: str) -> dict:
     """The nine outputs of ``tree``, each a call that computes its md5; the
     files they write go under ``tmp``."""

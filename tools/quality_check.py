@@ -45,7 +45,7 @@ import sys
 import tempfile
 import traceback
 
-from bitwise_check import load_trees, setup_workloads
+from bitwise_check import load_trees, setup_workloads, sweep_fits
 
 NLL_RTOL = 1e-6
 KKT_TOL = 1e-3
@@ -74,25 +74,18 @@ def fits(tree, seed: int, tmp: str) -> dict[tuple[str, int], dict]:
             record(name, tree.build_kernel_matrix(params, data.X), data.y_centered, sigma, trace,
                    data.truth.corrupted)
 
-    cli, detect = tree.cli, tree.detect
-    cell_fit, fold_fit = cli.optimize_sigma, detect.optimize_sigma_matrix
-
-    def record_cell(params, data, config=None):
-        sigma, trace = cell_fit(params, data, config)
-        record("cli-sweep cell", tree.build_kernel_matrix(params, data.X), data.y_centered, sigma, trace,
-               data.truth.corrupted)
+    def record_fit(kind, fit, *args):
+        sigma, trace = fit(*args)
+        if kind == "cell":
+            params, data = args[:2]
+            record("cli-sweep cell", tree.build_kernel_matrix(params, data.X), data.y_centered, sigma, trace,
+                   data.truth.corrupted)
+        else:
+            record("cli-sweep fold", *args[:2], sigma, trace)
         return sigma, trace
 
-    def record_fold(K, y, config=None):
-        sigma, trace = fold_fit(K, y, config)
-        record("cli-sweep fold", K, y, sigma, trace)
-        return sigma, trace
-
-    cli.optimize_sigma, detect.optimize_sigma_matrix = record_cell, record_fold
-    try:
+    with sweep_fits(tree, record_fit):
         code, _ = workloads["cli-sweep"].call(0)
-    finally:
-        cli.optimize_sigma, detect.optimize_sigma_matrix = cell_fit, fold_fit
     if code != 0:
         raise RuntimeError(f"the sweep exited {code}")
     return found
