@@ -112,13 +112,17 @@ def _parse_float_list(text: str) -> list[float]:
 
 @dataclass(frozen=True)
 class _Opt:
-    """One resolvable setting: flag spelling, conversion, documented default."""
+    """One resolvable setting: flag spelling, conversion, documented default.
+    A setting with no conversion (``type`` None) is an on/off flag."""
 
     flag: str
     type: object
     default: object
     help: str
-    is_flag: bool = False
+
+    @property
+    def is_flag(self) -> bool:
+        return self.type is None
 
     @property
     def key(self) -> str:
@@ -141,7 +145,7 @@ _FIT_OPTS = [
     _Opt("--data", str, None, "dataset CSV to fit"),
     _Opt("--out", str, "report.json", "report path"),
     _Opt("--mode", str, "full", "noise model: full (per-label) or basic (shared)"),
-    _Opt("--joint", None, False, "also optimize kernel parameters (restarted descent)", is_flag=True),
+    _Opt("--joint", None, False, "also optimize kernel parameters (restarted descent)"),
     _Opt("--lambda", float, MultUpdateConfig.penalty_lambda, "penalty weight on ||sigma||_p^p"),
     _Opt("--p", float, MultUpdateConfig.penalty_p, "penalty exponent (>= 1)"),
     _MAX_ITERS_OPT,
@@ -162,9 +166,9 @@ _DETECT_OPTS = [
 ]
 
 _GEN_OPTS = [
-    _Opt("--example1", None, False, "24-point benchmark with 10 corrupted labels", is_flag=True),
+    _Opt("--example1", None, False, "24-point benchmark with 10 corrupted labels"),
     _Opt("--hetero", str, None, "heteroscedastic family: goldberg or le"),
-    _Opt("--grid", None, False, "GP draw plus rate/level noise injection", is_flag=True),
+    _Opt("--grid", None, False, "GP draw plus rate/level noise injection"),
     _Opt("--n", int, 30, "sample count (hetero/grid)"),
     _Opt("--d", int, 1, "input dimension (grid)"),
     _Opt("--n-corrupt", int, 6, "corrupted count (hetero)"),
@@ -183,7 +187,7 @@ _BENCHMARK_OPTS = [
     _Opt("--levels", _parse_float_list, [0.5, 1.0], "noise levels to sweep"),
     _RECALL_LEVELS_OPT,
     _Opt("--folds", int, 5, "cross-validation folds"),
-    _Opt("--joint", None, False, "fit kernel parameters per cell instead of the heuristic", is_flag=True),
+    _Opt("--joint", None, False, "fit kernel parameters per cell instead of the heuristic"),
     _MAX_ITERS_OPT,
     _Opt("--out", str, "benchmark.csv", "output CSV path"),
     _SEED_OPT,

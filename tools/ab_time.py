@@ -14,25 +14,25 @@ three workloads once per tree, the two calls of an item back to back;
 ``REF`` goes first in even rounds and the working tree in odd ones. Each
 call is timed with ``time.perf_counter``, and its output is hashed as
 ``bitwise_check`` hashes that workload and compared with the same tree's
-first call on the item and with the other tree's. While a sweep runs, its
-24 fits (4 cell ``optimize_sigma`` calls and 20 fold
-``optimize_sigma_matrix`` calls, hooked by ``bitwise_check.sweep_fits``
-as ``quality_check.py`` hooks them) are timed too, as the items of a
-fourth row, ``cli-sweep fits``; each fit's sigma and trace are hashed and
-compared in the same way.
+first call on the item and with the other tree's. Every call goes through
+``bitwise_check.timed_call``, which also times each fit a sweep makes (4
+cell ``optimize_sigma`` calls and 20 fold ``optimize_sigma_matrix``
+calls, the fits ``quality_check.py`` reads): they are the items of a
+fourth row, ``cli-sweep fits``, and each fit's sigma and trace are hashed
+as ``bitwise_check`` hashes a fit and compared in the same way.
 
 Per row it prints the ratio of summed per-item minimum times (working
-tree over ``REF``). For ``example1-joint`` and ``cli-sweep fits`` a 95%
-percentile bootstrap interval over the items, from 2,000 resamples, stands
-beside it. A one-item workload gets no interval, since a bootstrap of a
-minimum over rounds never falls below the sample's minimum; it gets the
-median and range of the per-round ratios of the two back-to-back calls
-instead, a reading of the spread and not a confidence interval. Beside
-these stand each tree's summed ``func_evals`` over one pass where the calls
-return a trace, so that a faster iteration is not confused with a shorter
-path. It also prints ``nproc``, the affinity, the BLAS thread variables and
-``/proc/loadavg`` before and after the rounds. The workloads are set up at run seed 0, as the
-benchmark's first run is.
+tree over ``REF``) and one paired reading over the rounds, taken from each
+round's ratio of summed item times: the rounds the working tree won (a
+tie counts for neither tree) and the median and range of those ratios.
+A row shows a gain only when the working tree wins at least 9 of the 10
+rounds, and a loss only when it wins at most 1; the range shows how far
+the host moved one round against another. Beside these stand each tree's
+summed ``func_evals`` over one pass where the calls return a trace, so
+that a faster iteration is not confused with a shorter path. It also
+prints ``nproc``, the affinity, the BLAS thread variables and
+``/proc/loadavg`` before and after the rounds. The workloads are set up at run seed 0, as
+the benchmark's first run is.
 
 Nothing is gated: times, ratios and differing bytes are readings. The exit
 status is 2 when ``REF`` cannot be exported, a tree fails to load or run,
@@ -42,20 +42,17 @@ or the sweeps do not all make the same number of fits, and 0 otherwise.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import os
-import random
 import statistics
 import sys
 import tempfile
-import time
 import traceback
 from pathlib import Path
 
-from bitwise_check import THREAD_VARS, WORKLOADS, _digest, load_trees, setup_workloads, sweep_fits, workload_digest
+from bitwise_check import (THREAD_VARS, WORKLOADS, _digest, _fit_parts, load_trees, setup_workloads, timed_call,
+                           workload_digest)
 
 ROUNDS = 10
-RESAMPLES = 2000
 FITS = "cli-sweep fits"  # the sweep's fits, timed as items while it runs
 ROWS = WORKLOADS + (FITS,)
 
@@ -64,33 +61,15 @@ def _loadavg() -> str:
     return Path("/proc/loadavg").read_text().strip()
 
 
-def _spread(ref: list[list[float]], work: list[list[float]], rng: random.Random) -> str:
-    """The spread of the ratio of ``work`` to ``ref`` (times by round, then
-    item): a 95% bootstrap interval over items, or for one item the median
-    and range of the per-round ratios."""
-    if len(ref[0]) == 1:
-        ratios = sorted(w[0] / r[0] for r, w in zip(ref, work))
-        return f"per-round ratios: median {statistics.median(ratios):.3f}, range [{ratios[0]:.3f}, {ratios[-1]:.3f}]"
-    rounds, items = range(len(ref)), range(len(ref[0]))
-    samples = sorted(_ratio(ref, work, rounds, rng.choices(items, k=len(items))) for _ in range(RESAMPLES))
-    return f"95% bootstrap interval over items [{samples[int(0.025 * RESAMPLES)]:.3f}, {samples[int(0.975 * RESAMPLES) - 1]:.3f}]"
-
-
-def _ratio(ref, work, rounds, items) -> float:
-    """Summed per-item minimum of ``work`` over that of ``ref``."""
-    return (sum(min(work[r][i] for r in rounds) for i in items)
-            / sum(min(ref[r][i] for r in rounds) for i in items))
-
-
-def _timed(found: list):
-    """A ``sweep_fits`` hook that appends each fit's time and result to
-    ``found``."""
-    def hook(kind, fit, *args):
-        start = time.perf_counter()
-        result = fit(*args)
-        found.append((time.perf_counter() - start, result))
-        return result
-    return hook
+def _paired(ref: list[list[float]], work: list[list[float]]) -> tuple[int, float, float, float]:
+    """The paired reading of ``work`` against ``ref`` (times by round, then
+    item): the rounds in which ``work``'s summed item time is below
+    ``ref``'s, so that a tie counts for neither, and the median, lowest and
+    highest of the per-round ratios of summed item times, ``work`` over
+    ``ref``."""
+    sums = [(sum(r), sum(w)) for r, w in zip(ref, work)]
+    ratios = [w / r for r, w in sums]
+    return sum(w < r for r, w in sums), statistics.median(ratios), min(ratios), max(ratios)
 
 
 def main(argv=None) -> int:
@@ -124,19 +103,11 @@ def main(argv=None) -> int:
                 for name in WORKLOADS:
                     for item in items[name]:
                         for label in order:
-                            fits = []
-                            hooked = (sweep_fits(trees[label], _timed(fits)) if name == "cli-sweep"
-                                      else contextlib.nullcontext())
-                            with hooked:
-                                start = time.perf_counter()
-                                output = workloads[label][name].call(item)
-                                seconds = time.perf_counter() - start
+                            output, seconds, fits = timed_call(trees[label], workloads[label], name, item)
                             note((name, label), r, seconds, workload_digest(name, [output]),
                                  getattr(output[-1], "func_evals", None))
-                            for fit_seconds, (sigma, trace) in fits:
-                                note((FITS, label), r, fit_seconds,
-                                     _digest(sigma.tobytes(), trace.nll_per_iter.tobytes(),
-                                             trace.func_evals_per_iter.tobytes(), trace.stop_reason),
+                            for _, _, fit_seconds, (sigma, trace) in fits:
+                                note((FITS, label), r, fit_seconds, _digest(*_fit_parts(sigma, trace)),
                                      trace.func_evals)
             fit_counts = {len(row) for label in trees for row in times[FITS, label]}
             if len(fit_counts) != 1:
@@ -149,13 +120,10 @@ def main(argv=None) -> int:
     ref, work = trees
     print(f"{ROUNDS} rounds; {ref} first in even rounds, the working tree in odd ones; ratio = working tree / {ref}")
     print(f"{'workload':15s} {'items':>5s} {ref[:12]:>12s} {'working tree':>12s}  ratio  "
-          f"{'spread':52s} {'func_evals':>19s}  bytes")
-    rng = random.Random(0)
+          f"{'rounds won, median [range]':32s} {'func_evals':>19s}  bytes")
     for name in ROWS:
-        count = len(times[name, ref][0])
         mins = [sum(min(col) for col in zip(*times[name, label])) for label in trees]
-        ratio = _ratio(times[name, ref], times[name, work], range(ROUNDS), range(count))
-        spread = _spread(times[name, ref], times[name, work], rng)
+        won, median, low, high = _paired(times[name, ref], times[name, work])
         e = evals[name, ref] + evals[name, work]
         counts = "-" if None in e else f"{sum(evals[name, ref])} / {sum(evals[name, work])}"
         between = sum(a != b for a, b in zip(first[name, ref], first[name, work]))
@@ -163,8 +131,8 @@ def main(argv=None) -> int:
         same = "equal" if between + sum(repeats) == 0 else (
             f"DIFFERENT: {between} item(s) between trees; repeats differ {repeats[0]} ({ref}), "
             f"{repeats[1]} (working tree)")
-        print(f"{name:15s} {count:5d} {mins[0]:11.4f}s {mins[1]:11.4f}s  {ratio:.3f}  "
-              f"{spread:52s} {counts:>19s}  {same}")
+        print(f"{name:15s} {len(times[name, ref][0]):5d} {mins[0]:11.4f}s {mins[1]:11.4f}s  {mins[1] / mins[0]:.3f}  "
+              f"{f'{won:2d}/{ROUNDS}  {median:.3f} [{low:.3f}, {high:.3f}]':32s} {counts:>19s}  {same}")
     return 0
 
 

@@ -53,6 +53,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 import traceback
 from pathlib import Path
 
@@ -68,13 +69,17 @@ def _digest(*parts) -> str:
     return h.hexdigest()
 
 
+def _fit_parts(sigma, trace) -> list:
+    """The parts of a fit's md5: sigma and the trace's columns, each array by
+    its bytes, and its stop reason."""
+    return [sigma.tobytes(), trace.nll_per_iter.tobytes(), trace.func_evals_per_iter.tobytes(), trace.stop_reason]
+
+
 def _fit_digest(results) -> str:
-    """md5 over (params, sigma, trace) results, each array by its bytes."""
-    parts = []
-    for params, sigma, trace in results:
-        parts += [params.log_vector().tobytes(), sigma.tobytes(),
-                  trace.nll_per_iter.tobytes(), trace.func_evals_per_iter.tobytes(), trace.stop_reason]
-    return _digest(*parts)
+    """md5 over (params, sigma, trace) results: each one's log theta bytes
+    and ``_fit_parts``."""
+    return _digest(*(part for params, sigma, trace in results
+                     for part in (params.log_vector().tobytes(), *_fit_parts(sigma, trace))))
 
 
 def workload_digest(name: str, outputs) -> str:
@@ -145,18 +150,32 @@ def setup_workloads(tree, seed: int, tmp: str) -> dict:
     return made
 
 
-@contextlib.contextmanager
-def sweep_fits(tree, hook):
-    """While open, each fit of ``tree``'s ``benchmark`` sweep, a cell's
-    ``cli.optimize_sigma`` call or a fold's ``detect.optimize_sigma_matrix``
-    call, runs as ``hook(kind, fit, *args)`` with ``kind`` "cell" or
-    "fold"; the functions are restored on exit."""
+def timed_call(tree, workloads: dict, name: str, item):
+    """Call item ``item`` of workload ``name`` of ``workloads`` (set up on
+    ``tree`` by ``setup_workloads``) once, timed with ``time.perf_counter``,
+    and return ``(output, seconds, fits)``. ``fits`` holds each fit the call
+    made through ``tree``'s ``benchmark`` sweep, a cell's
+    ``cli.optimize_sigma`` or a fold's ``detect.optimize_sigma_matrix``
+    call, in call order, as ``(kind, args, seconds, (sigma, trace))`` with
+    ``kind`` "cell" or "fold"; only ``cli-sweep`` makes such fits. Both
+    functions are restored before it returns or raises."""
     cli, detect = tree.cli, tree.detect
     cell_fit, fold_fit = cli.optimize_sigma, detect.optimize_sigma_matrix
-    cli.optimize_sigma = lambda *args: hook("cell", cell_fit, *args)
-    detect.optimize_sigma_matrix = lambda *args: hook("fold", fold_fit, *args)
+    fits = []
+
+    def timed(kind, fit):
+        def call(*args):
+            start = time.perf_counter()
+            result = fit(*args)
+            fits.append((kind, args, time.perf_counter() - start, result))
+            return result
+        return call
+
+    cli.optimize_sigma, detect.optimize_sigma_matrix = timed("cell", cell_fit), timed("fold", fold_fit)
     try:
-        yield
+        start = time.perf_counter()
+        output = workloads[name].call(item)
+        return output, time.perf_counter() - start, fits
     finally:
         cli.optimize_sigma, detect.optimize_sigma_matrix = cell_fit, fold_fit
 

@@ -45,7 +45,7 @@ import sys
 import tempfile
 import traceback
 
-from bitwise_check import load_trees, setup_workloads, sweep_fits
+from bitwise_check import WORKLOADS, load_trees, setup_workloads, timed_call
 
 NLL_RTOL = 1e-6
 KKT_TOL = 1e-3
@@ -66,28 +66,23 @@ def fits(tree, seed: int, tmp: str) -> dict[tuple[str, int], dict]:
             "auc": None if corrupted is None else float(tree.roc_auc(sigma, corrupted)),
         }
 
-    for name in ("example1-joint", "gp1000-fit"):
-        workload = workloads[name]
-        for item in workload.items():
-            params, sigma, trace = workload.call(item)
-            data = workload.datasets[item]
-            record(name, tree.build_kernel_matrix(params, data.X), data.y_centered, sigma, trace,
-                   data.truth.corrupted)
-
-    def record_fit(kind, fit, *args):
-        sigma, trace = fit(*args)
-        if kind == "cell":
-            params, data = args[:2]
-            record("cli-sweep cell", tree.build_kernel_matrix(params, data.X), data.y_centered, sigma, trace,
-                   data.truth.corrupted)
-        else:
-            record("cli-sweep fold", *args[:2], sigma, trace)
-        return sigma, trace
-
-    with sweep_fits(tree, record_fit):
-        code, _ = workloads["cli-sweep"].call(0)
-    if code != 0:
-        raise RuntimeError(f"the sweep exited {code}")
+    for name in WORKLOADS:
+        for item in workloads[name].items():
+            output, _, sweep = timed_call(tree, workloads, name, item)
+            if name != "cli-sweep":
+                params, sigma, trace = output
+                data = workloads[name].datasets[item]
+                record(name, tree.build_kernel_matrix(params, data.X), data.y_centered, sigma, trace,
+                       data.truth.corrupted)
+            elif output[0] != 0:
+                raise RuntimeError(f"the sweep exited {output[0]}")
+            for kind, args, _, (sigma, trace) in sweep:
+                if kind == "cell":
+                    params, data = args[:2]
+                    record("cli-sweep cell", tree.build_kernel_matrix(params, data.X), data.y_centered, sigma,
+                           trace, data.truth.corrupted)
+                else:
+                    record("cli-sweep fold", *args[:2], sigma, trace)
     return found
 
 
