@@ -154,8 +154,7 @@ _FIT_OPTS = [
     _Opt("--sigma-init", float, None, "initial noise variance (default: 0.1 * var(y))"),
     *_KERNEL_OPTS,
     _Opt("--outer-rounds", int, JointOptConfig.outer_rounds, "joint mode: block-coordinate rounds"),
-    _Opt("--restarts", int, JointOptConfig.restarts, "joint mode: random restarts"),
-    _SEED_OPT,
+    _Opt("--restarts", int, JointOptConfig.restarts, "joint mode: starts, at fixed offsets of the heuristic theta"),
 ]
 
 _DETECT_OPTS = [
@@ -323,11 +322,7 @@ def _run_fit(data: Dataset, cfg: dict, provided: set) -> tuple[KernelParams, np.
             raise ConfigError("--joint optimizes the kernel; drop the explicit kernel flags")
         if cfg["mode"] != "full":
             raise ConfigError("--joint requires --mode full")
-        joint = JointOptConfig(
-            outer_rounds=cfg["outer_rounds"],
-            restarts=cfg["restarts"],
-            restart_seed=cfg["seed"],
-        )
+        joint = JointOptConfig(outer_rounds=cfg["outer_rounds"], restarts=cfg["restarts"])
         return joint_optimize(data, joint, mult)
     unused = provided & {"outer_rounds", "restarts"}
     if unused:
@@ -542,8 +537,7 @@ def _benchmark_cell(base: Dataset, spec: NoiseInjectionSpec, cfg: dict, mult: Mu
     try:
         noisy = inject_noise(base, spec)
         if cfg["joint"]:
-            joint = JointOptConfig(restart_seed=spec.seed)
-            params, sigma, _ = joint_optimize(noisy, joint, mult)
+            params, sigma, _ = joint_optimize(noisy, mult_config=mult)
         else:
             params = heuristic_params(noisy.X, noisy.y)
             sigma, _ = optimize_sigma(params, noisy, mult)

@@ -17,8 +17,8 @@ the stop test.
 
 ``joint_optimize`` wraps the sigma scheme in a block-coordinate descent that
 also moves the kernel hyperparameters (L-BFGS-B in log space, with the
-analytic gradient) and restarts from seeded random log-space
-initializations. L-BFGS-B (Byrd, Lu, Nocedal and Zhu, 1995) is SciPy's
+analytic gradient) and restarts from fixed log-space offsets of the
+data-driven heuristic. L-BFGS-B (Byrd, Lu, Nocedal and Zhu, 1995) is SciPy's
 compiled ``setulb``, driven by ``_lbfgsb`` with ``fmin_l_bfgs_b``'s loop
 and defaults, so its iterates are bitwise those of ``fmin_l_bfgs_b`` and
 the ``scipy.optimize`` package is never imported. Each block starts from
@@ -51,7 +51,7 @@ from .kernel import (
     rbf_from_sq_dists,
     sq_dists,
 )
-from .rng import _check_count, _check_seed, make_rng
+from .rng import _check_count
 
 __all__ = [
     "MultUpdateConfig",
@@ -76,7 +76,6 @@ _MONOTONE_SLACK = 1e-10
 # constant) and overflows double precision; it bounds the theta search
 _LOG_THETA_BOUND = 200.0
 _THETA_MAX_STEPS = 20  # L-BFGS-B iterations per theta block
-_RESTART_SPREAD = 2.0  # log-space halfwidth of the box random restarts draw from
 
 
 def _check_sigma_init(sigma_init) -> None:
@@ -144,17 +143,15 @@ class PgdConfig:
 @dataclass(frozen=True)
 class JointOptConfig:
     """Settings for block-coordinate descent over (sigma, theta). Each theta
-    block runs at most 20 L-BFGS-B iterations; random restarts draw log theta
-    within +-2 of the heuristic."""
+    block runs at most 20 L-BFGS-B iterations; the restarts start at fixed
+    offsets within +-2 of the heuristic log theta (see ``joint_optimize``)."""
 
     outer_rounds: int = 3
     restarts: int = 4
-    restart_seed: int = 0
 
     def __post_init__(self):
         _check_count("outer_rounds", self.outer_rounds, 0)
         _check_count("restarts", self.restarts, 1)
-        _check_seed(self.restart_seed)
 
 
 @dataclass(frozen=True)
@@ -462,22 +459,31 @@ def joint_optimize(
     the current sigma). Each block starts from the state the other fitted
     last, and a theta block keeps its result only if the NLL did not rise.
     The trace has one entry per sigma step and per L-BFGS-B iteration that
-    moved theta. Restart 0 starts at the data-driven heuristic (signal
-    variance = var(y), length scale = median pairwise distance); the rest
-    draw log-theta uniformly from a +-2 box around it in log space, seeded
-    by restart_seed. The winner is the restart with the lowest final NLL,
+    moved theta. The winner is the restart with the lowest final NLL,
     earliest index on ties; restarts that fail numerically are dropped, and
     only if all of them fail does the failure propagate.
+
+    Restart 0 starts at c, the (log s2, log ell) of the heuristic (s2 =
+    var(y), ell = median pairwise distance), and restart k >= 1 at
+
+        c + (2 - 2**-(j // 4)) * D[j % 4],  j = k - 1,  D = (1, -1), (-1, 1), (-1, -1), (1, 1):
+
+    the diagonal directions at 1, then on each later ring halfway from the
+    last to the +-2 box, so no two starts coincide. The order is the
+    argument. From the sigma start 0.1 * var(y) the likelihood has two
+    basins (GPML, section 5.4.1): short ell with little noise, long ell
+    with much noise. Raising s2 lowers the noise relative to the signal, so
+    the two lie along the anti-diagonal, which restarts 1 and 2 take. At
+    the heuristic ell half of all pairs correlate at e**-0.5 or more, a
+    long scale, so of the diagonal the short-ell corner comes first.
     """
     config = config or JointOptConfig()
     mult_config = mult_config or MultUpdateConfig()
     X, y = data.X, data.y_centered
     center = heuristic_params(X, data.y).log_vector()
     d2 = sq_dists(X)  # shared by every kernel matrix of every restart
-    rng = make_rng(config.restart_seed)
-    # restart 0 draws an offset too, and starts at the heuristic
-    starts = [center + _RESTART_SPREAD * (2.0 * rng.random(2) - 1.0) for _ in range(config.restarts)]
-    starts[0] = center
+    directions = np.array([(1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, 1.0)])
+    starts = [center] + [center + (2.0 - 0.5 ** (j // 4)) * directions[j % 4] for j in range(config.restarts - 1)]
 
     best = None
     failures: list[NumericalError] = []

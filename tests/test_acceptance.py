@@ -318,19 +318,23 @@ class TestAcceptance:
         )
 
     def test_criterion_08_detection_auc_on_synthetic_example(self, announce):
-        aucs = []
-        for seed in range(20):
-            data = gen_example1(seed)
-            _, sigma, _ = joint_optimize(data)
-            aucs.append(roc_auc(sigma, data.truth.corrupted))
-        median = float(np.median(aucs))
-        ok = median >= DETECTION_AUC_FLOOR
+        """Seeds 0-19, and held out 1000-1019: the floor's chance argument
+        holds for any 20 draws of the generator, so it does not move."""
+        failures = []
+        for first in (0, 1000):
+            seeds = range(first, first + 20)
+            aucs = []
+            for seed in seeds:
+                data = gen_example1(seed)
+                _, sigma, _ = joint_optimize(data)
+                aucs.append(roc_auc(sigma, data.truth.corrupted))
+            median = float(np.median(aucs))
+            if median < DETECTION_AUC_FLOOR:
+                failures.append(f"median AUC {median:.4f} over seeds {first}-{first + 19}; per-seed AUCs "
+                                + ", ".join(f"{seed}: {auc:.3f}" for seed, auc in zip(seeds, aucs)))
+        ok = not failures
         announce(8, f"median detection AUC at least {DETECTION_AUC_FLOOR:.2f}", ok)
-        assert ok, (
-            f"median AUC {median:.4f} over 20 seeds "
-            f"(floor {DETECTION_AUC_FLOOR:.2f}); per-seed AUCs "
-            + ", ".join(f"{seed}: {auc:.3f}" for seed, auc in enumerate(aucs))
-        )
+        assert ok, f"floor {DETECTION_AUC_FLOOR:.2f}: " + "; ".join(failures)
 
     def test_criterion_09_noise_aware_validation_ordering(self, announce):
         t0 = time.perf_counter()

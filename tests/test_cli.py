@@ -1151,6 +1151,25 @@ class TestConfigPrecedence:
         run("gen", "--example1", "--seed", "3", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    def test_fit_takes_no_seed(self, example_csv, tmp_path, monkeypatch, capsys):
+        """A joint fit draws nothing, so ``fit`` has no seed setting: the
+        flag and the config key are rejected, and the environment seed does
+        not change its report."""
+        out = tmp_path / "r.json"
+        assert run("fit", "--data", str(example_csv), "--joint", "--seed", "1", "--out", str(out)) == 1
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        cfg = tmp_path / "settings.cfg"
+        cfg.write_text("seed=1\n")
+        assert run("fit", "--data", str(example_csv), "--config", str(cfg), "--out", str(out)) == 1
+        assert "unknown key 'seed'" in capsys.readouterr().err
+        assert not out.exists()
+        reports = []
+        for env_seed in ("1", "2"):
+            monkeypatch.setenv("GPLABELNOISE_SEED", env_seed)
+            assert run("fit", "--data", str(example_csv), "--joint", "--restarts", "2", "--out", str(out)) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
     def test_environment_seed_fallback(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("GPLABELNOISE_SEED", "9")
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -663,15 +663,32 @@ class TestJointOptimize:
         # noiseless draws should not be explained away as label noise
         assert float(np.median(sigma_peaks)) < 0.1
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        # restart_seed -1 used to construct and fail only inside joint_optimize
-        [dict(outer_rounds=-1), dict(restarts=0),
-         *(dict(restart_seed=seed) for seed in (-1, 2**64, 2.9, "3"))],
-    )
+    @pytest.mark.parametrize("kwargs", [dict(outer_rounds=-1), dict(restarts=0)])
     def test_bad_configuration_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             JointOptConfig(**kwargs)
+
+    @pytest.mark.parametrize("restarts", range(1, 7))
+    def test_starts_are_fixed_offsets_of_the_heuristic(self, monkeypatch, restarts):
+        """Restart 0 starts at the heuristic log theta c and restart k >= 1
+        at c + (2 - 2**-(j // 4)) * D[j % 4] with j = k - 1 and D the
+        diagonal directions (1, -1), (-1, 1), (-1, -1), (1, 1), bitwise."""
+        single_start, seen = noiseopt._joint_single_start, []
+
+        def spy(d2, y, log_theta, *args):
+            seen.append(log_theta.copy())
+            return single_start(d2, y, log_theta, *args)
+
+        monkeypatch.setattr(noiseopt, "_joint_single_start", spy)
+        data = gen_example1(2)
+        joint_optimize(data, JointOptConfig(outer_rounds=1, restarts=restarts))
+        center = heuristic_params(data.X, data.y).log_vector()
+        directions = [np.array(d) for d in ((1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, 1.0))]
+        want = [center] + [center + (2.0 - 0.5 ** (j // 4)) * directions[j % 4] for j in range(restarts - 1)]
+        assert len(seen) == restarts
+        assert [s.tobytes() for s in seen] == [w.tobytes() for w in want]
+        offsets = np.array([(1, -1), (-1, 1), (-1, -1), (1, 1), (1.5, -1.5)], dtype=float)[:restarts - 1]
+        assert np.array_equal(np.reshape(seen[1:], (-1, 2)), center + offsets)
 
     def test_theta_gradients_use_kernel_grad_theta_matrices(self, monkeypatch):
         """Every theta gradient, built from the cached squared distances,

@@ -2,9 +2,10 @@
 copy of ``src/`` under another package name computes what ``gplabelnoise``
 does and a copy of the benchmark's workloads calls into it; the one timed
 call through which ``quality_check.py`` and ``ab_time.py`` see a sweep's
-fits; ``quality_check``'s rule; and ``ab_time``'s paired reading. The
-tools' ``git archive`` export is not exercised here."""
+fits; the fits ``quality_check`` reads, and its rule; and ``ab_time``'s
+paired reading. The tools' ``git archive`` export is not exercised here."""
 
+import collections
 import importlib
 import sys
 import types
@@ -92,6 +93,25 @@ def test_timed_call_times_each_fit_of_a_sweep_and_restores_them(tools, copy, tmp
     with pytest.raises(RuntimeError, match="fold fit failed"):
         tools.bitwise_check.timed_call(copy, {"sweep": sweep}, "sweep", 0)
     assert (cli.optimize_sigma, detect.optimize_sigma_matrix) == (originals[0], fail)
+
+
+def test_quality_check_fits_the_held_out_problem_set(tools, copy, tmp_path, monkeypatch):
+    """``quality_check.fits`` returns 65 fits in five groups. The held-out
+    group holds ``joint_optimize`` on ``gen_example1`` 1000-1019, presented
+    as the benchmark's ``held-out`` problem set presents them."""
+    monkeypatch.setattr(sys.modules[f"{COPY}._fanout"], "_processes", lambda items: 1)
+    found = tools.quality_check.fits(copy, 1, str(tmp_path))
+    assert collections.Counter(group for group, _ in found) == {
+        "example1-joint": 20, "example1-joint held-out": 20, "gp1000-fit": 1, "cli-sweep cell": 4,
+        "cli-sweep fold": 20}
+    workloads = tools.bitwise_check.load_workloads(copy)
+    for item in (0, 19):
+        data = workloads.translate(copy.gen_example1(1000 + item), 1)
+        _, sigma, trace = copy.joint_optimize(data)
+        fit = found["example1-joint held-out", item]
+        assert (fit["nll"], fit["func_evals"]) == (trace.final_nll, trace.func_evals)
+        assert fit["auc"] == copy.roc_auc(sigma, data.truth.corrupted)
+        assert fit["nll"] != found["example1-joint", item]["nll"]
 
 
 def _fit_table(nlls, residuals) -> dict:

@@ -10,6 +10,9 @@ as ``tools/bitwise_check.py`` loads them, pinned to one CPU so that the
 sweep's cells run in it. For each tree it fits:
 
 - ``example1-joint``: the 20 ``joint_optimize`` fits of that workload;
+- ``example1-joint held-out``: the same 20 fits on the workloads'
+  ``held-out`` problem set (``gen_example1`` seeds 1000-1019), to check a
+  claim on data it was not tuned on;
 - ``gp1000-fit``: the ``optimize_sigma`` fit of the N=1000 draw;
 - ``cli-sweep cell``: the 4 ``optimize_sigma`` fits of the in-process
   ``benchmark`` sweep's cells on the N=200 base;
@@ -45,17 +48,22 @@ import sys
 import tempfile
 import traceback
 
-from bitwise_check import WORKLOADS, load_trees, setup_workloads, timed_call
+from bitwise_check import WORKLOADS, load_trees, load_workloads, setup_workloads, timed_call
 
 NLL_RTOL = 1e-6
 KKT_TOL = 1e-3
 FIELDS = ("nll", "residual", "iters", "func_evals", "stop")
+HELD_OUT = "example1-joint held-out"
 
 
 def fits(tree, seed: int, tmp: str) -> dict[tuple[str, int], dict]:
     """Every fit of ``tree``'s workloads at run seed ``seed``, by (group,
-    item); the sweep's files go under ``tmp``."""
+    item), and of ``example1-joint`` on the held-out problem set; the
+    sweep's files go under ``tmp``."""
     workloads = setup_workloads(tree, seed, tmp)
+    module = load_workloads(tree)
+    workloads[HELD_OUT] = module.Example1Joint()
+    workloads[HELD_OUT].setup(seed, module.PROBLEM_SETS["held-out"])
     found = {}
 
     def record(group, K, y, sigma, trace, corrupted=None):
@@ -66,7 +74,7 @@ def fits(tree, seed: int, tmp: str) -> dict[tuple[str, int], dict]:
             "auc": None if corrupted is None else float(tree.roc_auc(sigma, corrupted)),
         }
 
-    for name in WORKLOADS:
+    for name in (*WORKLOADS, HELD_OUT):
         for item in workloads[name].items():
             output, _, sweep = timed_call(tree, workloads, name, item)
             if name != "cli-sweep":
