@@ -18,10 +18,12 @@ the stop test.
 ``joint_optimize`` wraps the sigma scheme in a block-coordinate descent that
 also moves the kernel hyperparameters (L-BFGS-B in log space, with the
 analytic gradient) and restarts from fixed log-space offsets of the
-data-driven heuristic. L-BFGS-B (Byrd, Lu, Nocedal and Zhu, 1995) is SciPy's
-compiled ``setulb``, driven by ``_lbfgsb`` with ``fmin_l_bfgs_b``'s loop
-and defaults, so its iterates are bitwise those of ``fmin_l_bfgs_b`` and
-the ``scipy.optimize`` package is never imported. Each block starts from
+data-driven heuristic. Every block of a restart is an inexact solve of at
+most ``_BLOCK_MAX_STEPS`` steps, and only the winning restart's last sigma
+loop runs on to tolerance. L-BFGS-B (Byrd, Lu, Nocedal and Zhu, 1995) is
+SciPy's compiled ``setulb``, driven by ``_lbfgsb`` with
+``fmin_l_bfgs_b``'s loop and defaults, so its iterates are bitwise those of
+``fmin_l_bfgs_b`` and the ``scipy.optimize`` package is never imported. Each block starts from
 the state the other block fitted last, so no (theta, sigma) pair is
 factored twice in a row, and appends its rows to the restart's one trace.
 
@@ -36,6 +38,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,7 +78,9 @@ _MONOTONE_SLACK = 1e-10
 # log theta beyond this box describes degenerate kernels (identity or
 # constant) and overflows double precision; it bounds the theta search
 _LOG_THETA_BOUND = 200.0
-_THETA_MAX_STEPS = 20  # L-BFGS-B iterations per theta block
+# steps of a block inside a joint restart: L-BFGS-B iterations of a theta
+# block, multiplicative steps of a sigma loop (see joint_optimize)
+_BLOCK_MAX_STEPS = 20
 
 
 def _check_sigma_init(sigma_init) -> None:
@@ -142,9 +147,12 @@ class PgdConfig:
 
 @dataclass(frozen=True)
 class JointOptConfig:
-    """Settings for block-coordinate descent over (sigma, theta). Each theta
-    block runs at most 20 L-BFGS-B iterations; the restarts start at fixed
-    offsets within +-2 of the heuristic log theta (see ``joint_optimize``)."""
+    """Settings for block-coordinate descent over (sigma, theta). Inside a
+    restart each block runs at most 20 steps, L-BFGS-B iterations on theta
+    or multiplicative steps on sigma; only the winning restart's last sigma
+    loop then runs on to the sigma settings' own stop. The restarts start at
+    fixed offsets within +-2 of the heuristic log theta (see
+    ``joint_optimize``)."""
 
     outer_rounds: int = 3
     restarts: int = 4
@@ -453,15 +461,28 @@ def joint_optimize(
 ) -> tuple[KernelParams, np.ndarray, OptTrace]:
     """Block-coordinate descent over the noise vector and kernel parameters.
 
-    Each restart runs the multiplicative scheme to convergence, then
-    ``outer_rounds`` rounds of (L-BFGS-B on log-theta at fixed sigma, with
-    the analytic gradient; multiplicative re-optimization warm-started from
-    the current sigma). Each block starts from the state the other fitted
-    last, and a theta block keeps its result only if the NLL did not rise.
-    The trace has one entry per sigma step and per L-BFGS-B iteration that
-    moved theta. The winner is the restart with the lowest final NLL,
-    earliest index on ties; restarts that fail numerically are dropped, and
-    only if all of them fail does the failure propagate.
+    Each restart runs the multiplicative scheme, then ``outer_rounds``
+    rounds of (L-BFGS-B on log-theta at fixed sigma, with the analytic
+    gradient; multiplicative re-optimization warm-started from the current
+    sigma). Each block starts from the state the other fitted last, and a
+    theta block keeps its result only if the NLL did not rise. Every block
+    of a restart is an inexact solve of at most ``_BLOCK_MAX_STEPS`` = 20
+    steps, L-BFGS-B iterations or sigma steps (fewer when
+    ``mult_config.max_iters`` is lower), since an inner solve of
+    block-coordinate descent need only make progress (Tseng, JOTA 2001;
+    Bonettini, IMA J. Numer. Anal. 2011). The trace has one entry per sigma
+    step and per L-BFGS-B iteration that moved theta.
+
+    The winner is the restart with the lowest final NLL, earliest index on
+    ties; restarts that fail numerically are dropped, and only if all of
+    them fail does the failure propagate. If the winner's last sigma loop
+    stopped on its 20-step budget, that loop continues from its live state,
+    in the same trace, under ``mult_config`` with ``max_iters`` less the
+    steps taken, so the returned stop reason is that of a loop run under
+    ``mult_config``. With no outer round and one restart the result is
+    bitwise ``optimize_sigma_matrix`` at the heuristic kernel. The winner's
+    last fit stays alive while the later restarts run; its kernel is built
+    again from ``d2``, bitwise as before, which costs no factorization.
 
     Restart 0 starts at c, the (log s2, log ell) of the heuristic (s2 =
     var(y), ell = median pairwise distance), and restart k >= 1 at
@@ -479,6 +500,7 @@ def joint_optimize(
     """
     config = config or JointOptConfig()
     mult_config = mult_config or MultUpdateConfig()
+    block = replace(mult_config, max_iters=min(mult_config.max_iters, _BLOCK_MAX_STEPS))
     X, y = data.X, data.y_centered
     center = heuristic_params(X, data.y).log_vector()
     d2 = sq_dists(X)  # shared by every kernel matrix of every restart
@@ -489,19 +511,36 @@ def joint_optimize(
     failures: list[NumericalError] = []
     for r, log_theta in enumerate(starts):
         try:
-            result = _joint_single_start(d2, y, log_theta, config, mult_config)
+            result = _joint_single_start(d2, y, log_theta, config, block)
         except NumericalError as e:
             log.warning("joint restart %d failed: %s", r, e)
             failures.append(e)
             continue
-        if best is None or result[2].final_nll < best[2].final_nll:
+        if best is None or result.trace.final_nll < best.trace.final_nll:
             best = result
+        del result  # a losing restart's fit goes before the next restart
     if best is None:
         raise NumericalError(
             f"all {config.restarts} joint restarts failed numerically",
             smallest_pivot=failures[-1].smallest_pivot,
         )
-    return best
+    sigma, trace = best.sigma, best.trace
+    if trace.stop_reason == "max_iters" and mult_config.max_iters > block.max_iters:
+        rest = replace(mult_config, max_iters=mult_config.max_iters - block.max_iters)
+        K = rbf_from_sq_dists(KernelParams.from_log(best.log_theta), d2)
+        sigma, trace, _ = _drive(K, best.state, rest, mult_update_step, best.record)
+    return KernelParams.from_log(best.log_theta), sigma, trace
+
+
+class _Restart(NamedTuple):
+    """A finished joint restart: its log theta, and its last sigma loop's
+    result, last state and record, from which that loop can continue."""
+
+    log_theta: np.ndarray
+    sigma: np.ndarray
+    trace: OptTrace
+    state: GprState
+    record: _Record
 
 
 def _joint_single_start(
@@ -509,25 +548,27 @@ def _joint_single_start(
     y: np.ndarray,
     log_theta: np.ndarray,
     config: JointOptConfig,
-    mult_config: MultUpdateConfig,
-) -> tuple[KernelParams, np.ndarray, OptTrace]:
+    block: MultUpdateConfig,
+) -> _Restart:
     K = rbf_from_sq_dists(KernelParams.from_log(log_theta), d2)
-    state = fit_matrix(K, _resolve_sigma_init(mult_config.sigma_init, y), y)
+    state = fit_matrix(K, _resolve_sigma_init(block.sigma_init, y), y)
     record = _Record(nll(state, state.y))
     for round_ in range(config.outer_rounds + 1):
         if round_ > 0:
             log_theta, K, state = _theta_block(log_theta, K, state, d2, record)
         # sigma's optimum moves with theta: run the scheme from the current
         # vector (its exact zeros are fixed points and simply stay)
-        sigma, trace, state = _drive(K, state, mult_config, mult_update_step, record)
-    return KernelParams.from_log(log_theta), sigma, trace
+        sigma, trace, state = _drive(K, state, block, mult_update_step, record)
+    return _Restart(log_theta, sigma, trace, state, record)
 
 
 def _theta_block(
     log_theta: np.ndarray, K: np.ndarray, state: GprState, d2: np.ndarray, record: _Record
 ) -> tuple[np.ndarray, np.ndarray, GprState]:
-    """One L-BFGS-B run on log theta inside +-``_LOG_THETA_BOUND``, from
-    ``state``, the fit of (K, sigma) under ``log_theta``, at fixed sigma.
+    """One L-BFGS-B run of at most ``_BLOCK_MAX_STEPS`` iterations, the
+    budget of every block of a joint restart, on log theta inside
+    +-``_LOG_THETA_BOUND``, from ``state``, the fit of (K, sigma) under
+    ``log_theta``, at fixed sigma.
 
     Returns the log theta, K and state kept: the run's result if it was
     evaluated and its NLL is no higher than the start's, else the caller's
@@ -577,7 +618,7 @@ def _theta_block(
             record.row(evaluated[params][0])
 
     bound = np.full(len(log_theta), _LOG_THETA_BOUND)
-    x = _lbfgsb(objective, log_theta, -bound, bound, _THETA_MAX_STEPS, on_iteration)
+    x = _lbfgsb(objective, log_theta, -bound, bound, _BLOCK_MAX_STEPS, on_iteration)
     kept = evaluated.get(KernelParams.from_log(x))
     if kept is None or kept[0] > start:
         return log_theta, K, state

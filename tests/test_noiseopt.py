@@ -4,6 +4,7 @@ variant, the projected-gradient baseline, and joint hyperparameter search."""
 import json
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -911,7 +912,9 @@ class TestJointOptimize:
 
     def test_failing_restarts_are_dropped_in_restart_order(self, monkeypatch, caplog):
         """Restarts that fail numerically are warned about in restart order
-        and dropped; the winner is the better of those that finished."""
+        and dropped; the winner is the lower capped NLL of those that
+        finished, and the fit returns its theta and its trace, continued
+        where its last sigma loop stopped on the block budget."""
         single_start, results = noiseopt._joint_single_start, []
 
         def injecting(*args):
@@ -927,10 +930,82 @@ class TestJointOptimize:
         assert caplog.messages == ["joint restart 1 failed: injected failure",
                                    "joint restart 3 failed: injected failure"]
         assert len(results) == 4
-        best = min(results[0], results[2], key=lambda result: result[2].final_nll)
-        assert params == best[0] and np.array_equal(sigma, best[1])
-        assert trace.final_nll == best[2].final_nll
-        assert np.array_equal(trace.nll_per_iter, best[2].nll_per_iter)
+        best = min(results[0], results[2], key=lambda result: result.trace.final_nll)
+        assert params == KernelParams.from_log(best.log_theta)
+        rows = len(best.trace.nll_per_iter)
+        assert np.array_equal(trace.nll_per_iter[:rows], best.trace.nll_per_iter)
+        assert (best.trace.stop_reason == "max_iters") == (trace.iters > best.trace.iters)
+        assert trace.final_nll <= best.trace.final_nll
+
+    def test_only_the_winners_last_loop_runs_past_the_block_budget(self, monkeypatch):
+        """In a default joint fit every sigma loop stops within the 20 steps
+        a theta block gets, except at most one: the last loop of the
+        restart with the lowest NLL (earliest on ties), continued in that
+        restart's record after the restarts, when it stopped on the budget."""
+        drive, single_start = noiseopt._drive, noiseopt._joint_single_start
+        loops, restarts = [], []
+
+        def spy_drive(K, state, config, propose, record=None):
+            rows = len(record.nlls)
+            result = drive(K, state, config, propose, record)
+            loops.append((record, len(record.nlls) - rows))
+            return result
+
+        def spy_start(*args):
+            restarts.append(single_start(*args))
+            return restarts[-1]
+
+        monkeypatch.setattr(noiseopt, "_drive", spy_drive)
+        monkeypatch.setattr(noiseopt, "_joint_single_start", spy_start)
+        config, continued = JointOptConfig(), 0
+        for seed in range(5):
+            loops.clear()
+            restarts.clear()
+            _, _, trace = joint_optimize(gen_example1(seed), config)
+            winner = min(restarts, key=lambda result: result.trace.final_nll)
+            capped = config.restarts * (config.outer_rounds + 1)
+            assert all(steps <= noiseopt._BLOCK_MAX_STEPS for _, steps in loops[:capped])
+            if winner.trace.stop_reason == "max_iters":
+                assert len(loops) == capped + 1 and loops[-1][0] is winner.record
+                assert trace.iters == winner.trace.iters + loops[-1][1]
+                continued += loops[-1][1] > noiseopt._BLOCK_MAX_STEPS
+            else:
+                assert len(loops) == capped and trace.nll_per_iter.tobytes() == winner.trace.nll_per_iter.tobytes()
+        assert continued > 0
+
+    @pytest.mark.parametrize("seed", [1, 3, 5])
+    @pytest.mark.parametrize("cap", [1, 20])
+    @pytest.mark.parametrize("max_iters", [10000, 30])
+    def test_a_capped_loop_continued_is_the_uncapped_loop(self, seed, cap, max_iters):
+        """A sigma loop stopped after ``cap`` steps and continued from its
+        last state, with its record and ``max_iters - cap`` steps, is
+        bitwise the loop run in one go: sigma, trace columns and stop
+        reason, whether it ends on a tolerance or on ``max_iters``."""
+        K, y = _heuristic_problem(gen_example1(seed))
+        config = MultUpdateConfig(max_iters=max_iters)
+        sigma0 = noiseopt._resolve_sigma_init(None, y)
+        expected = noiseopt._drive(K, fit_matrix(K, sigma0, y), config, mult_update_step)
+        start = fit_matrix(K, sigma0, y)
+        record = noiseopt._Record(nll(start, start.y))
+        _, first, state = noiseopt._drive(K, start, replace(config, max_iters=cap), mult_update_step, record)
+        assert first.stop_reason == "max_iters"
+        got = noiseopt._drive(K, state, replace(config, max_iters=max_iters - cap), mult_update_step, record)
+        _assert_same_run(got[:2], expected)
+        assert (expected[1].stop_reason == "max_iters") == (max_iters == 30)
+
+    def test_winning_restart_holds_one_fit_while_the_others_run(self):
+        """The winner's last fit stays alive for its continuation while the
+        later restarts run; its kernel does not. With two restarts at the
+        size of ``test_theta_blocks_hold_one_trial_fit`` the peak is that
+        test's, 8 11/16 arrays, plus restart 0's factor while restart 1
+        runs: 9 11/16, with the same 5/16 for O(N) vectors and NumPy's
+        fixed-size buffers. Holding its K too peaked at 10.85."""
+        n = 200
+        data = inject_noise(gen_gp(KernelParams(1.0, 0.3), n, d=2, seed=0),
+                            NoiseInjectionSpec(rate=0.1, level=1.0))
+        joint_optimize(gen_example1(0), JointOptConfig(outer_rounds=1, restarts=1))
+        _, peak = peak_nn(lambda: joint_optimize(data, JointOptConfig(outer_rounds=3, restarts=2)), n)
+        assert peak <= 10, f"peak {peak:.2f} N^2 doubles"
 
 
 # ---------------------------------------------------------------------------

@@ -96,14 +96,15 @@ def test_timed_call_times_each_fit_of_a_sweep_and_restores_them(tools, copy, tmp
 
 
 def test_quality_check_fits_the_held_out_problem_set(tools, copy, tmp_path, monkeypatch):
-    """``quality_check.fits`` returns 65 fits in five groups. The held-out
+    """``quality_check.fits`` returns 68 fits in six groups. The held-out
     group holds ``joint_optimize`` on ``gen_example1`` 1000-1019, presented
-    as the benchmark's ``held-out`` problem set presents them."""
+    as the benchmark's ``held-out`` problem set presents them, and the N=200
+    group the default joint fits of the corrupted ``gen_gp`` draws 0-2."""
     monkeypatch.setattr(sys.modules[f"{COPY}._fanout"], "_processes", lambda items: 1)
     found = tools.quality_check.fits(copy, 1, str(tmp_path))
     assert collections.Counter(group for group, _ in found) == {
         "example1-joint": 20, "example1-joint held-out": 20, "gp1000-fit": 1, "cli-sweep cell": 4,
-        "cli-sweep fold": 20}
+        "cli-sweep fold": 20, "gen_gp N=200 joint": 3}
     workloads = tools.bitwise_check.load_workloads(copy)
     for item in (0, 19):
         data = workloads.translate(copy.gen_example1(1000 + item), 1)
@@ -112,6 +113,12 @@ def test_quality_check_fits_the_held_out_problem_set(tools, copy, tmp_path, monk
         assert (fit["nll"], fit["func_evals"]) == (trace.final_nll, trace.func_evals)
         assert fit["auc"] == copy.roc_auc(sigma, data.truth.corrupted)
         assert fit["nll"] != found["example1-joint", item]["nll"]
+    data = copy.inject_noise(copy.gen_gp(copy.KernelParams(1.0, 0.3), 200, d=2, seed=2),
+                             copy.NoiseInjectionSpec(rate=0.1, level=1.0, seed=2))
+    _, sigma, trace = copy.joint_optimize(data)
+    fit = found["gen_gp N=200 joint", 2]
+    assert (fit["nll"], fit["func_evals"]) == (trace.final_nll, trace.func_evals)
+    assert fit["auc"] == copy.roc_auc(sigma, data.truth.corrupted)
 
 
 def _fit_table(nlls, residuals) -> dict:

@@ -17,7 +17,12 @@ sweep's cells run in it. For each tree it fits:
 - ``cli-sweep cell``: the 4 ``optimize_sigma`` fits of the in-process
   ``benchmark`` sweep's cells on the N=200 base;
 - ``cli-sweep fold``: the 20 per-label ``optimize_sigma_matrix`` fits of
-  those cells' 5-fold ``cv_mae``.
+  those cells' 5-fold ``cv_mae``;
+- ``gen_gp N=200 joint``: ``joint_optimize`` with default configs on
+  ``gen_gp(KernelParams(1, 0.3), 200, d=2, seed=s)`` with 10% of its
+  labels corrupted at level 1 under injection seed s, s = 0-2: joint
+  fits at a size where the O(N^3) algebra outweighs the per-call
+  overhead of the N=24 fits (the run seed does not move them).
 
 For each fit it reports the final NLL, the KKT residual of sigma >= 0
 (``loocv(state, state.y).kkt_residual`` of a fit at the returned sigma),
@@ -54,12 +59,13 @@ NLL_RTOL = 1e-6
 KKT_TOL = 1e-3
 FIELDS = ("nll", "residual", "iters", "func_evals", "stop")
 HELD_OUT = "example1-joint held-out"
+GP200 = "gen_gp N=200 joint"
 
 
 def fits(tree, seed: int, tmp: str) -> dict[tuple[str, int], dict]:
     """Every fit of ``tree``'s workloads at run seed ``seed``, by (group,
-    item), and of ``example1-joint`` on the held-out problem set; the
-    sweep's files go under ``tmp``."""
+    item), of ``example1-joint`` on the held-out problem set and of the
+    N=200 joint fits; the sweep's files go under ``tmp``."""
     workloads = setup_workloads(tree, seed, tmp)
     module = load_workloads(tree)
     workloads[HELD_OUT] = module.Example1Joint()
@@ -91,6 +97,12 @@ def fits(tree, seed: int, tmp: str) -> dict[tuple[str, int], dict]:
                            trace, data.truth.corrupted)
                 else:
                     record("cli-sweep fold", *args[:2], sigma, trace)
+    for draw in range(3):
+        data = tree.inject_noise(tree.gen_gp(tree.KernelParams(1.0, 0.3), 200, d=2, seed=draw),
+                                 tree.NoiseInjectionSpec(rate=0.1, level=1.0, seed=draw))
+        params, sigma, trace = tree.joint_optimize(data)
+        record(GP200, tree.build_kernel_matrix(params, data.X), data.y_centered, sigma, trace,
+               data.truth.corrupted)
     return found
 
 
